@@ -53,6 +53,7 @@ from .policy import (
     ScoredSpan,
     forward,
     init_policy_params,
+    score_batch,
     score_positions,
     select_span,
     top_k_spans,
@@ -102,6 +103,7 @@ __all__ = [
     "salient_span_mask",
     "salient_spans",
     "save_checkpoint",
+    "score_batch",
     "score_positions",
     "select_span",
     "span_hit_metrics",

@@ -30,6 +30,11 @@ _F64 = np.dtype(np.float64)
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops record onto the tape (False inside no_grad)."""
+    return _grad_enabled
+
+
 class no_grad:
     """Context manager that disables tape recording for its block."""
 
@@ -220,17 +225,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # --- shape ops ------------------------------------------------------------
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis; all leading dimensions must agree."""
     if not tensors:
         raise ShapeMismatchError("concat", ())
-    if any(t.ndim != 1 for t in tensors):
+    lead = tensors[0].shape[:-1]
+    if any(t.ndim == 0 or t.shape[:-1] != lead for t in tensors):
         raise ShapeMismatchError("concat", *[t.shape for t in tensors])
-    sizes = [t.size for t in tensors]
+    sizes = [t.shape[-1] for t in tensors]
     bounds = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, bounds))
+        return tuple(np.split(g, bounds, axis=-1))
 
-    return _wrap(np.concatenate([t.data for t in tensors]), tuple(tensors), backward)
+    return _wrap(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), backward)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    if int(np.prod(shape)) != a.size:
+        raise ShapeMismatchError(f"reshape to {tuple(shape)}", a.shape)
+
+    def backward(g):
+        return (g.reshape(a.shape),)
+
+    return _wrap(a.data.reshape(shape), (a,), backward)
 
 
 def stack_rows(tensors: Sequence[Tensor]) -> Tensor:

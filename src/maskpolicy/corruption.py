@@ -8,6 +8,7 @@ distributed over worker processes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .policy import (
     MODE_TOP5,
     TOP5_POOL,
     PolicyParams,
-    score_positions,
+    score_batch,
     select_span,
     top_k_spans,
 )
@@ -54,6 +55,11 @@ POLICY_RANDOM15 = "random15"
 POLICY_RANDOM_SPAN = "randomspan"
 POLICY_SALIENT = "salient"
 POLICY_LEARNED = "learned"
+
+# Chunks the learned policy scores as one padded BiLSTM pass. At
+# d = 128, one worker's throughput is flat from 16 to 64 chunks and
+# half as high at 1 (sweep in CHANGES.md).
+SCORE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,11 @@ class MaskSummary:
         }
 
 
-def _mask_chunk(chunk: Chunk, spec: PolicySpec,
-                global_seed: int) -> tuple[MaskedExample | None, bool]:
-    """Corrupt one chunk. Returns (example or None when skipped, fallback?)."""
+def _mask_chunk(chunk: Chunk, spec: PolicySpec, global_seed: int,
+                logits: tuple[np.ndarray, np.ndarray] | None
+                ) -> tuple[MaskedExample | None, bool]:
+    """Corrupt one chunk; `logits` are the learned policy's scores for it.
+    Returns (example or None when skipped, fallback?)."""
     seed = derive_seed(global_seed, chunk.doc_id, chunk.chunk_index)
     rng = derive_rng(global_seed, chunk.doc_id, chunk.chunk_index)
     fallback = False
@@ -195,8 +203,7 @@ def _mask_chunk(chunk: Chunk, spec: PolicySpec,
         decisions, fallback = salient_span_mask_with_fallback(
             chunk, rng, spec.max_span_len)
     else:
-        start_logits, end_logits = score_positions(
-            spec.params, chunk.tokens.ids, max_input_len=spec.max_input_len)
+        start_logits, end_logits = logits
         pool = 1 if spec.mode == MODE_TOP1 else TOP5_POOL
         candidates = top_k_spans(start_logits, end_logits, pool, spec.max_span_len)
         decisions = select_span(candidates, spec.mode, rng)
@@ -208,34 +215,90 @@ def _mask_chunk(chunk: Chunk, spec: PolicySpec,
         return None, fallback
 
 
-def _mask_documents(docs: list[tuple[str, str]], vocab: Vocab, spec: PolicySpec,
-                    chunk_len: int, global_seed: int
-                    ) -> tuple[list[MaskedExample], int, int]:
+def _iter_chunk_batches(docs: list[tuple[str, str]], vocab: Vocab, chunk_len: int):
+    """Batches of SCORE_BATCH chunks, cut from the corpus's chunk stream."""
+    chunks = (chunk for doc_id, text in docs
+              for chunk in chunk_document(tokenize(text, vocab), chunk_len, doc_id=doc_id))
+    while batch := list(itertools.islice(chunks, SCORE_BATCH)):
+        yield batch
+
+
+def _mask_job(job, vocab: Vocab, spec: PolicySpec, chunk_len: int, global_seed: int
+              ) -> tuple[list[MaskedExample], int, int]:
+    """Corrupt one unit of work: for the learned policy a batch of chunks,
+    scored together; for a baseline one (doc_id, text) document, which
+    is tokenized here so that workers share the tokenizing."""
+    if spec.kind == POLICY_LEARNED:
+        chunks = job
+        logits = score_batch(spec.params, [chunk.tokens.ids for chunk in chunks],
+                             max_input_len=spec.max_input_len)
+    else:
+        doc_id, text = job
+        chunks = chunk_document(tokenize(text, vocab), chunk_len, doc_id=doc_id)
+        logits = [None] * len(chunks)
     examples: list[MaskedExample] = []
     fallbacks = 0
     skipped = 0
-    for doc_id, text in docs:
-        tokens = tokenize(text, vocab)
-        if len(tokens.ids) == 0:
-            continue
-        for chunk in chunk_document(tokens, chunk_len, doc_id=doc_id):
-            example, fallback = _mask_chunk(chunk, spec, global_seed)
-            fallbacks += int(fallback)
-            if example is None:
-                skipped += 1
-            else:
-                examples.append(example)
+    for chunk, chunk_logits in zip(chunks, logits):
+        example, fallback = _mask_chunk(chunk, spec, global_seed, chunk_logits)
+        fallbacks += int(fallback)
+        if example is None:
+            skipped += 1
+        else:
+            examples.append(example)
     return examples, fallbacks, skipped
 
 
-def _worker(args) -> tuple[list[MaskedExample], int, int]:
-    return _mask_documents(*args)
+# The pool initializer hands each worker the vocabulary and the spec
+# (with the learned policy's weights) once, instead of pickling them
+# into every job.
+_worker_args: tuple | None = None
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _mask_job_in_worker(job) -> tuple[list[MaskedExample], int, int]:
+    return _mask_job(job, *_worker_args)
+
+
+def _collect(parts) -> tuple[list[MaskedExample], int, int]:
+    examples: list[MaskedExample] = []
+    fallbacks = 0
+    skipped = 0
+    for part_examples, part_fallbacks, part_skipped in parts:
+        examples += part_examples
+        fallbacks += part_fallbacks
+        skipped += part_skipped
+    return examples, fallbacks, skipped
+
+
+def _check_distinct_file_names(corpus_paths) -> None:
+    """Doc ids carry a corpus file's name without its directory, so two
+    files with the same name would give their documents the same ids,
+    and with them the same per-chunk seeds."""
+    seen: dict[str, Path] = {}
+    for path in map(Path, corpus_paths):
+        if path.name in seen:
+            raise MaskPolicyError(
+                f"corpus files {seen[path.name]} and {path} share the name "
+                f"{path.name!r}, so their documents would get the same doc ids; "
+                f"rename one")
+        seen[path.name] = path
 
 
 def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
                 chunk_len: int = DEFAULT_MAX_INPUT_LEN, global_seed: int = 0,
                 workers: int = 1) -> tuple[list[MaskedExample], MaskSummary]:
-    """Deploy a policy over a corpus; deterministic in `workers`."""
+    """Deploy a policy over a corpus; deterministic in `workers`.
+
+    The learned policy scores chunks in batches of SCORE_BATCH, cut from
+    the corpus's chunk stream in order, so the makeup of every batch,
+    and with it every score, is the same for any worker count. The
+    baselines work one document at a time: holding a batch of chunks
+    would only keep their token objects alive longer."""
     spec.validate()
     if workers < 1:
         raise MaskPolicyError(f"workers must be >= 1, got {workers}")
@@ -243,19 +306,19 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
         if spec.vocab_hash != vocab.content_hash():
             raise VocabMismatchError(
                 "checkpoint was trained against a different vocabulary")
+    _check_distinct_file_names(corpus_paths)
     docs = iter_documents(corpus_paths)
-    if workers == 1 or len(docs) < 2:
-        examples, fallbacks, skipped = _mask_documents(
-            docs, vocab, spec, chunk_len, global_seed)
+    if spec.kind == POLICY_LEARNED:
+        jobs = _iter_chunk_batches(docs, vocab, chunk_len)
     else:
-        n_batches = min(workers, len(docs))
-        batches = [docs[i::n_batches] for i in range(n_batches)]
-        jobs = [(batch, vocab, spec, chunk_len, global_seed) for batch in batches]
-        with multiprocessing.Pool(processes=workers) as pool:
-            parts = pool.map(_worker, jobs)
-        examples = [ex for part, _, _ in parts for ex in part]
-        fallbacks = sum(f for _, f, _ in parts)
-        skipped = sum(s for _, _, s in parts)
+        jobs = docs
+    args = (vocab, spec, chunk_len, global_seed)
+    if workers == 1:
+        examples, fallbacks, skipped = _collect(_mask_job(job, *args) for job in jobs)
+    else:
+        with multiprocessing.Pool(processes=workers, initializer=_init_worker,
+                                  initargs=args) as pool:
+            examples, fallbacks, skipped = _collect(pool.map(_mask_job_in_worker, jobs))
     examples.sort(key=lambda ex: (ex.doc_id, ex.chunk_index))
 
     total_tokens = sum(len(ex.input_ids) for ex in examples)

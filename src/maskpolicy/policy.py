@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, embed_rows, matmul, no_grad, pick, row, stack_rows
+from .autodiff import Tensor, add, embed_rows, matmul, no_grad, reshape
 from .corpus import Span
 from .errors import (
     EmptySequenceError,
@@ -21,7 +21,7 @@ from .errors import (
     SequenceTooLongError,
     ShapeMismatchError,
 )
-from .lstm import LstmCellParams, init_lstm_params, run_bilstm_layer
+from .lstm import LstmCellParams, bilstm_sequence, init_lstm_params
 
 DEFAULT_MAX_INPUT_LEN = 128
 DEFAULT_MAX_SPAN_LEN = 10
@@ -107,9 +107,7 @@ def init_policy_params(vocab_size: int, d_emb: int, d_h: int, seed: int = 0) -> 
                         w_start, b_start, w_end, b_end)
 
 
-def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
-            ) -> tuple[Tensor, Tensor]:
-    """Per-position start and end logits for a token id sequence."""
+def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
     ids = list(ids)
     if len(ids) == 0:
         raise EmptySequenceError("policy forward on empty sequence")
@@ -117,23 +115,52 @@ def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LE
         raise SequenceTooLongError(f"sequence length {len(ids)} exceeds limit {max_input_len}")
     if any(i < 0 or i >= params.vocab_size for i in ids):
         raise ShapeMismatchError("forward(ids)", (len(ids),), params.embedding.shape)
+    return ids
 
-    embedded = embed_rows(params.embedding, ids)
-    xs = [row(embedded, t) for t in range(len(ids))]
-    layer1 = run_bilstm_layer(xs, params.lstm1_fwd, params.lstm1_bwd)
-    layer2 = run_bilstm_layer(layer1, params.lstm2_fwd, params.lstm2_bwd)
-    hidden = stack_rows(layer2)  # (m, 2*d_h)
+
+def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, Tensor]:
+    """Start and end logits of a padded batch, each flat (T*B,) in
+    time-major order. Logits at padded positions are meaningless."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    T, B = int(lengths.max()), len(seqs)
+    ids = np.zeros((T, B), dtype=np.intp)
+    for b, seq in enumerate(seqs):
+        ids[:len(seq), b] = seq
+    embedded = reshape(embed_rows(params.embedding, ids.reshape(-1)), (T, B, params.d_emb))
+    layer1 = bilstm_sequence(embedded, lengths, params.lstm1_fwd, params.lstm1_bwd)
+    layer2 = bilstm_sequence(layer1, lengths, params.lstm2_fwd, params.lstm2_bwd)
+    hidden = reshape(layer2, (T * B, 2 * params.d_h))
     start_logits = add(matmul(hidden, params.w_start), params.b_start)
     end_logits = add(matmul(hidden, params.w_end), params.b_end)
     return start_logits, end_logits
 
 
+def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
+            ) -> tuple[Tensor, Tensor]:
+    """Per-position start and end logits for a token id sequence."""
+    return _batch_logits(params, [_checked_ids(params, ids, max_input_len)])
+
+
+def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Inference-only forward over several id sequences at once, as one
+    padded batch with no tape. Returns (start_logits, end_logits) per
+    sequence, each as long as its sequence."""
+    seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
+    if not seqs:
+        return []
+    with no_grad():
+        start_logits, end_logits = _batch_logits(params, seqs)
+    B = len(seqs)
+    start = start_logits.data.reshape(-1, B)
+    end = end_logits.data.reshape(-1, B)
+    return [(start[:len(s), b].copy(), end[:len(s), b].copy()) for b, s in enumerate(seqs)]
+
+
 def score_positions(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-only forward: plain arrays, no tape."""
-    with no_grad():
-        start_logits, end_logits = forward(params, ids, max_input_len)
-    return start_logits.data, end_logits.data
+    """Inference-only forward of one sequence: plain arrays, no tape."""
+    return score_batch(params, [ids], max_input_len)[0]
 
 
 @dataclass(frozen=True)
@@ -157,13 +184,14 @@ def top_k_spans(start_logits, end_logits, k: int,
     if k < 1 or max_span_len < 1:
         raise ValueError(f"k and max_span_len must be >= 1, got k={k}, max_span_len={max_span_len}")
 
-    candidates = [
-        (float(start[i] + end[j]), i, j)
-        for i in range(m)
-        for j in range(i, min(i + max_span_len, m))
-    ]
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return [ScoredSpan(Span(i, j), score) for score, i, j in candidates[:k]]
+    # The (m, max_span_len) band: row i, column w is the span (i, i + w).
+    band = np.arange(m)[:, None] + np.arange(min(max_span_len, m)) < m
+    i, w = np.nonzero(band)
+    j = i + w
+    score = start[i] + end[j]
+    # lexsort sorts by its last key first: score descending, then i, then j.
+    order = np.lexsort((j, i, -score))[:k]
+    return [ScoredSpan(Span(int(i[t]), int(j[t])), float(score[t])) for t in order]
 
 
 def select_span(candidates: list[ScoredSpan], mode: str, rng: np.random.Generator) -> Span:

@@ -14,6 +14,7 @@ from scipy import stats
 
 from maskpolicy.baselines import random_token_mask, salient_span_mask, salient_spans
 from maskpolicy.checkpoint import save_checkpoint
+from maskpolicy import corruption
 from maskpolicy.cli import main
 from maskpolicy.corpus import Chunk, Span, chunk_document, iter_documents, tokenize
 from maskpolicy.corruption import PolicySpec, mask_corpus
@@ -288,24 +289,28 @@ def test_deterministic_deployment(capsys, tmp_path_factory,
     save_checkpoint(ckpt, params, vocab,
                     hyperparameters=SENTINEL_CFG.hyperparameters())
 
-    def run(label, workers):
+    def run(label, workers, batch=corruption.SCORE_BATCH):
         out = root / label
-        code = main(["mask-corpus", "--corpus", str(corpus),
-                     "--vocab", str(vocab_path), "--policy", "learned",
-                     "--checkpoint", str(ckpt), "--mode", "top5",
-                     "--seed", "3", "--chunk-len", "24", "--max-span-len", "5",
-                     "--workers", str(workers), "--out", str(out)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corruption, "SCORE_BATCH", batch)
+            code = main(["mask-corpus", "--corpus", str(corpus),
+                         "--vocab", str(vocab_path), "--policy", "learned",
+                         "--checkpoint", str(ckpt), "--mode", "top5",
+                         "--seed", "3", "--chunk-len", "24", "--max-span-len", "5",
+                         "--workers", str(workers), "--out", str(out)])
         assert code == 0
         return ((out / "masked.jsonl").read_bytes(),
                 (out / "summary.json").read_bytes())
 
     t0 = time.perf_counter()
-    runs = [run("repeat_a", 1), run("repeat_b", 1), run("w2", 2), run("w8", 8)]
+    runs = [run("repeat_a", 1), run("repeat_b", 1), run("w2", 2), run("w8", 8),
+            run("b1", 1, batch=1), run("b7", 1, batch=7), run("b7_w2", 2, batch=7)]
     dt = time.perf_counter() - t0
     ok = all(r == runs[0] for r in runs[1:])
     verdict(capsys, "determinism", ok,
-            f"byte-identical masked.jsonl+summary.json across repeat runs and "
-            f"worker counts 1, 2, 8 in {dt:.1f}s")
+            f"byte-identical masked.jsonl+summary.json across repeat runs, "
+            f"worker counts 1, 2, 8 and scoring batch sizes 1, 7, "
+            f"{corruption.SCORE_BATCH} in {dt:.1f}s")
 
 
 # --- salient tagger on reference contexts ------------------------------

@@ -175,6 +175,35 @@ class TestMaskCorpus:
     def test_learned_without_checkpoint_is_usage_error(self, workspace):
         assert self._mask(workspace, workspace / "nockpt", "learned") == 1
 
+    def test_corpus_files_sharing_a_name_rejected(self, workspace, capsys):
+        # doc ids carry only the file name, so these two files would get
+        # the same doc ids and the same per-chunk seeds
+        paths = []
+        for part in ("a", "b"):
+            (workspace / part).mkdir(exist_ok=True)
+            paths.append(workspace / part / "part.txt")
+            paths[-1].write_text("the same words\n", encoding="utf-8")
+        out = workspace / "mask_dup"
+        code = main(["mask-corpus", "--corpus", *map(str, paths),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "random15", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not (out / "masked.jsonl").exists()
+
+    def test_build_vocab_accepts_files_sharing_a_name(self, tmp_path):
+        # vocabulary building never uses doc ids, so nothing can collide
+        paths = []
+        for part, words in (("a", "alpha beta\n"), ("b", "gamma delta\n")):
+            (tmp_path / part).mkdir()
+            paths.append(tmp_path / part / "part.txt")
+            paths[-1].write_text(words, encoding="utf-8")
+        out = tmp_path / "vocab"
+        assert main(["build-vocab", "--corpus", *map(str, paths), "--out", str(out)]) == 0
+        tokens = (out / "vocab.txt").read_text(encoding="utf-8").split()
+        assert {"alpha", "beta", "gamma", "delta"} <= set(tokens)
+
 
 class TestGradCheckCommand:
     def test_small_run_passes(self, tmp_path):

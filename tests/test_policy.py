@@ -17,6 +17,7 @@ from maskpolicy.policy import (
     ScoredSpan,
     forward,
     init_policy_params,
+    score_batch,
     score_positions,
     select_span,
     top_k_spans,
@@ -103,6 +104,44 @@ class TestScorePositions:
         assert start.dtype == np.float64
 
 
+class TestScoreBatch:
+    LENGTHS = (1, 2, 17, 127, 128)
+
+    def _batch(self, params):
+        rng = np.random.default_rng(21)
+        return [[int(t) for t in rng.integers(0, params.vocab_size, size=n)]
+                for n in self.LENGTHS]
+
+    def test_ragged_batch_matches_scalar_reference(self):
+        params = init_policy_params(30, 5, 4, seed=13)
+        batch = self._batch(params)
+        weights = weights_from_params(params)
+        got = score_batch(params, batch)
+        assert [len(s) for s, _ in got] == list(self.LENGTHS)
+        for ids, (start, end) in zip(batch, got):
+            ref_start, ref_end = policy_forward(weights, ids)
+            np.testing.assert_allclose(start, ref_start, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(end, ref_end, rtol=0, atol=1e-10)
+
+    def test_ragged_batch_matches_one_at_a_time(self):
+        params = init_policy_params(30, 5, 4, seed=14)
+        batch = self._batch(params)
+        for ids, (start, end) in zip(batch, score_batch(params, batch)):
+            alone_start, alone_end = score_batch(params, [ids])[0]
+            np.testing.assert_allclose(start, alone_start, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(end, alone_end, rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        assert score_batch(small_params(), []) == []
+
+    def test_bad_sequence_rejected(self):
+        params = small_params()
+        with pytest.raises(EmptySequenceError):
+            score_batch(params, [[1, 2], []])
+        with pytest.raises(SequenceTooLongError):
+            score_batch(params, [[1], [2] * 9], max_input_len=8)
+
+
 class TestTopKSpans:
     def test_frozen_ranking(self):
         start = np.array([2.0, 0.0, 1.0])
@@ -130,6 +169,15 @@ class TestTopKSpans:
         spans = top_k_spans(start, start, k=6, max_span_len=3)
         got = [(s.span.start, s.span.end) for s in spans]
         assert got == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+    def test_all_equal_logits_rank_by_start_then_end(self):
+        # every candidate ties, so the order is the tie rule alone
+        start = np.full(7, 0.3)
+        end = np.full(7, -1.1)
+        spans = top_k_spans(start, end, k=100, max_span_len=3)
+        got = [(s.span.start, s.span.end) for s in spans]
+        assert got == [(i, j) for i in range(7) for j in range(i, min(i + 3, 7))]
+        assert {s.score for s in spans} == {0.3 + -1.1}
 
     def test_ranking_invariant_to_shared_shift(self):
         rng = np.random.default_rng(11)
