@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Chunk, Span
 from .errors import InvalidRateError
-from .policy import DEFAULT_MAX_SPAN_LEN
+from .policy import DEFAULT_MAX_SPAN_LEN, Proposer, span_band
 
 RANDOM_MASK_RATE = 0.15
 
@@ -178,10 +178,9 @@ def salient_spans(chunk: Chunk) -> list[SalientTag]:
 def random_span_mask(chunk: Chunk, rng: np.random.Generator,
                      max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Span:
     """Uniform over all spans of length <= max_span_len."""
-    m = len(chunk)
-    spans = [(i, j) for i in range(m) for j in range(i, min(i + max_span_len, m))]
-    i, j = spans[int(rng.integers(0, len(spans)))]
-    return Span(i, j)
+    starts, ends = span_band(len(chunk), max_span_len)
+    t = int(rng.integers(0, len(starts)))
+    return Span(int(starts[t]), int(ends[t]))
 
 
 def _eligible_salient(chunk: Chunk, max_span_len: int) -> list[SalientTag]:
@@ -203,6 +202,29 @@ def salient_span_mask_with_fallback(chunk: Chunk, rng: np.random.Generator,
     if tags:
         return tags[int(rng.integers(0, len(tags)))].span, False
     return random_span_mask(chunk, rng, max_span_len), True
+
+
+def random_span_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
+    """Up to k distinct spans of length <= max_span_len in uniformly random order."""
+    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
+        starts, ends = span_band(len(chunk), max_span_len)
+        return [Span(int(starts[t]), int(ends[t])) for t in rng.permutation(len(starts))[:k]]
+
+    return propose
+
+
+def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
+    """Up to k salient spans, a uniform sample in chunk order when there
+    are more. Unlike salient_span_mask, it has no random-span fallback:
+    a chunk without salient spans gets no proposals."""
+    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
+        tags = [t.span for t in _eligible_salient(chunk, max_span_len)]
+        if len(tags) > k:
+            picks = rng.choice(len(tags), size=k, replace=False)
+            return [tags[int(t)] for t in sorted(picks)]
+        return tags
+
+    return propose
 
 
 def load_tagger_fixtures(path) -> list[tuple[str, list[tuple[str, int, int]]]]:

@@ -2,9 +2,10 @@
 
 The container records the vocabulary hash it was trained against;
 loading with a vocabulary verifies the hash so a policy is never
-deployed over ids it was not trained on. embedding_source is reserved
-for checkpoints whose embedding rows were imported from an external
-model rather than trained from random init.
+deployed over ids it was not trained on. Loading checks every tensor's
+shape against the model's parameter table, so a malformed checkpoint
+fails at load time with a MaskPolicyError naming the bad key or
+parameter.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .corpus import Vocab
 from .errors import MaskPolicyError, VocabMismatchError
-from .lstm import LstmCellParams
 from .policy import PolicyParams
 
 FORMAT_VERSION = 1
@@ -29,7 +28,6 @@ def save_checkpoint(path, params: PolicyParams, vocab: Vocab,
         "format_version": FORMAT_VERSION,
         "vocab_hash": vocab.content_hash(),
         "hyperparameters": dict(hyperparameters or {}),
-        "embedding_source": "random",
         "parameters": {
             name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
             for name, t in params.named_parameters()
@@ -38,41 +36,37 @@ def save_checkpoint(path, params: PolicyParams, vocab: Vocab,
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _tensor(entry: dict) -> Tensor:
-    data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-    return Tensor(data, requires_grad=True)
+def _array(name: str, entry) -> np.ndarray:
+    if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+        raise MaskPolicyError(f"checkpoint parameter {name!r} needs 'shape' and 'data'")
+    try:
+        return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    except (TypeError, ValueError) as e:
+        raise MaskPolicyError(f"checkpoint parameter {name!r} is malformed: {e}") from None
+
+
+def _field(payload: dict, key: str, kind: type, default=None):
+    value = payload.get(key, default)
+    if not isinstance(value, kind):
+        raise MaskPolicyError(f"checkpoint field {key!r} is missing or not a {kind.__name__}")
+    return value
 
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dict, str]:
     """Returns (params, hyperparameters, vocab_hash); verifies the hash
     when a vocabulary is supplied."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise MaskPolicyError(f"checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise MaskPolicyError(f"unsupported checkpoint format_version: {version!r}")
-    vocab_hash = payload["vocab_hash"]
+    vocab_hash = _field(payload, "vocab_hash", str)
     if vocab is not None and vocab.content_hash() != vocab_hash:
         raise VocabMismatchError(
             f"checkpoint was built for vocab {vocab_hash[:12]}..., "
             f"got {vocab.content_hash()[:12]}...")
-    raw = payload["parameters"]
-    expected = {"embedding",
-                "lstm1.fwd.W", "lstm1.fwd.b", "lstm1.bwd.W", "lstm1.bwd.b",
-                "lstm2.fwd.W", "lstm2.fwd.b", "lstm2.bwd.W", "lstm2.bwd.b",
-                "head.start.w", "head.start.b", "head.end.w", "head.end.b"}
-    if set(raw) != expected:
-        missing = expected - set(raw)
-        extra = set(raw) - expected
-        raise MaskPolicyError(f"checkpoint parameters malformed (missing={missing}, extra={extra})")
-
-    def cell(prefix: str) -> LstmCellParams:
-        return LstmCellParams(W=_tensor(raw[f"{prefix}.W"]), b=_tensor(raw[f"{prefix}.b"]))
-
-    params = PolicyParams(
-        embedding=_tensor(raw["embedding"]),
-        lstm1_fwd=cell("lstm1.fwd"), lstm1_bwd=cell("lstm1.bwd"),
-        lstm2_fwd=cell("lstm2.fwd"), lstm2_bwd=cell("lstm2.bwd"),
-        w_start=_tensor(raw["head.start.w"]), b_start=_tensor(raw["head.start.b"]),
-        w_end=_tensor(raw["head.end.w"]), b_end=_tensor(raw["head.end.b"]),
-    )
-    return params, payload.get("hyperparameters", {}), vocab_hash
+    hyperparameters = _field(payload, "hyperparameters", dict, default={})
+    raw = _field(payload, "parameters", dict)
+    params = PolicyParams.from_arrays({name: _array(name, entry) for name, entry in raw.items()})
+    return params, hyperparameters, vocab_hash

@@ -9,6 +9,7 @@ or runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Vocab, build_vocab, load_anchor_dataset
 from .corruption import (
+    POLICIES,
     POLICY_LEARNED,
     PolicySpec,
     mask_corpus,
@@ -24,14 +26,7 @@ from .corruption import (
     write_summary,
 )
 from .errors import MaskPolicyError
-from .evaluation import (
-    compare_policies,
-    random_span_proposer,
-    read_report,
-    salient_proposer,
-    span_hit_metrics,
-    write_report,
-)
+from .evaluation import compare_policies, read_report, span_hit_metrics, write_report
 from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODE_TOP5
 from .training import TrainConfig, grad_check_suite, train_policy
 
@@ -39,9 +34,7 @@ from .training import TrainConfig, grad_check_suite, train_policy
 # command line; explicit flags always win over config values.
 _CONFIG_KEYS = {
     "build-vocab": {"max_size", "min_freq"},
-    "train-policy": {"epochs", "learning_rate", "batch_size", "optimizer",
-                     "max_input_len", "max_span_len", "seed", "d_emb", "d_h",
-                     "clip_norm"},
+    "train-policy": {f.name for f in dataclasses.fields(TrainConfig)},
     "eval-policy": {"max_span_len", "max_input_len", "seed"},
     "mask-corpus": {"mode", "seed", "workers", "chunk_len", "max_span_len",
                     "rate"},
@@ -124,8 +117,7 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_train_policy(args) -> int:
     config = _load_config(args.config, "train-policy")
-    defaults = {f: getattr(TrainConfig, f) for f in _CONFIG_KEYS["train-policy"]}
-    opts = _resolve(args, config, defaults)
+    opts = _resolve(args, config, TrainConfig().hyperparameters())
     out = _out_dir(args)
     vocab = Vocab.load(args.vocab)
     cfg = TrainConfig(**opts)
@@ -162,6 +154,19 @@ def _drop_unfittable(examples, max_input_len, name):
     return kept
 
 
+def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> tuple[PolicySpec, dict]:
+    """The --policy spec and its checkpoint's hyperparameters. The learned
+    policy's weights come from --checkpoint, which joins `inputs`."""
+    spec = PolicySpec(kind=args.policy, **knobs)
+    if spec.kind != POLICY_LEARNED:
+        return spec, {}
+    if args.checkpoint is None:
+        raise _UsageError(f"{args.command}: --checkpoint is required for --policy learned")
+    spec.params, hyper, spec.vocab_hash = load_checkpoint(args.checkpoint, vocab)
+    inputs.append(args.checkpoint)
+    return spec, hyper
+
+
 def _cmd_eval_policy(args) -> int:
     config = _load_config(args.config, "eval-policy")
     opts = _resolve(args, config, {"max_span_len": DEFAULT_MAX_SPAN_LEN,
@@ -175,19 +180,9 @@ def _cmd_eval_policy(args) -> int:
           file=sys.stderr)
 
     inputs = [args.dev, args.vocab]
-    if args.policy == "learned":
-        if args.checkpoint is None:
-            raise _UsageError("eval-policy: --checkpoint is required for "
-                              "--policy learned")
-        params, _, _ = load_checkpoint(args.checkpoint, vocab)
-        policy = params
-        inputs.append(args.checkpoint)
-    elif args.policy == "randomspan":
-        policy = random_span_proposer(opts["max_span_len"])
-    else:
-        policy = salient_proposer(opts["max_span_len"])
-
-    report = span_hit_metrics(policy, dev, policy_tag=args.policy,
+    spec, _ = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
+                           max_input_len=opts["max_input_len"])
+    report = span_hit_metrics(POLICIES[spec.kind].proposer(spec), dev, policy_tag=args.policy,
                               max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],
                               seed=opts["seed"])
@@ -210,23 +205,16 @@ def _cmd_mask_corpus(args) -> int:
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
-    spec = PolicySpec(kind=args.policy, mode=opts["mode"], rate=opts["rate"],
-                      max_span_len=opts["max_span_len"],
-                      max_input_len=opts["chunk_len"])
-    if args.policy == POLICY_LEARNED:
-        if args.checkpoint is None:
-            raise _UsageError("mask-corpus: --checkpoint is required for "
-                              "--policy learned")
-        params, hyper, vocab_hash = load_checkpoint(args.checkpoint, vocab)
+    spec, hyper = _policy_spec(args, vocab, inputs, mode=opts["mode"], rate=opts["rate"],
+                               max_span_len=opts["max_span_len"],
+                               max_input_len=opts["chunk_len"])
+    if spec.params is not None:
         trained_len = int(hyper.get("max_input_len", opts["chunk_len"]))
         if opts["chunk_len"] > trained_len:
             raise MaskPolicyError(
                 f"chunk length {opts['chunk_len']} exceeds the policy's "
                 f"input limit of {trained_len}")
-        spec.params = params
-        spec.vocab_hash = vocab_hash
         spec.max_input_len = trained_len
-        inputs.append(args.checkpoint)
 
     examples, summary = mask_corpus(args.corpus, vocab, spec,
                                     chunk_len=opts["chunk_len"],
@@ -302,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--policy", required=True,
-                   choices=["learned", "randomspan", "salient"])
+                   choices=[kind for kind, policy in POLICIES.items() if policy.proposer])
     p.add_argument("--checkpoint")
     p.add_argument("--max-span-len", type=int, dest="max_span_len")
     p.add_argument("--max-input-len", type=int, dest="max_input_len")
@@ -312,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask-corpus", help="corrupt a corpus with a policy")
     p.add_argument("--corpus", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--policy", required=True,
-                   choices=["random15", "randomspan", "salient", "learned"])
+    p.add_argument("--policy", required=True, choices=list(POLICIES))
     p.add_argument("--checkpoint")
     p.add_argument("--mode", choices=[MODE_TOP1, MODE_TOP5])
     p.add_argument("--seed", type=int)

@@ -13,13 +13,16 @@ import json
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baselines import (
     MaskDecisions,
     random_span_mask,
+    random_span_proposer,
     random_token_mask,
+    salient_proposer,
     salient_span_mask_with_fallback,
 )
 from .corpus import (
@@ -45,6 +48,8 @@ from .policy import (
     MODE_TOP5,
     TOP5_POOL,
     PolicyParams,
+    Proposer,
+    learned_proposer,
     score_batch,
     select_span,
     top_k_spans,
@@ -82,6 +87,16 @@ class MaskedExample:
             "policy": self.policy_tag,
             "seed": self.seed_used,
         }
+
+    def masked_runs(self) -> list[tuple[int, int]]:
+        """(start, length) of each maximal run of consecutive masked positions."""
+        runs: list[list[int]] = []
+        for p in self.masked_positions:
+            if runs and p == runs[-1][0] + runs[-1][1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([p, 1])
+        return [(start, length) for start, length in runs]
 
     def original_ids(self) -> tuple[int, ...]:
         """Reconstruct the uncorrupted chunk."""
@@ -152,8 +167,7 @@ class PolicySpec:
     vocab_hash: str | None = None
 
     def validate(self) -> None:
-        kinds = (POLICY_RANDOM15, POLICY_RANDOM_SPAN, POLICY_SALIENT, POLICY_LEARNED)
-        if self.kind not in kinds:
+        if self.kind not in POLICIES:
             raise MaskPolicyError(f"unknown policy kind {self.kind!r}")
         if self.mode not in (MODE_TOP1, MODE_TOP5):
             raise MaskPolicyError(f"unknown selection mode {self.mode!r}")
@@ -194,25 +208,58 @@ def _mask_chunk(chunk: Chunk, spec: PolicySpec, global_seed: int,
     Returns (example or None when skipped, fallback?)."""
     seed = derive_seed(global_seed, chunk.doc_id, chunk.chunk_index)
     rng = derive_rng(global_seed, chunk.doc_id, chunk.chunk_index)
-    fallback = False
-    if spec.kind == POLICY_RANDOM15:
-        decisions: MaskDecisions | Span = random_token_mask(chunk, spec.rate, rng)
-    elif spec.kind == POLICY_RANDOM_SPAN:
-        decisions = random_span_mask(chunk, rng, spec.max_span_len)
-    elif spec.kind == POLICY_SALIENT:
-        decisions, fallback = salient_span_mask_with_fallback(
-            chunk, rng, spec.max_span_len)
-    else:
-        start_logits, end_logits = logits
-        pool = 1 if spec.mode == MODE_TOP1 else TOP5_POOL
-        candidates = top_k_spans(start_logits, end_logits, pool, spec.max_span_len)
-        decisions = select_span(candidates, spec.mode, rng)
+    decisions, fallback = POLICIES[spec.kind].select(chunk, spec, rng, logits)
     try:
         return corrupt(chunk, decisions, policy_tag=spec.tag, seed_used=seed), fallback
     except AllMaskedError:
         # A span policy on a chunk of length 1 always selects everything;
         # such chunks are skipped and counted rather than emitted.
         return None, fallback
+
+
+def _select_learned(chunk: Chunk, spec: PolicySpec, rng: np.random.Generator,
+                    logits: tuple[np.ndarray, np.ndarray]) -> tuple[Span, bool]:
+    start_logits, end_logits = logits
+    pool = 1 if spec.mode == MODE_TOP1 else TOP5_POOL
+    candidates = top_k_spans(start_logits, end_logits, pool, spec.max_span_len)
+    return select_span(candidates, spec.mode, rng), False
+
+
+@dataclass(frozen=True)
+class PolicyKind:
+    """What a policy kind does when deployed and when evaluated.
+
+    `select(chunk, spec, rng, logits)` returns the chunk's mask decisions
+    and whether a fallback produced them; `logits` are the learned
+    policy's scores for the chunk, None for the others. `proposer(spec)`
+    builds the ranked-span proposer that evaluation scores, or is None
+    for a kind that proposes no spans."""
+
+    select: Callable[[Chunk, PolicySpec, np.random.Generator, tuple | None],
+                     tuple[MaskDecisions | Span, bool]]
+    proposer: Callable[[PolicySpec], Proposer] | None = None
+
+
+# Every policy kind. Salient differs between the two roles on purpose:
+# deployed, a chunk without salient spans still gets a random span (and
+# counts as a fallback); evaluated, it gets no proposals.
+POLICIES: dict[str, PolicyKind] = {
+    POLICY_RANDOM15: PolicyKind(
+        select=lambda chunk, spec, rng, logits: (
+            random_token_mask(chunk, spec.rate, rng), False)),
+    POLICY_RANDOM_SPAN: PolicyKind(
+        select=lambda chunk, spec, rng, logits: (
+            random_span_mask(chunk, rng, spec.max_span_len), False),
+        proposer=lambda spec: random_span_proposer(spec.max_span_len)),
+    POLICY_SALIENT: PolicyKind(
+        select=lambda chunk, spec, rng, logits: salient_span_mask_with_fallback(
+            chunk, rng, spec.max_span_len),
+        proposer=lambda spec: salient_proposer(spec.max_span_len)),
+    POLICY_LEARNED: PolicyKind(
+        select=_select_learned,
+        proposer=lambda spec: learned_proposer(
+            spec.params, spec.max_span_len, spec.max_input_len)),
+}
 
 
 def _iter_chunk_batches(docs: list[tuple[str, str]], vocab: Vocab, chunk_len: int):
@@ -325,7 +372,7 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     total_masked = sum(len(ex.masked_positions) for ex in examples)
     hist: dict[int, int] = {}
     for ex in examples:
-        for run in _mask_runs(ex.masked_positions):
+        for _, run in ex.masked_runs():
             hist[run] = hist.get(run, 0) + 1
     summary = MaskSummary(
         chunks=len(examples),
@@ -335,24 +382,6 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
         skipped_chunks=skipped,
     )
     return examples, summary
-
-
-def _mask_runs(positions: tuple[int, ...]) -> list[int]:
-    """Lengths of maximal contiguous runs of masked positions."""
-    runs = []
-    current = 0
-    prev = None
-    for p in positions:
-        if prev is not None and p == prev + 1:
-            current += 1
-        else:
-            if current:
-                runs.append(current)
-            current = 1
-        prev = p
-    if current:
-        runs.append(current)
-    return runs
 
 
 def write_masked_jsonl(path, examples: list[MaskedExample]) -> None:

@@ -12,11 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
-import numpy as np
-
-from .baselines import salient_spans
 from .corpus import (
     AnchorExample,
     Chunk,
@@ -30,16 +26,13 @@ from .policy import (
     DEFAULT_MAX_INPUT_LEN,
     DEFAULT_MAX_SPAN_LEN,
     PolicyParams,
-    score_positions,
-    top_k_spans,
+    Proposer,
+    learned_proposer,
 )
 from .seeding import derive_rng
 from .training import prepare_example
 
 REPORT_K = 5
-
-# A proposer maps (chunk, k, rng) to at most k spans, best first.
-Proposer = Callable[[Chunk, int, np.random.Generator], list[Span]]
 
 
 @dataclass
@@ -83,40 +76,6 @@ def token_f1(pred: Span, gold: Span) -> float:
     precision = overlap / len(pred_set)
     recall = overlap / len(gold_set)
     return 2 * precision * recall / (precision + recall)
-
-
-def learned_proposer(params: PolicyParams,
-                     max_span_len: int = DEFAULT_MAX_SPAN_LEN,
-                     max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> Proposer:
-    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
-        start_logits, end_logits = score_positions(
-            params, chunk.tokens.ids, max_input_len=max_input_len)
-        return [c.span for c in
-                top_k_spans(start_logits, end_logits, k, max_span_len)]
-
-    return propose
-
-
-def random_span_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
-    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
-        m = len(chunk)
-        spans = [Span(i, j) for i in range(m)
-                 for j in range(i, min(i + max_span_len, m))]
-        order = rng.permutation(len(spans))
-        return [spans[int(t)] for t in order[:k]]
-
-    return propose
-
-
-def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
-    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
-        tags = [t.span for t in salient_spans(chunk) if len(t.span) <= max_span_len]
-        if len(tags) > k:
-            picks = rng.choice(len(tags), size=k, replace=False)
-            return [tags[int(t)] for t in sorted(picks)]
-        return tags
-
-    return propose
 
 
 def span_hit_metrics(policy: PolicyParams | Proposer,
@@ -196,7 +155,7 @@ def answer_coverage(examples: list[MaskedExample], answers: list[str],
         toks = [vocab.id_to_token[t].casefold() for t in ids]
         chunk_tokens.append(toks)
         runs = []
-        for start, length in _position_runs(ex.masked_positions):
+        for start, length in ex.masked_runs():
             runs.append(_norm_token_list(
                 [vocab.id_to_token[t] for t in ids[start:start + length]]))
         chunk_runs.append(runs)
@@ -217,24 +176,6 @@ def answer_coverage(examples: list[MaskedExample], answers: list[str],
         details.append({"answer": answer, "present": present, "covered": covered})
     fraction = (covered_count / present_count) if present_count else 0.0
     return fraction, details
-
-
-def _position_runs(positions: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(start, length) of each maximal contiguous run of positions."""
-    runs = []
-    start = None
-    prev = None
-    for p in positions:
-        if prev is not None and p == prev + 1:
-            prev = p
-            continue
-        if start is not None:
-            runs.append((start, prev - start + 1))
-        start = p
-        prev = p
-    if start is not None:
-        runs.append((start, prev - start + 1))
-    return runs
 
 
 def compare_policies(reports: list[PolicyReport]) -> tuple[str, dict]:

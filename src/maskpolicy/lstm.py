@@ -55,18 +55,6 @@ class LstmCellParams:
     def input_size(self) -> int:
         return self.W.shape[1] - self.hidden_size
 
-    def named(self, prefix: str):
-        return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
-
-
-def init_lstm_params(rng: np.random.Generator, input_size: int, hidden_size: int) -> LstmCellParams:
-    """Weights uniform in +-1/sqrt(input+hidden); biases zero."""
-    bound = 1.0 / float(np.sqrt(input_size + hidden_size))
-    W = Tensor(rng.uniform(-bound, bound, size=(4 * hidden_size, input_size + hidden_size)),
-               requires_grad=True)
-    b = Tensor(np.zeros(4 * hidden_size), requires_grad=True)
-    return LstmCellParams(W=W, b=b)
-
 
 def _activate_gates_(z: np.ndarray, hid: int) -> None:
     """Pre-activations (B, 4H) -> [i, f, g, o] activations, in place.

@@ -10,41 +10,78 @@ pairing a strong start with a far-away strong end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tensor, add, embed_rows, matmul, no_grad, reshape
-from .corpus import Span
+from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
+    MaskPolicyError,
     NoCandidatesError,
     SequenceTooLongError,
     ShapeMismatchError,
 )
-from .lstm import LstmCellParams, bilstm_sequence, init_lstm_params
+from .lstm import LstmCellParams, bilstm_sequence
 
 DEFAULT_MAX_INPUT_LEN = 128
 DEFAULT_MAX_SPAN_LEN = 10
 EMBED_INIT_BOUND = 0.1
+
+# A proposer maps (chunk, k, rng) to at most k spans, best first; it is
+# how evaluation sees a policy.
+Proposer = Callable[[Chunk, int, np.random.Generator], list[Span]]
 
 MODE_TOP1 = "top1"
 MODE_TOP5 = "top5"
 TOP5_POOL = 5
 
 
+def param_shapes(vocab_size: int, d_emb: int, d_h: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every learned tensor, in named_parameters and
+    checkpoint order. Without the biases, this is also the order in which
+    init_policy_params draws from its RNG."""
+    shapes = {"embedding": (vocab_size, d_emb)}
+    for layer, d_in in (("lstm1", d_emb), ("lstm2", 2 * d_h)):
+        for direction in ("fwd", "bwd"):
+            shapes[f"{layer}.{direction}.W"] = (4 * d_h, d_in + d_h)
+            shapes[f"{layer}.{direction}.b"] = (4 * d_h,)
+    for head in ("start", "end"):
+        shapes[f"head.{head}.w"] = (2 * d_h,)
+        shapes[f"head.{head}.b"] = ()
+    return shapes
+
+
 @dataclass
 class PolicyParams:
-    """All learned weights. Leaf tensors with requires_grad set."""
+    """All learned weights by name, in param_shapes order. Leaf tensors
+    with requires_grad set."""
 
-    embedding: Tensor  # (vocab_size, d_emb)
-    lstm1_fwd: LstmCellParams
-    lstm1_bwd: LstmCellParams
-    lstm2_fwd: LstmCellParams
-    lstm2_bwd: LstmCellParams
-    w_start: Tensor  # (2*d_h,)
-    b_start: Tensor  # scalar
-    w_end: Tensor  # (2*d_h,)
-    b_end: Tensor  # scalar
+    tensors: dict[str, Tensor]
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "PolicyParams":
+        """Wrap `arrays` as leaf tensors. The names must be exactly those of
+        param_shapes, and every shape must match the sizes read off the
+        embedding (vocab_size, d_emb) and the first LSTM bias (4 * d_h)."""
+        names = set(param_shapes(0, 0, 0))
+        if set(arrays) != names:
+            raise MaskPolicyError(f"policy parameters malformed (missing={names - set(arrays)}, "
+                                  f"extra={set(arrays) - names})")
+        if np.ndim(arrays["embedding"]) != 2:
+            raise MaskPolicyError(f"parameter 'embedding' has shape "
+                                  f"{np.shape(arrays['embedding'])}, expected (vocab_size, d_emb)")
+        shapes = param_shapes(*np.shape(arrays["embedding"]), np.size(arrays["lstm1.fwd.b"]) // 4)
+        for name, shape in shapes.items():
+            if np.shape(arrays[name]) != shape:
+                raise MaskPolicyError(f"parameter {name!r} has shape "
+                                      f"{np.shape(arrays[name])}, expected {shape}")
+        return cls({name: Tensor(arrays[name], requires_grad=True) for name in shapes})
+
+    @property
+    def embedding(self) -> Tensor:
+        return self.tensors["embedding"]
 
     @property
     def vocab_size(self) -> int:
@@ -56,55 +93,35 @@ class PolicyParams:
 
     @property
     def d_h(self) -> int:
-        return self.lstm1_fwd.hidden_size
+        return self.tensors["lstm1.fwd.b"].shape[0] // 4
+
+    def cell(self, prefix: str) -> LstmCellParams:
+        """The weights of one LSTM layer-direction, e.g. "lstm1.fwd"."""
+        return LstmCellParams(W=self.tensors[f"{prefix}.W"], b=self.tensors[f"{prefix}.b"])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("embedding", self.embedding)]
-        out += self.lstm1_fwd.named("lstm1.fwd")
-        out += self.lstm1_bwd.named("lstm1.bwd")
-        out += self.lstm2_fwd.named("lstm2.fwd")
-        out += self.lstm2_bwd.named("lstm2.bwd")
-        out += [("head.start.w", self.w_start), ("head.start.b", self.b_start),
-                ("head.end.w", self.w_end), ("head.end.b", self.b_end)]
-        return out
+        return list(self.tensors.items())
 
     def zero_grads(self) -> None:
-        for _, p in self.named_parameters():
+        for p in self.tensors.values():
             p.zero_grad()
 
     def clone(self) -> "PolicyParams":
-        def cp(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(), requires_grad=True)
-
-        def cc(c: LstmCellParams) -> LstmCellParams:
-            return LstmCellParams(W=cp(c.W), b=cp(c.b))
-
-        return PolicyParams(
-            embedding=cp(self.embedding),
-            lstm1_fwd=cc(self.lstm1_fwd), lstm1_bwd=cc(self.lstm1_bwd),
-            lstm2_fwd=cc(self.lstm2_fwd), lstm2_bwd=cc(self.lstm2_bwd),
-            w_start=cp(self.w_start), b_start=cp(self.b_start),
-            w_end=cp(self.w_end), b_end=cp(self.b_end),
-        )
+        return PolicyParams.from_arrays({name: t.data.copy() for name, t in self.tensors.items()})
 
 
 def init_policy_params(vocab_size: int, d_emb: int, d_h: int, seed: int = 0) -> PolicyParams:
-    """Random init; embeddings uniform +-0.1, with a checkpoint field
-    reserved for swapping in externally trained embeddings later."""
+    """Random init in param_shapes order: embeddings uniform +-0.1, other
+    weights uniform +-1/sqrt(size of their last axis), biases zero."""
     rng = np.random.default_rng(seed)
-    embedding = Tensor(rng.uniform(-EMBED_INIT_BOUND, EMBED_INIT_BOUND, size=(vocab_size, d_emb)),
-                       requires_grad=True)
-    lstm1_fwd = init_lstm_params(rng, d_emb, d_h)
-    lstm1_bwd = init_lstm_params(rng, d_emb, d_h)
-    lstm2_fwd = init_lstm_params(rng, 2 * d_h, d_h)
-    lstm2_bwd = init_lstm_params(rng, 2 * d_h, d_h)
-    head_bound = 1.0 / float(np.sqrt(2 * d_h))
-    w_start = Tensor(rng.uniform(-head_bound, head_bound, size=2 * d_h), requires_grad=True)
-    w_end = Tensor(rng.uniform(-head_bound, head_bound, size=2 * d_h), requires_grad=True)
-    b_start = Tensor(0.0, requires_grad=True)
-    b_end = Tensor(0.0, requires_grad=True)
-    return PolicyParams(embedding, lstm1_fwd, lstm1_bwd, lstm2_fwd, lstm2_bwd,
-                        w_start, b_start, w_end, b_end)
+    arrays = {}
+    for name, shape in param_shapes(vocab_size, d_emb, d_h).items():
+        if name.endswith(".b"):
+            arrays[name] = np.zeros(shape)
+        else:
+            bound = EMBED_INIT_BOUND if name == "embedding" else 1.0 / float(np.sqrt(shape[-1]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    return PolicyParams.from_arrays(arrays)
 
 
 def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
@@ -127,11 +144,12 @@ def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, 
     for b, seq in enumerate(seqs):
         ids[:len(seq), b] = seq
     embedded = reshape(embed_rows(params.embedding, ids.reshape(-1)), (T, B, params.d_emb))
-    layer1 = bilstm_sequence(embedded, lengths, params.lstm1_fwd, params.lstm1_bwd)
-    layer2 = bilstm_sequence(layer1, lengths, params.lstm2_fwd, params.lstm2_bwd)
+    layer1 = bilstm_sequence(embedded, lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"))
+    layer2 = bilstm_sequence(layer1, lengths, params.cell("lstm2.fwd"), params.cell("lstm2.bwd"))
     hidden = reshape(layer2, (T * B, 2 * params.d_h))
-    start_logits = add(matmul(hidden, params.w_start), params.b_start)
-    end_logits = add(matmul(hidden, params.w_end), params.b_end)
+    weights = params.tensors
+    start_logits = add(matmul(hidden, weights["head.start.w"]), weights["head.start.b"])
+    end_logits = add(matmul(hidden, weights["head.end.w"]), weights["head.end.b"])
     return start_logits, end_logits
 
 
@@ -169,6 +187,15 @@ class ScoredSpan:
     score: float
 
 
+def span_band(m: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of every span (i, j) with i <= j < m and length at
+    most max_span_len, row-major: by i, then by j."""
+    # The (m, max_span_len) band: row i, column w is the span (i, i + w).
+    band = np.arange(m)[:, None] + np.arange(min(max_span_len, m)) < m
+    i, w = np.nonzero(band)
+    return i, i + w
+
+
 def top_k_spans(start_logits, end_logits, k: int,
                 max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> list[ScoredSpan]:
     """The k best spans (i, j) with i <= j and length <= max_span_len,
@@ -184,10 +211,7 @@ def top_k_spans(start_logits, end_logits, k: int,
     if k < 1 or max_span_len < 1:
         raise ValueError(f"k and max_span_len must be >= 1, got k={k}, max_span_len={max_span_len}")
 
-    # The (m, max_span_len) band: row i, column w is the span (i, i + w).
-    band = np.arange(m)[:, None] + np.arange(min(max_span_len, m)) < m
-    i, w = np.nonzero(band)
-    j = i + w
+    i, j = span_band(m, max_span_len)
     score = start[i] + end[j]
     # lexsort sorts by its last key first: score descending, then i, then j.
     order = np.lexsort((j, i, -score))[:k]
@@ -205,3 +229,15 @@ def select_span(candidates: list[ScoredSpan], mode: str, rng: np.random.Generato
         pool = min(TOP5_POOL, len(candidates))
         return candidates[int(rng.integers(0, pool))].span
     raise ValueError(f"unknown selection mode: {mode!r}")
+
+
+def learned_proposer(params: PolicyParams,
+                     max_span_len: int = DEFAULT_MAX_SPAN_LEN,
+                     max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> Proposer:
+    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
+        start_logits, end_logits = score_positions(
+            params, chunk.tokens.ids, max_input_len=max_input_len)
+        return [c.span for c in
+                top_k_spans(start_logits, end_logits, k, max_span_len)]
+
+    return propose

@@ -9,6 +9,7 @@ on the answer span.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,13 +69,7 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
 
     def hyperparameters(self) -> dict:
-        return {
-            "epochs": self.epochs, "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size, "optimizer": self.optimizer,
-            "max_input_len": self.max_input_len, "max_span_len": self.max_span_len,
-            "seed": self.seed, "d_emb": self.d_emb, "d_h": self.d_h,
-            "clip_norm": self.clip_norm,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from maskpolicy.baselines import random_token_mask, salient_span_mask, salient_spans
+from maskpolicy.baselines import (
+    random_span_proposer,
+    random_token_mask,
+    salient_span_mask,
+    salient_spans,
+)
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy import corruption
 from maskpolicy.cli import main
 from maskpolicy.corpus import Chunk, Span, chunk_document, iter_documents, tokenize
 from maskpolicy.corruption import PolicySpec, mask_corpus
-from maskpolicy.evaluation import random_span_proposer, span_hit_metrics
+from maskpolicy.evaluation import span_hit_metrics
 from maskpolicy.policy import ScoredSpan, forward, init_policy_params, select_span, top_k_spans
 from maskpolicy.seeding import derive_rng
 from maskpolicy.training import TrainConfig, grad_check_suite, train_policy

@@ -120,6 +120,13 @@ class TestEvalAndCompare:
                      "--out", str(workspace / "bad")])
         assert code == 1
 
+    def test_random15_cannot_be_evaluated(self, workspace):
+        # random15 masks tokens, not spans: it has no span proposer
+        code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "random15", "--out", str(workspace / "bad_r15")])
+        assert code == 1
+
     def test_compare_single_report_fails(self, workspace):
         # reuse any existing report
         report = workspace / "eval_random" / "report.json"

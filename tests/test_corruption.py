@@ -9,6 +9,7 @@ from maskpolicy.baselines import MaskDecisions
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import MASK_ID, Chunk, Span, Vocab, tokenize
 from maskpolicy.corruption import (
+    POLICIES,
     MaskedExample,
     PolicySpec,
     corrupt,
@@ -103,7 +104,27 @@ class TestCorrupt:
         assert masked_example_from_json_obj(ex.to_json_obj()) == ex
 
 
+class TestMaskedRuns:
+    @pytest.mark.parametrize("positions, runs", [
+        ((), []),
+        ((4,), [(4, 1)]),
+        ((0, 1, 2, 5, 7, 8), [(0, 3), (5, 1), (7, 2)]),
+        ((3, 4, 9, 10, 11), [(3, 2), (9, 3)]),
+    ])
+    def test_runs(self, positions, runs):
+        ex = MaskedExample(input_ids=(0,) * 12, masked_positions=positions,
+                           target_ids=(0,) * len(positions), doc_id="d",
+                           chunk_index=0, policy_tag="", seed_used=0)
+        assert ex.masked_runs() == runs
+
+
 class TestPolicySpec:
+    def test_every_kind_is_in_the_table(self):
+        assert list(POLICIES) == ["random15", "randomspan", "salient", "learned"]
+        # random15 masks tokens, not spans, so evaluation has nothing to rank
+        assert [k for k, p in POLICIES.items() if p.proposer] == \
+            ["randomspan", "salient", "learned"]
+
     def test_tags(self):
         assert PolicySpec(kind="random15").tag == "random15"
         assert PolicySpec(kind="learned", mode="top1").tag == "learned-top1"

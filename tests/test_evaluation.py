@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maskpolicy.baselines import random_span_proposer, salient_proposer
 from maskpolicy.corpus import Chunk, Span, Vocab, tokenize
 from maskpolicy.corruption import corrupt
 from maskpolicy.errors import (
@@ -14,10 +15,8 @@ from maskpolicy.evaluation import (
     PolicyReport,
     answer_coverage,
     compare_policies,
-    random_span_proposer,
     read_report,
     report_from_json_obj,
-    salient_proposer,
     span_hit_metrics,
     token_f1,
     write_report,

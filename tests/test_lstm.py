@@ -8,12 +8,8 @@ from scalar_oracle import lstm_direction
 
 from maskpolicy.autodiff import Tensor, backward, concat, grad_check, mul, no_grad, sum_all
 from maskpolicy.errors import NonFiniteError, ShapeMismatchError
-from maskpolicy.lstm import (
-    LstmCellParams,
-    bilstm_sequence,
-    init_lstm_params,
-    lstm_sequence,
-)
+from maskpolicy.lstm import LstmCellParams, bilstm_sequence, lstm_sequence
+from maskpolicy.policy import init_policy_params
 
 
 def zero_params(input_size, hidden):
@@ -246,9 +242,12 @@ class TestBilstm:
         assert both.data[:, :, 3:] == pytest.approx(hb.data)
 
     def test_init_shapes_and_zero_bias(self):
-        params = init_lstm_params(np.random.default_rng(0), 5, 3)
-        assert params.W.shape == (12, 8)
-        assert params.b.shape == (12,)
-        assert not params.b.data.any()
-        assert params.hidden_size == 3
-        assert params.input_size == 5
+        model = init_policy_params(7, d_emb=5, d_h=3, seed=0)
+        for prefix, input_size in (("lstm1.fwd", 5), ("lstm1.bwd", 5),
+                                   ("lstm2.fwd", 6), ("lstm2.bwd", 6)):
+            params = model.cell(prefix)
+            assert params.W.shape == (12, input_size + 3)
+            assert params.b.shape == (12,)
+            assert not params.b.data.any()
+            assert params.hidden_size == 3
+            assert params.input_size == input_size

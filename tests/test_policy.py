@@ -8,18 +8,22 @@ import pytest
 from maskpolicy.autodiff import Tensor
 from maskpolicy.errors import (
     EmptySequenceError,
+    MaskPolicyError,
     NoCandidatesError,
     SequenceTooLongError,
     ShapeMismatchError,
 )
 from maskpolicy.corpus import Span
 from maskpolicy.policy import (
+    PolicyParams,
     ScoredSpan,
     forward,
     init_policy_params,
+    param_shapes,
     score_batch,
     score_positions,
     select_span,
+    span_band,
     top_k_spans,
 )
 from maskpolicy.training import span_loss
@@ -243,3 +247,41 @@ class TestSelectSpan:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             select_span(self._spans(2), "best", np.random.default_rng(0))
+
+
+class TestSpanBand:
+    def test_matches_row_major_enumeration(self):
+        for m in range(60):
+            for max_span_len in range(14):
+                starts, ends = span_band(m, max_span_len)
+                want = [(i, j) for i in range(m)
+                        for j in range(i, min(i + max_span_len, m))]
+                assert list(zip(starts.tolist(), ends.tolist())) == want
+
+
+class TestParameterTable:
+    def test_params_follow_the_table(self):
+        params = init_policy_params(11, d_emb=4, d_h=3, seed=1)
+        assert [(n, t.shape) for n, t in params.named_parameters()] == \
+            list(param_shapes(11, 4, 3).items())
+        assert (params.vocab_size, params.d_emb, params.d_h) == (11, 4, 3)
+
+    def test_clone_copies_every_tensor(self):
+        params = init_policy_params(11, d_emb=4, d_h=3, seed=1)
+        copy = params.clone()
+        for (name, a), (name_b, b) in zip(params.named_parameters(), copy.named_parameters()):
+            assert name == name_b and a is not b and b.requires_grad
+            assert np.array_equal(a.data, b.data)
+            assert not np.shares_memory(a.data, b.data)
+
+    def test_from_arrays_rejects_a_wrong_shape(self):
+        arrays = {n: t.data for n, t in init_policy_params(11, 4, 3).named_parameters()}
+        arrays["lstm2.fwd.W"] = arrays["lstm2.fwd.W"][:, :-1]
+        with pytest.raises(MaskPolicyError, match="lstm2.fwd.W"):
+            PolicyParams.from_arrays(arrays)
+
+    def test_from_arrays_rejects_a_flat_embedding(self):
+        arrays = {n: t.data for n, t in init_policy_params(11, 4, 3).named_parameters()}
+        arrays["embedding"] = arrays["embedding"].reshape(-1)
+        with pytest.raises(MaskPolicyError, match="embedding"):
+            PolicyParams.from_arrays(arrays)
