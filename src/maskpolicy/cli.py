@@ -9,7 +9,6 @@ or runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -30,16 +29,19 @@ from .evaluation import compare_policies, read_report, span_hit_metrics, write_r
 from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODE_TOP5
 from .training import TrainConfig, grad_check_suite, train_policy
 
-# Keys a --config file may set, per command. Path arguments stay on the
-# command line; explicit flags always win over config values.
-_CONFIG_KEYS = {
-    "build-vocab": {"max_size", "min_freq"},
-    "train-policy": {f.name for f in dataclasses.fields(TrainConfig)},
-    "eval-policy": {"max_span_len", "max_input_len", "seed"},
-    "mask-corpus": {"mode", "seed", "workers", "chunk_len", "max_span_len",
-                    "rate"},
-    "compare": set(),
-    "grad-check": {"seeds", "max_len"},
+# Default of every option a --config file may set, per command; the keys
+# are the only valid config keys. Path arguments stay on the command line;
+# explicit flags always win over config values.
+_DEFAULTS = {
+    "build-vocab": {"max_size": 50000, "min_freq": 1},
+    "train-policy": TrainConfig().hyperparameters(),
+    "eval-policy": {"max_span_len": DEFAULT_MAX_SPAN_LEN,
+                    "max_input_len": DEFAULT_MAX_INPUT_LEN, "seed": 0},
+    "mask-corpus": {"mode": MODE_TOP1, "seed": 0, "workers": 1,
+                    "chunk_len": DEFAULT_MAX_INPUT_LEN,
+                    "max_span_len": DEFAULT_MAX_SPAN_LEN, "rate": 0.15},
+    "compare": {},
+    "grad-check": {"seeds": 100, "max_len": 12},
 }
 
 
@@ -78,7 +80,7 @@ def _load_config(path, command: str) -> dict:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise MaskPolicyError(f"config file {path} must hold a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS[command]
+    unknown = set(obj) - set(_DEFAULTS[command])
     if unknown:
         raise MaskPolicyError(
             f"config file {path} has keys not valid for {command}: "
@@ -86,10 +88,11 @@ def _load_config(path, command: str) -> dict:
     return obj
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+def _options(args: argparse.Namespace) -> dict:
+    """The command's options: defaults < config file < explicit flags."""
+    defaults = _DEFAULTS[args.command]
     resolved = dict(defaults)
-    resolved.update(config)
+    resolved.update(_load_config(args.config, args.command))
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -104,8 +107,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_build_vocab(args) -> int:
-    config = _load_config(args.config, "build-vocab")
-    opts = _resolve(args, config, {"max_size": 50000, "min_freq": 1})
+    opts = _options(args)
     out = _out_dir(args)
     vocab = build_vocab(args.corpus, max_size=opts["max_size"],
                         min_freq=opts["min_freq"])
@@ -116,8 +118,7 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train_policy(args) -> int:
-    config = _load_config(args.config, "train-policy")
-    opts = _resolve(args, config, TrainConfig().hyperparameters())
+    opts = _options(args)
     out = _out_dir(args)
     vocab = Vocab.load(args.vocab)
     cfg = TrainConfig(**opts)
@@ -168,10 +169,7 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> tuple[PolicySpec,
 
 
 def _cmd_eval_policy(args) -> int:
-    config = _load_config(args.config, "eval-policy")
-    opts = _resolve(args, config, {"max_span_len": DEFAULT_MAX_SPAN_LEN,
-                                   "max_input_len": DEFAULT_MAX_INPUT_LEN,
-                                   "seed": 0})
+    opts = _options(args)
     out = _out_dir(args)
     vocab = Vocab.load(args.vocab)
     dev, report_load = load_anchor_dataset(args.dev, vocab)
@@ -196,11 +194,7 @@ def _cmd_eval_policy(args) -> int:
 
 
 def _cmd_mask_corpus(args) -> int:
-    config = _load_config(args.config, "mask-corpus")
-    opts = _resolve(args, config, {"mode": MODE_TOP1, "seed": 0, "workers": 1,
-                                   "chunk_len": DEFAULT_MAX_INPUT_LEN,
-                                   "max_span_len": DEFAULT_MAX_SPAN_LEN,
-                                   "rate": 0.15})
+    opts = _options(args)
     out = _out_dir(args)
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
@@ -230,7 +224,7 @@ def _cmd_mask_corpus(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _load_config(args.config, "compare")
+    _options(args)
     out = _out_dir(args)
     reports = [read_report(p) for p in args.reports]
     table, payload = compare_policies(reports)
@@ -242,8 +236,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    config = _load_config(args.config, "grad-check")
-    opts = _resolve(args, config, {"seeds": 100, "max_len": 12})
+    opts = _options(args)
     out = _out_dir(args)
     result = grad_check_suite(n_seeds=opts["seeds"], max_len=opts["max_len"])
     (out / "gradcheck.json").write_text(

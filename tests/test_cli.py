@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from maskpolicy import cli
 from maskpolicy.cli import main
 
 from synth import synth_context, write_anchor_jsonl
@@ -257,6 +258,30 @@ class TestConfigHandling:
                      "--policy", "random15", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, keys", [
+        ("build-vocab", {"max_size", "min_freq"}),
+        ("train-policy", {"epochs", "learning_rate", "batch_size", "optimizer",
+                          "max_input_len", "max_span_len", "seed", "d_emb", "d_h",
+                          "clip_norm"}),
+        ("eval-policy", {"max_span_len", "max_input_len", "seed"}),
+        ("mask-corpus", {"mode", "seed", "workers", "chunk_len", "max_span_len", "rate"}),
+        ("compare", set()),
+        ("grad-check", {"seeds", "max_len"}),
+    ])
+    def test_config_keys_are_the_commands_flag_options(self, command, keys):
+        assert set(cli._DEFAULTS[command]) == keys
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert keys <= dests
+
+    def test_unknown_config_key_named_for_compare(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        code = main(["compare", "--reports", str(tmp_path / "absent.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not valid for compare: seed" in capsys.readouterr().err
 
     def test_non_object_config_rejected(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
