@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import salient_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskpolicy.baselines import (
     RANDOM_MASK_RATE,
@@ -213,3 +216,39 @@ class TestSalientSpanMask:
             c, np.random.default_rng(0), max_span_len=2)
         assert fell_back
         assert len(span) <= 2
+
+
+# Tokens for the differential test: every predicate the tagger reads,
+# with the spellings where str methods disagree (casefold changes the
+# length of "ſ" and "ﬆ"; "ǅ" is titlecase, not upper; "_" is \w but not
+# alphanumeric; "²" is a digit but not decimal; "١٩٤٦" is decimal).
+_ORACLE_POOL = (
+    ["January", "january", "JANUARY", "May", "mAy", "MAY", "Sept", "sep",
+     "SEP", "Dec", "dEC", "ſep", "Mayo", "Marches"]
+    + [str(d) for d in range(33)] + ["00", "07", "031", "007"]
+    + ["1st", "7th", "21ST", "2nd", "3Rd", "31st", "32nd", "0th", "7ſt", "21ﬆ", "th"]
+    + ["0999", "1000", "1946", "2999", "3000", "999", "10000"]
+    + [",", ".", "!", "?", ";", "-", "—"]
+    + ["New", "York", "Alice", "Stone", "the", "of", "he", "ǅemal", "ǅ", "Ǆ",
+       "École", "Ōsaka", "éclair", "ΑΘΗΝΑ"]
+    + ["_", "__", "_A", "A_"]
+    + ["١٩٤٦", "١٢", "٣", "5²", "²", "²nd", "²³", "42", "123"]
+)
+
+
+class TestAgainstOracle:
+    """The tagger agrees with the rule-by-rule reference in
+    tests/salient_oracle.py on kinds and spans."""
+
+    @given(st.lists(st.sampled_from(_ORACLE_POOL), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_tags_match_reference(self, tokens):
+        chunk = chunk_of(" ".join(tokens))
+        got = [(t.kind.value, t.span.start, t.span.end) for t in salient_spans(chunk)]
+        assert got == salient_oracle.salient_spans(chunk.tokens.texts)
+
+    def test_fixture_texts_match_reference(self):
+        for text, _ in load_tagger_fixtures(FIXTURES):
+            chunk = chunk_of(text)
+            got = [(t.kind.value, t.span.start, t.span.end) for t in salient_spans(chunk)]
+            assert got == salient_oracle.salient_spans(chunk.tokens.texts)
