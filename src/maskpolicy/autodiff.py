@@ -50,6 +50,15 @@ class no_grad:
         return False
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # Finite sum implies all elements finite; a non-finite sum can be
+    # float overflow of finite values, so only then check elementwise.
+    # That overflow is expected here, so it must not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return bool(np.isfinite(total)) or bool(np.isfinite(arr).all())
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -58,9 +67,7 @@ class Tensor:
             arr = data
         else:
             arr = np.asarray(data, dtype=np.float64)
-        # Finite sum implies all elements finite; a non-finite sum can be
-        # float overflow of finite values, so only then check elementwise.
-        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError(f"non-finite value in tensor of shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -367,7 +374,7 @@ def backward(loss: Tensor) -> None:
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
-            if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+            if not _all_finite(g):
                 raise NonFiniteError("non-finite gradient in backward pass")
             p.grad = g if p.grad is None else p.grad + g
 

@@ -54,7 +54,7 @@ from .policy import (
     select_span,
     top_k_spans,
 )
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_seed
 
 POLICY_RANDOM15 = "random15"
 POLICY_RANDOM_SPAN = "randomspan"
@@ -207,7 +207,7 @@ def _mask_chunk(chunk: Chunk, spec: PolicySpec, global_seed: int,
     """Corrupt one chunk; `logits` are the learned policy's scores for it.
     Returns (example or None when skipped, fallback?)."""
     seed = derive_seed(global_seed, chunk.doc_id, chunk.chunk_index)
-    rng = derive_rng(global_seed, chunk.doc_id, chunk.chunk_index)
+    rng = np.random.default_rng(seed)  # what derive_rng builds, without rehashing
     decisions, fallback = POLICIES[spec.kind].select(chunk, spec, rng, logits)
     try:
         return corrupt(chunk, decisions, policy_tag=spec.tag, seed_used=seed), fallback

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -94,9 +95,27 @@ class TestShapeAndFiniteness:
 
     def test_finite_values_with_overflowing_sum_accepted(self):
         # The fast finiteness check sums first; this hits its slow path.
-        with np.errstate(over="ignore"):
-            t = Tensor([1e308, 1e308, -1e308])
+        t = Tensor([1e308, 1e308, -1e308])
         assert np.all(np.isfinite(t.data))
+
+    def test_overflowing_sums_raise_no_warning(self):
+        # The overflow is the finiteness check's own; it must stay silent
+        # in Tensor creation and in backward's gradient check alike.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor([1e308, -1e308, 1e308, 1e308])
+            x = param([1e-300, 1e-300, 1e-300])
+            backward(sum_all(scale(x, 1e308)))
+        assert np.all(np.isfinite(t.data))
+        assert np.all(x.grad == 1e308)
+
+    def test_non_finite_rejected_without_warning(self):
+        nan, inf = float("nan"), float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in ([1e308, 1e308, nan], [inf, -inf], [1e308, 1e308, inf], [nan]):
+                with pytest.raises(NonFiniteError):
+                    Tensor(values)
 
     def test_embed_rows_bad_index(self):
         table = param([[1.0], [2.0]])

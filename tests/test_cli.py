@@ -128,6 +128,23 @@ class TestEvalAndCompare:
                      "--policy", "random15", "--out", str(workspace / "bad_r15")])
         assert code == 1
 
+    def test_salient_on_non_decimal_digits(self, workspace, tmp_path):
+        # "5²" passes str.isdigit() but int() rejects it; the tagger
+        # must read it as a plain token, not crash on it.
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text(json.dumps({
+            "context": "The room is 5² metres wide and was built in May 1946 .",
+            "question": "when was it built", "answer": "May 1946"}) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "eval_salient"
+        assert main(["eval-policy", "--dev", str(dev),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "salient", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # proposals in chunk order: the Number "5²", then the Date
+        assert report["n"] == 1
+        assert (report["em_at_1"], report["em_at_5"]) == (0.0, 1.0)
+
     def test_compare_single_report_fails(self, workspace):
         # reuse any existing report
         report = workspace / "eval_random" / "report.json"
@@ -172,6 +189,19 @@ class TestMaskCorpus:
         assert self._mask(workspace, a, "salient", ("--workers", "1")) == 0
         assert self._mask(workspace, b, "salient", ("--workers", "4")) == 0
         assert (a / "masked.jsonl").read_bytes() == (b / "masked.jsonl").read_bytes()
+
+    def test_salient_on_non_decimal_digits(self, workspace, tmp_path):
+        # "5²" passes str.isdigit() but int() rejects it
+        corpus = tmp_path / "digits.txt"
+        corpus.write_text("The room is 5² metres wide and was built in May 1946 .\n",
+                          encoding="utf-8")
+        out = tmp_path / "mask_digits"
+        assert main(["mask-corpus", "--corpus", str(corpus),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "salient", "--chunk-len", "8",
+                     "--out", str(out)]) == 0
+        lines = (out / "masked.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
 
     def test_chunk_len_beyond_trained_limit_fails(self, workspace, trained):
         out = workspace / "mask_too_long"
