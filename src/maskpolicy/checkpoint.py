@@ -22,6 +22,7 @@ MaskPolicyError naming the bad key or parameter.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Vocab
-from .errors import MaskPolicyError, VocabMismatchError
+from .errors import MaskPolicyError, UndecodableTextError, VocabMismatchError
 from .policy import PolicyParams
 
 FORMAT_VERSION = 2
@@ -44,17 +45,26 @@ def save_checkpoint(path, params: PolicyParams, vocab: Vocab,
     header = json.dumps({"format_version": FORMAT_VERSION,
                          "vocab_hash": vocab.content_hash(),
                          "hyperparameters": dict(hyperparameters or {})})
+    with atomic_output(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(f'{header[:-1]}, "parameters": {{'.encode("ascii"))
+        for i, (name, t) in enumerate(params.named_parameters()):
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: '
+                     f'{{"shape": {json.dumps(list(t.data.shape))}, "data": "'
+                     .encode("ascii"))
+            fh.write(base64.b64encode(np.ascontiguousarray(t.data, dtype=_DTYPE).tobytes()))
+            fh.write(b'"}')
+        fh.write(b"}}")
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """Yields a temporary path beside `path` to write to; renames it onto
+    `path` once the block completes, and removes it if the block raises,
+    so `path` is only ever absent, as it was, or complete."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(f'{header[:-1]}, "parameters": {{'.encode("ascii"))
-            for i, (name, t) in enumerate(params.named_parameters()):
-                fh.write(f'{", " if i else ""}{json.dumps(name)}: '
-                         f'{{"shape": {json.dumps(list(t.data.shape))}, "data": "'
-                         .encode("ascii"))
-                fh.write(base64.b64encode(np.ascontiguousarray(t.data, dtype=_DTYPE).tobytes()))
-                fh.write(b'"}')
-            fh.write(b"}}")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -94,7 +104,10 @@ def _field(payload: dict, key: str, kind: type, default=None):
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dict, str]:
     """Returns (params, hyperparameters, vocab_hash); verifies the hash
     when a vocabulary is supplied."""
-    payload = json.loads(Path(path).read_bytes())
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except UnicodeDecodeError:
+        raise UndecodableTextError.locate(path) from None
     if not isinstance(payload, dict):
         raise MaskPolicyError(f"checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")

@@ -2,8 +2,9 @@
 
 Subcommands: build-vocab, train-policy, eval-policy, mask-corpus,
 compare, grad-check. Every run writes its artifacts plus a manifest.json
-into the --out directory. Exit codes: 0 success, 1 usage error, 2 data
-or runtime error.
+into the --out directory. Exit codes: 0 success, 1 usage error, 2 bad
+input (a MaskPolicyError, an unreadable file or malformed JSON); any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import Vocab, build_vocab, load_anchor_dataset
+from .checkpoint import atomic_output, load_checkpoint, save_checkpoint
+from .corpus import Vocab, build_vocab, load_anchor_dataset, read_text
 from .corruption import (
     POLICIES,
     POLICY_LEARNED,
@@ -70,21 +71,27 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
         "artifacts": {name: _sha256_file(out_dir / name) for name in artifacts},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_output(out_dir / "manifest.json") as tmp:
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_config(path, command: str) -> dict:
     if path is None:
         return {}
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = json.loads(read_text(path))
     if not isinstance(obj, dict):
         raise MaskPolicyError(f"config file {path} must hold a JSON object")
-    unknown = set(obj) - set(_DEFAULTS[command])
+    defaults = _DEFAULTS[command]
+    unknown = set(obj) - set(defaults)
     if unknown:
         raise MaskPolicyError(
             f"config file {path} has keys not valid for {command}: "
             f"{', '.join(sorted(unknown))}")
+    for key, value in obj.items():
+        kind = type(defaults[key])
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            raise MaskPolicyError(
+                f"config file {path}: {key} must be of type {kind.__name__}, got {value!r}")
     return obj
 
 
@@ -196,6 +203,9 @@ def _cmd_eval_policy(args) -> int:
 def _cmd_mask_corpus(args) -> int:
     opts = _options(args)
     out = _out_dir(args)
+    # Until the new manifest is written, the directory must not look
+    # like a finished run.
+    (out / "manifest.json").unlink(missing_ok=True)
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
@@ -203,7 +213,10 @@ def _cmd_mask_corpus(args) -> int:
                                max_span_len=opts["max_span_len"],
                                max_input_len=opts["chunk_len"])
     if spec.params is not None:
-        trained_len = int(hyper.get("max_input_len", opts["chunk_len"]))
+        trained_len = hyper.get("max_input_len", opts["chunk_len"])
+        if type(trained_len) is not int:
+            raise MaskPolicyError(
+                f"checkpoint {args.checkpoint}: max_input_len is not an integer: {trained_len!r}")
         if opts["chunk_len"] > trained_len:
             raise MaskPolicyError(
                 f"chunk length {opts['chunk_len']} exceeds the policy's "
@@ -214,8 +227,10 @@ def _cmd_mask_corpus(args) -> int:
                                     chunk_len=opts["chunk_len"],
                                     global_seed=opts["seed"],
                                     workers=opts["workers"])
-    write_masked_jsonl(out / "masked.jsonl", examples)
-    write_summary(out / "summary.json", summary)
+    with atomic_output(out / "masked.jsonl") as tmp:
+        write_masked_jsonl(tmp, examples)
+    with atomic_output(out / "summary.json") as tmp:
+        write_summary(tmp, summary)
     print(f"{spec.tag}: {summary.chunks} chunks, "
           f"masked rate {summary.masked_token_rate:.4f}", file=sys.stderr)
     _write_manifest(out, "mask-corpus", {**opts, "policy": args.policy},
@@ -333,7 +348,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (MaskPolicyError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (MaskPolicyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

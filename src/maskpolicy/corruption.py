@@ -36,6 +36,7 @@ from .corpus import (
 )
 from .errors import (
     AllMaskedError,
+    InvalidOptionError,
     InvalidRateError,
     MaskPolicyError,
     SpanOutOfBoundsError,
@@ -173,6 +174,8 @@ class PolicySpec:
             raise MaskPolicyError(f"unknown selection mode {self.mode!r}")
         if not (0.0 <= self.rate <= 1.0):
             raise InvalidRateError(f"rate must be in [0, 1], got {self.rate}")
+        if self.max_span_len < 1:
+            raise InvalidOptionError(f"max_span_len must be >= 1, got {self.max_span_len}")
         if self.kind == POLICY_LEARNED and self.params is None:
             raise MaskPolicyError("learned policy requires trained parameters")
 

@@ -2,11 +2,19 @@
 
 Every error raised on purpose derives from MaskPolicyError so callers
 (and the CLI) can separate data/validation failures from genuine bugs.
+The errors that replace a former bare ValueError also derive from
+ValueError, so code that caught ValueError keeps working.
 """
+
+from pathlib import Path
 
 
 class MaskPolicyError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidOptionError(MaskPolicyError, ValueError):
+    """An option, hyperparameter or argument outside its valid range."""
 
 
 # --- numeric core ---------------------------------------------------------
@@ -36,6 +44,10 @@ class InvalidChunkLengthError(MaskPolicyError):
     """Chunk length below the supported minimum."""
 
 
+class InvalidVocabError(MaskPolicyError, ValueError):
+    """A vocabulary without the reserved specials first, or with a duplicate."""
+
+
 class AnswerNotFoundError(MaskPolicyError):
     """No token span in the context matches the answer."""
 
@@ -46,6 +58,24 @@ class MalformedRecordError(MaskPolicyError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+
+class UndecodableTextError(MalformedRecordError, ValueError):
+    """A text input holds a byte sequence that is not UTF-8."""
+
+    @classmethod
+    def locate(cls, path) -> "UndecodableTextError":
+        """The error for the first bad byte of `path`, naming its line as
+        a text-mode reader counts them (after \\n, \\r\\n or a lone \\r)."""
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = data[:e.start]
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            return cls(path, line_no,
+                       f"not valid UTF-8 ({e.reason} at byte {data[e.start]:#04x})")
+        return cls(path, 0, "not valid UTF-8 when first read")
 
 
 # --- policy ---------------------------------------------------------------

@@ -18,10 +18,17 @@ from .corpus import (
     Chunk,
     Span,
     Vocab,
+    read_text,
     tokenize,
 )
 from .corruption import MaskedExample
-from .errors import EmptyDatasetError, TooFewReportsError, VocabMismatchError
+from .errors import (
+    EmptyDatasetError,
+    InvalidOptionError,
+    MaskPolicyError,
+    TooFewReportsError,
+    VocabMismatchError,
+)
 from .policy import (
     DEFAULT_MAX_INPUT_LEN,
     DEFAULT_MAX_SPAN_LEN,
@@ -87,6 +94,8 @@ def span_hit_metrics(policy: PolicyParams | Proposer,
     """EM@1, EM@5, and top-1 token F1 of a proposer against gold spans."""
     if not dataset:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
+    if max_span_len < 1:
+        raise InvalidOptionError(f"max_span_len must be >= 1, got {max_span_len}")
     if isinstance(policy, PolicyParams):
         proposer = learned_proposer(policy, max_span_len, max_input_len)
     else:
@@ -202,5 +211,7 @@ def write_report(path, report: PolicyReport) -> None:
 
 
 def read_report(path) -> PolicyReport:
-    return report_from_json_obj(
-        json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return report_from_json_obj(json.loads(read_text(path)))
+    except (KeyError, TypeError) as e:
+        raise MaskPolicyError(f"report {path} lacks a field or has a bad one: {e}") from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ShapeMismatchError
+from .errors import InvalidOptionError, ShapeMismatchError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -33,9 +33,9 @@ class OptimizerState:
 
 def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer kind: {kind!r}")
+        raise InvalidOptionError(f"unknown optimizer kind: {kind!r}")
     if learning_rate <= 0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+        raise InvalidOptionError(f"learning rate must be positive, got {learning_rate}")
     return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 

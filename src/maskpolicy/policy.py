@@ -18,6 +18,7 @@ from .autodiff import Tensor, add, embed_rows, matmul, no_grad, reshape
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
+    InvalidOptionError,
     MaskPolicyError,
     NoCandidatesError,
     SequenceTooLongError,
@@ -209,7 +210,7 @@ def top_k_spans(start_logits, end_logits, k: int,
     if m == 0:
         raise EmptySequenceError("top_k_spans on empty logits")
     if k < 1 or max_span_len < 1:
-        raise ValueError(f"k and max_span_len must be >= 1, got k={k}, max_span_len={max_span_len}")
+        raise InvalidOptionError(f"k and max_span_len must be >= 1, got k={k}, max_span_len={max_span_len}")
 
     i, j = span_band(m, max_span_len)
     score = start[i] + end[j]
@@ -228,7 +229,7 @@ def select_span(candidates: list[ScoredSpan], mode: str, rng: np.random.Generato
     if mode == MODE_TOP5:
         pool = min(TOP5_POOL, len(candidates))
         return candidates[int(rng.integers(0, pool))].span
-    raise ValueError(f"unknown selection mode: {mode!r}")
+    raise InvalidOptionError(f"unknown selection mode: {mode!r}")
 
 
 def learned_proposer(params: PolicyParams,

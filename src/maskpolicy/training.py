@@ -28,6 +28,7 @@ from .autodiff import (
 from .corpus import AnchorExample, Span
 from .errors import (
     EmptyDatasetError,
+    InvalidOptionError,
     NonFiniteLossError,
     SequenceTooLongError,
     SpanOutOfBoundsError,
@@ -62,11 +63,13 @@ class TrainConfig:
                        clip_norm=self.clip_norm)
         for name, value in numeric.items():
             if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise InvalidOptionError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise InvalidOptionError(f"seed must be non-negative, got {self.seed}")
         if self.max_span_len > self.max_input_len:
-            raise ValueError("max_span_len cannot exceed max_input_len")
+            raise InvalidOptionError("max_span_len cannot exceed max_input_len")
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer: {self.optimizer!r}")
+            raise InvalidOptionError(f"unknown optimizer: {self.optimizer!r}")
 
     def hyperparameters(self) -> dict:
         return dataclasses.asdict(self)
@@ -210,6 +213,9 @@ def grad_check_suite(n_seeds: int = 100, max_len: int = 12,
     """Finite-difference check of the full policy loss gradient on many
     randomly drawn small models and inputs. Returns the worst relative
     error seen and whether it stayed under the threshold."""
+    if n_seeds < 1 or max_len < 2:
+        raise InvalidOptionError(
+            f"grad check needs seeds >= 1 and max_len >= 2, got {n_seeds} and {max_len}")
     worst = 0.0
     for s in range(n_seeds):
         rng = np.random.default_rng(1000 + s)

@@ -320,6 +320,17 @@ class TestConfigHandling:
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_config_value_of_wrong_type_rejected(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunk_len": 2.5}))
+        code = main(["mask-corpus",
+                     "--corpus", str(workspace / "corpus.txt"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "random15", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "chunk_len must be of type int, got 2.5" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_command(self):
@@ -332,3 +343,108 @@ class TestExitCodes:
         code = main(["build-vocab", "--corpus", str(tmp_path / "absent.txt"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+def _with_bad_byte(path, good_lines):
+    """`good_lines` of text (the first two ending in CRLF and a lone CR),
+    then a line holding byte 0xFF."""
+    breaks = [b"\r\n", b"\r"] + [b"\n"] * len(good_lines)
+    body = b"".join(line.encode("utf-8") + brk for line, brk in zip(good_lines, breaks))
+    path.write_bytes(body + b"caf\xff au lait\n")
+    return path, len(good_lines) + 1
+
+
+class TestUndecodableInput:
+    """A byte sequence that is not UTF-8 exits 2 naming file and line."""
+
+    def _run_and_expect(self, argv, where, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{where[0]}:{where[1]}: not valid UTF-8" in err
+
+    def test_mask_corpus_corpus_line(self, workspace, tmp_path, capsys):
+        where = _with_bad_byte(tmp_path / "bad.txt", ["one doc", "two doc", "three"])
+        self._run_and_expect(["mask-corpus", "--corpus", str(where[0]),
+                              "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                              "--policy", "random15", "--out", str(tmp_path / "out")],
+                             where, capsys)
+
+    def test_build_vocab_corpus_line(self, tmp_path, capsys):
+        where = _with_bad_byte(tmp_path / "bad.txt", ["one doc", "two doc"])
+        self._run_and_expect(["build-vocab", "--corpus", str(where[0]),
+                              "--out", str(tmp_path / "out")], where, capsys)
+
+    def test_anchor_line(self, workspace, tmp_path, capsys):
+        good = (workspace / "train.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+        where = _with_bad_byte(tmp_path / "train.jsonl", good)
+        self._run_and_expect(["eval-policy", "--dev", str(where[0]),
+                              "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                              "--policy", "salient", "--out", str(tmp_path / "out")],
+                             where, capsys)
+
+    def test_vocab_line(self, workspace, tmp_path, capsys):
+        where = _with_bad_byte(tmp_path / "vocab.txt", ["<pad>", "<unk>", "<mask>", "w01"])
+        self._run_and_expect(["mask-corpus", "--corpus", str(workspace / "corpus.txt"),
+                              "--vocab", str(where[0]),
+                              "--policy", "random15", "--out", str(tmp_path / "out")],
+                             where, capsys)
+
+
+class TestBugsAreNotDataErrors:
+    def test_internal_value_error_propagates(self, workspace, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "mask_corpus", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["mask-corpus", "--corpus", str(workspace / "corpus.txt"),
+                  "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                  "--policy", "random15", "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("argv", [
+        ["grad-check", "--seeds", "2", "--max-len", "1"],
+        ["grad-check", "--seeds", "0"],
+        ["train-policy", "--seed", "-1", "--epochs", "1", "--d-emb", "4", "--d-h", "4"],
+        ["train-policy", "--optimizer", "sgd", "--learning-rate", "-1"],
+        ["mask-corpus", "--policy", "randomspan", "--max-span-len", "0"],
+        ["mask-corpus", "--policy", "salient", "--max-span-len", "0"],
+        ["eval-policy", "--policy", "randomspan", "--max-span-len", "0"],
+        ["compare", "--reports", "{valid}", "{valid}"],
+    ])
+    def test_bad_options_exit_2(self, workspace, tmp_path, argv):
+        inputs = {
+            "train-policy": ["--train", "train.jsonl", "--valid", "valid.jsonl",
+                             "--vocab", "vocab/vocab.txt"],
+            "mask-corpus": ["--corpus", "corpus.txt", "--vocab", "vocab/vocab.txt",
+                            "--chunk-len", "8"],
+            "eval-policy": ["--dev", "dev.jsonl", "--vocab", "vocab/vocab.txt"],
+        }.get(argv[0], [])
+        argv = [a.format(valid=workspace / "valid.jsonl") for a in argv]
+        argv += [str(workspace / a) if a.endswith((".txt", ".jsonl")) else a for a in inputs]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+
+class TestCrashSafeMaskCorpus:
+    def _mask(self, workspace, out):
+        return main(["mask-corpus", "--corpus", str(workspace / "corpus.txt"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "random15", "--chunk-len", "16", "--out", str(out)])
+
+    @pytest.mark.parametrize("writer", ["write_masked_jsonl", "write_summary"])
+    def test_failed_write_leaves_no_manifest(self, workspace, tmp_path, monkeypatch, writer):
+        out = tmp_path / "out"
+        assert self._mask(workspace, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before
+
+        def fails_halfway(path, _payload):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"doc_id": "half')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, writer, fails_halfway)
+        assert self._mask(workspace, out) == 2
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(left) == set(before) - {"manifest.json"}
+        # Nothing half-written replaced an artifact of the earlier run.
+        assert all(left[name] == before[name] for name in left)

@@ -26,7 +26,10 @@ from maskpolicy.errors import (
     AnswerNotFoundError,
     EmptyCorpusError,
     InvalidChunkLengthError,
+    InvalidVocabError,
     MalformedRecordError,
+    MaskPolicyError,
+    UndecodableTextError,
 )
 
 
@@ -127,6 +130,12 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(["a", "b", "c"])
 
+    def test_errors_are_package_errors(self):
+        with pytest.raises(InvalidVocabError):
+            Vocab(["a", "b", "c"])
+        with pytest.raises(InvalidVocabError):
+            Vocab(["<pad>", "<unk>", "<mask>", "a", "a"])
+
     def _write(self, text):
         import tempfile
 
@@ -214,6 +223,38 @@ class TestAlignment:
         ctx = "a b c"
         with pytest.raises(AnswerNotFoundError):
             align_answer(tokenize(ctx), ctx, "...")
+
+
+class TestUndecodableInput:
+    """A bad byte names its file and its line, counted as a text-mode
+    reader counts lines: after LF, CRLF or a lone CR."""
+
+    def _bad_file(self, path, lines):
+        path.write_bytes(b"\r\n".join(lines[:2]) + b"\r" + b"\n".join(lines[2:])
+                         + b"\n\xe9t\xe9 \xc3\n")
+        return path, len(lines) + 1
+
+    def _expect(self, call, where):
+        with pytest.raises(UndecodableTextError) as info:
+            call(where[0])
+        assert (info.value.path, info.value.line_no) == where
+        assert str(info.value).startswith(f"{where[0]}:{where[1]}: not valid UTF-8")
+        assert isinstance(info.value, (MaskPolicyError, ValueError))
+
+    def test_corpus(self, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text("fine\n", encoding="utf-8")
+        where = self._bad_file(tmp_path / "c.txt", [b"one", b"two", b"three", b""])
+        self._expect(lambda p: iter_documents([good, p]), where)
+
+    def test_anchors(self, tmp_path):
+        record = json.dumps({"context": "a b", "question": "q", "answer": "a"}).encode()
+        where = self._bad_file(tmp_path / "a.jsonl", [record] * 3)
+        self._expect(lambda p: load_anchor_dataset(p, make_vocab("a")), where)
+
+    def test_vocab(self, tmp_path):
+        where = self._bad_file(tmp_path / "v.txt", [b"<pad>", b"<unk>", b"<mask>"])
+        self._expect(Vocab.load, where)
 
 
 class TestDocumentsAndAnchors:

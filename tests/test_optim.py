@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskpolicy.autodiff import Tensor
-from maskpolicy.errors import ShapeMismatchError
+from maskpolicy.errors import InvalidOptionError, ShapeMismatchError
 from maskpolicy.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -107,6 +107,12 @@ class TestValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
             make_optimizer("sgd", 0.0)
+
+    def test_errors_are_package_errors(self):
+        with pytest.raises(InvalidOptionError):
+            make_optimizer("momentum", 0.1)
+        with pytest.raises(InvalidOptionError):
+            make_optimizer("adam", -1.0)
 
     def test_gradient_shape_mismatch(self):
         theta = param([1.0, 2.0])

@@ -8,6 +8,7 @@ import pytest
 from maskpolicy.autodiff import Tensor
 from maskpolicy.errors import (
     EmptySequenceError,
+    InvalidOptionError,
     MaskPolicyError,
     NoCandidatesError,
     SequenceTooLongError,
@@ -207,6 +208,8 @@ class TestTopKSpans:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             top_k_spans(np.zeros(2), np.zeros(2), k=0, max_span_len=2)
+        with pytest.raises(InvalidOptionError):
+            top_k_spans(np.zeros(2), np.zeros(2), k=1, max_span_len=0)
 
     def test_scores_descend(self):
         rng = np.random.default_rng(4)
@@ -246,6 +249,8 @@ class TestSelectSpan:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
+            select_span(self._spans(2), "best", np.random.default_rng(0))
+        with pytest.raises(InvalidOptionError):
             select_span(self._spans(2), "best", np.random.default_rng(0))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskpolicy.corpus import Span
-from maskpolicy.errors import EmptyDatasetError, SequenceTooLongError
+from maskpolicy.errors import EmptyDatasetError, InvalidOptionError, SequenceTooLongError
 from maskpolicy.training import (
     EpochRecord,
     TrainConfig,
@@ -40,6 +40,17 @@ class TestConfig:
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):
             tiny_config(optimizer="lbfgs").validate()
+
+    def test_errors_are_package_errors(self):
+        for bad in (dict(epochs=0), dict(max_input_len=4, max_span_len=5),
+                    dict(optimizer="lbfgs"), dict(seed=-1)):
+            with pytest.raises(InvalidOptionError):
+                tiny_config(**bad).validate()
+
+    @pytest.mark.parametrize("n_seeds, max_len", [(0, 12), (2, 1)])
+    def test_grad_check_suite_rejects_empty_runs(self, n_seeds, max_len):
+        with pytest.raises(InvalidOptionError):
+            grad_check_suite(n_seeds=n_seeds, max_len=max_len)
 
     def test_hyperparameters_round_trip(self):
         cfg = tiny_config()
