@@ -12,7 +12,6 @@ from .baselines import (
     SalientTag,
     random_span_mask,
     random_token_mask,
-    salient_span_mask,
     salient_spans,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -26,6 +25,7 @@ from .corpus import (
     build_vocab,
     chunk_document,
     load_anchor_dataset,
+    token_offsets,
     tokenize,
 )
 from .corruption import (
@@ -100,7 +100,6 @@ __all__ = [
     "random_token_mask",
     "read_masked_jsonl",
     "read_report",
-    "salient_span_mask",
     "salient_spans",
     "save_checkpoint",
     "score_batch",
@@ -109,6 +108,7 @@ __all__ = [
     "span_hit_metrics",
     "span_loss",
     "token_f1",
+    "token_offsets",
     "tokenize",
     "top_k_spans",
     "train_policy",

@@ -124,14 +124,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale_: float | None = None) -> Tensor:
-    """Leaf tensor that accumulates gradients. With rng, data is a shape
-    filled uniformly from (-scale_, scale_)."""
-    if rng is not None:
-        data = rng.uniform(-scale_, scale_, size=data)
-    return Tensor(data, requires_grad=True)
-
-
 def _wrap(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -179,25 +171,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _wrap(a.data * s, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out_data * out_data),)
-
-    return _wrap(out_data, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # exp(-log(1+exp(-x))) is stable for both signs of x.
-    out_data = np.exp(-np.logaddexp(0.0, -a.data))
-
-    def backward(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return _wrap(out_data, (a,), backward)
 
 
 # --- linear algebra -------------------------------------------------------
@@ -255,43 +228,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(a.shape),)
 
     return _wrap(a.data.reshape(shape), (a,), backward)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeMismatchError("stack_rows", ())
-    n = tensors[0].size
-    if any(t.ndim != 1 or t.size != n for t in tensors):
-        raise ShapeMismatchError("stack_rows", *[t.shape for t in tensors])
-
-    def backward(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _wrap(np.stack([t.data for t in tensors]), tuple(tensors), backward)
-
-
-def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    if a.ndim != 1 or start < 0 or start + length > a.size:
-        raise ShapeMismatchError(f"narrow[{start}:{start + length}]", a.shape)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:start + length] = g
-        return (full,)
-
-    return _wrap(a.data[start:start + length].copy(), (a,), backward)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    if a.ndim != 2 or not (0 <= i < a.shape[0]):
-        raise ShapeMismatchError(f"row[{i}]", a.shape)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return _wrap(a.data[i].copy(), (a,), backward)
 
 
 def pick(a: Tensor, i: int) -> Tensor:

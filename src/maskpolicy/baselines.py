@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -230,16 +231,11 @@ def _eligible_salient(chunk: Chunk, max_span_len: int) -> list[SalientTag]:
     return [t for t in salient_spans(chunk) if len(t.span) <= max_span_len]
 
 
-def salient_span_mask(chunk: Chunk, rng: np.random.Generator,
-                      max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Span:
-    """One uniformly chosen salient span; random span when none exist."""
-    span, _ = salient_span_mask_with_fallback(chunk, rng, max_span_len)
-    return span
-
-
 def salient_span_mask_with_fallback(chunk: Chunk, rng: np.random.Generator,
                                     max_span_len: int = DEFAULT_MAX_SPAN_LEN
                                     ) -> tuple[Span, bool]:
+    """One uniformly chosen salient span, or a random span when none
+    exist; the flag says whether it fell back."""
     tags = _eligible_salient(chunk, max_span_len)
     if tags:
         return tags[int(rng.integers(0, len(tags)))].span, False
@@ -257,8 +253,9 @@ def random_span_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
 
 def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
     """Up to k salient spans, a uniform sample in chunk order when there
-    are more. Unlike salient_span_mask, it has no random-span fallback:
-    a chunk without salient spans gets no proposals."""
+    are more. Unlike salient_span_mask_with_fallback, it has no
+    random-span fallback: a chunk without salient spans gets no
+    proposals."""
     def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
         tags = [t.span for t in _eligible_salient(chunk, max_span_len)]
         if len(tags) > k:
@@ -281,11 +278,10 @@ def load_tagger_fixtures(path) -> list[tuple[str, list[tuple[str, int, int]]]]:
     return rows
 
 
-def tag_char_ranges(chunk: Chunk, tags: list[SalientTag]) -> list[tuple[str, int, int]]:
-    """Tags as (kind, start_char, end_char) against the chunk's source text."""
-    out = []
-    for tag in tags:
-        start_char = chunk.tokens.offsets[tag.span.start][0]
-        end_char = chunk.tokens.offsets[tag.span.end][1]
-        out.append((tag.kind.value, start_char, end_char))
-    return out
+def tag_char_ranges(offsets: Sequence[tuple[int, int]],
+                    tags: list[SalientTag]) -> list[tuple[str, int, int]]:
+    """Tags as (kind, start_char, end_char) against the source text.
+    `offsets` are the source's `token_offsets`, sliced as the tagged
+    chunk was."""
+    return [(tag.kind.value, offsets[tag.span.start][0], offsets[tag.span.end][1])
+            for tag in tags]

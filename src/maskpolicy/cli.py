@@ -110,7 +110,20 @@ def _options(args: argparse.Namespace) -> dict:
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # Until the new manifest is written, the directory must not look
+    # like a finished run.
+    (out / "manifest.json").unlink(missing_ok=True)
     return out
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_jsonl(path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _cmd_build_vocab(args) -> int:
@@ -118,7 +131,8 @@ def _cmd_build_vocab(args) -> int:
     out = _out_dir(args)
     vocab = build_vocab(args.corpus, max_size=opts["max_size"],
                         min_freq=opts["min_freq"])
-    vocab.save(out / "vocab.txt")
+    with atomic_output(out / "vocab.txt") as tmp:
+        vocab.save(tmp)
     print(f"vocab: {len(vocab)} tokens", file=sys.stderr)
     _write_manifest(out, "build-vocab", opts, args.corpus, ["vocab.txt"])
     return 0
@@ -141,9 +155,8 @@ def _cmd_train_policy(args) -> int:
     params, log = train_policy(train_ex, valid_ex, cfg, vocab_size=len(vocab))
     save_checkpoint(out / "checkpoint.json", params, vocab,
                     hyperparameters=cfg.hyperparameters())
-    with open(out / "training_log.jsonl", "w", encoding="utf-8") as fh:
-        for record in log.jsonl_records():
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with atomic_output(out / "training_log.jsonl") as tmp:
+        _write_jsonl(tmp, log.jsonl_records())
     chosen = log.records[log.chosen_epoch - 1]
     print(f"chosen epoch {chosen.epoch}: valid loss {chosen.valid_loss:.4f}",
           file=sys.stderr)
@@ -191,7 +204,8 @@ def _cmd_eval_policy(args) -> int:
                               max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],
                               seed=opts["seed"])
-    write_report(out / "report.json", report)
+    with atomic_output(out / "report.json") as tmp:
+        write_report(tmp, report)
     print(f"{report.policy_tag}: em@1={report.em_at_1:.3f} "
           f"em@5={report.em_at_5:.3f} f1@1={report.token_f1_at_1:.3f}",
           file=sys.stderr)
@@ -203,9 +217,6 @@ def _cmd_eval_policy(args) -> int:
 def _cmd_mask_corpus(args) -> int:
     opts = _options(args)
     out = _out_dir(args)
-    # Until the new manifest is written, the directory must not look
-    # like a finished run.
-    (out / "manifest.json").unlink(missing_ok=True)
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
@@ -243,8 +254,8 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args)
     reports = [read_report(p) for p in args.reports]
     table, payload = compare_policies(reports)
-    (out / "comparison.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_output(out / "comparison.json") as tmp:
+        _write_json(tmp, payload)
     print(table)
     _write_manifest(out, "compare", {}, args.reports, ["comparison.json"])
     return 0
@@ -254,8 +265,8 @@ def _cmd_grad_check(args) -> int:
     opts = _options(args)
     out = _out_dir(args)
     result = grad_check_suite(n_seeds=opts["seeds"], max_len=opts["max_len"])
-    (out / "gradcheck.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_output(out / "gradcheck.json") as tmp:
+        _write_json(tmp, result)
     print(f"grad check over {result['seeds']} seeds: "
           f"max rel err {result['max_rel_err']:.3e} "
           f"({'pass' if result['pass'] else 'FAIL'})", file=sys.stderr)

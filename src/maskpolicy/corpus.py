@@ -1,12 +1,12 @@
-"""Text ingestion: vocabulary, tokenization with offsets, chunking, and
-alignment of answer strings to token spans.
+"""Text ingestion: vocabulary, tokenization, chunking, and alignment of
+answer strings to token spans.
 
 Tokenization is word-level: a token is a maximal run of word characters
-or a single non-space punctuation character. Offsets always point back
-into the source string, so any token span can be detokenized exactly.
-`tokenize` finds ids and texts only; a sequence finds its offsets the
-first time something reads them (`span_text`, `align_answer`,
-`tag_char_ranges`), so deploying a policy never pays for them.
+or a single non-space punctuation character. `tokenize` gives a token
+sequence of ids and surface strings, which is all deploying a policy
+reads. `token_offsets(text)` gives every token's (start, end) character
+offsets into the source string; only aligning an anchor answer to a
+token span needs them.
 
 Corpus text files hold one document per non-empty line; doc ids are
 "<file name>:<zero-padded line number>" so lexicographic order equals
@@ -15,12 +15,11 @@ file order.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import itertools
 import json
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,149 +99,22 @@ class Vocab:
         return cls(read_text(path).splitlines())
 
 
-class _Source:
-    """The string a sequence was tokenized from, shared by the sequence and
-    every slice of it: the offsets of all its tokens once they are found,
-    and the (tokens passed, characters passed) marks seen so far, for
-    finding where a slice's characters start without finding offsets."""
-
-    __slots__ = ("text", "base", "offsets", "marks")
-
-    def __init__(self, text: str, base: int = 0):
-        self.text = text
-        self.base = base
-        self.offsets: tuple[tuple[int, int], ...] | None = None
-        self.marks = [(0, 0)]
-
-    def token_offsets(self) -> tuple[tuple[int, int], ...]:
-        if self.offsets is None:
-            self.offsets = _find_offsets(self.text, self.base)
-        return self.offsets
-
-    def char_pos(self, k: int) -> int:
-        """Index just past token k - 1 of the text (0 for k = 0), scanned
-        from the nearest mark before it, leaving a mark at least every
-        _MARK_STRIDE tokens on the way."""
-        i = bisect.bisect_right(self.marks, (k, len(self.text)))
-        done, pos = self.marks[i - 1]
-        while done < k:
-            step = min(k - done, _MARK_STRIDE)
-            pos = _skip_tokens(step).match(self.text, pos).end()
-            done += step
-            self.marks.insert(i, (done, pos))
-            i += 1
-        return pos
-
-
-def _find_offsets(text: str, base: int) -> tuple[tuple[int, int], ...]:
-    """(start, end) of every token of `text`, shifted by `base`: one regex
-    pass, and the only place a sequence from `tokenize` finds offsets."""
-    spans = map(re.Match.span, _TOKEN_RE.finditer(text))
-    if base:
-        return tuple((start + base, end + base) for start, end in spans)
-    return tuple(spans)
-
-
-_MARK_STRIDE = 1024
-
-
-@functools.lru_cache(maxsize=8)
-def _skip_tokens(n: int) -> re.Pattern:
-    """Matches exactly the next n tokens and the whitespace before them.
-    Greedy matching takes the same tokens as _TOKEN_RE whenever n tokens
-    remain, so no backtracking happens."""
-    return re.compile(rf"(?:\s*(?:{_TOKEN_RE.pattern})){{{n}}}")
-
-
+@dataclass(frozen=True)
 class TokenSequence:
-    """Token ids plus per-token (char_start, char_end) offsets into the
-    source string and the surface strings themselves.
+    """Token ids plus the surface string of each token."""
 
-    `TokenSequence(ids, offsets, texts)` checks its offsets once. A
-    sequence from `tokenize` is valid by construction: it keeps its
-    source string and finds its offsets on first read, with one regex
-    pass, shared with every slice of it. Slices are never re-checked.
-    Deploying reads only ids and texts, so it never finds offsets."""
+    ids: tuple[int, ...]
+    texts: tuple[str, ...]
 
-    __slots__ = ("ids", "texts", "_offsets", "_source", "_first")
-
-    def __init__(self, ids: tuple[int, ...], offsets: tuple[tuple[int, int], ...],
-                 texts: tuple[str, ...]):
-        if not (len(ids) == len(offsets) == len(texts)):
-            raise ValueError("ids, offsets, texts must have equal length")
-        prev_end = -1
-        for start, end in offsets:
-            if start < prev_end or end <= start:
-                raise ValueError(f"offsets not strictly increasing at ({start}, {end})")
-            prev_end = end
-        self.ids = ids
-        self.texts = texts
-        self._offsets = offsets
-        self._source = None
-        self._first = 0
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        if self._offsets is None:
-            first = self._first
-            self._offsets = self._source.token_offsets()[first:first + len(self.ids)]
-        return self._offsets
+    def __post_init__(self):
+        if len(self.ids) != len(self.texts):
+            raise ValueError("ids and texts must have equal length")
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TokenSequence):
-            return NotImplemented
-        return (self.ids == other.ids and self.texts == other.texts
-                and self.offsets == other.offsets)
-
-    def __hash__(self) -> int:
-        return hash((self.ids, self.texts))
-
-    def __repr__(self) -> str:
-        return f"TokenSequence(ids={self.ids!r}, offsets={self.offsets!r}, texts={self.texts!r})"
-
-    def __reduce__(self):
-        source = self._source
-        if self._offsets is None and source.offsets is None:
-            # Ship the characters the tokens cover rather than finding
-            # offsets: the receiver re-derives the texts from them, and
-            # the offsets too if it reads any.
-            start = source.char_pos(self._first)
-            end = source.char_pos(self._first + len(self.ids))
-            return _from_window, (self.ids, source.text[start:end], source.base + start)
-        return _new_sequence, (self.ids, self.offsets, self.texts)
-
     def slice(self, start: int, stop: int) -> "TokenSequence":
-        ids = self.ids[start:stop]
-        texts = self.texts[start:stop]
-        if self._offsets is not None:
-            return _new_sequence(ids, self._offsets[start:stop], texts)
-        first = self._first + range(len(self.ids))[start:stop].start
-        return _new_sequence(ids, None, texts, self._source, first)
-
-    def span_text(self, span: Span, source: str) -> str:
-        """Exact source substring covered by a token span."""
-        return source[self.offsets[span.start][0]:self.offsets[span.end][1]]
-
-
-def _new_sequence(ids, offsets, texts, source: _Source | None = None,
-                  first: int = 0) -> TokenSequence:
-    """A sequence known to be valid, built unchecked. When `offsets` is
-    None, its tokens are tokens first, first + 1, ... of `source`, and
-    its offsets are found there when first read."""
-    seq = object.__new__(TokenSequence)
-    seq.ids = ids
-    seq.texts = texts
-    seq._offsets = offsets
-    seq._source = source
-    seq._first = first
-    return seq
-
-
-def _from_window(ids, window: str, base: int) -> TokenSequence:
-    return _new_sequence(ids, None, tuple(_TOKEN_RE.findall(window)), _Source(window, base))
+        return TokenSequence(self.ids[start:stop], self.texts[start:stop])
 
 
 def _token_ids(texts: tuple[str, ...], vocab: Vocab | None) -> tuple[int, ...]:
@@ -278,18 +150,15 @@ class LoadReport:
 
 def tokenize(text: str, vocab: Vocab | None = None) -> TokenSequence:
     """Word-and-punctuation tokenization, case preserved. Unknown tokens
-    map to the unk id but keep their surface text. Offsets are found when
-    first read (see TokenSequence)."""
+    map to the unk id but keep their surface text."""
     texts = tuple(_TOKEN_RE.findall(text))
-    return _new_sequence(_token_ids(texts, vocab), None, texts, _Source(text))
+    return TokenSequence(_token_ids(texts, vocab), texts)
 
 
-def _tokenize_with_offsets(text: str, vocab: Vocab) -> TokenSequence:
-    """`tokenize`, with the offsets found in the same regex pass, for a
-    caller that reads them at once."""
-    matches = list(_TOKEN_RE.finditer(text))
-    texts = tuple(map(re.Match.group, matches))
-    return _new_sequence(_token_ids(texts, vocab), tuple(map(re.Match.span, matches)), texts)
+def token_offsets(text: str) -> list[tuple[int, int]]:
+    """(start, end) character offsets of every token of `text`, in the
+    order `tokenize` gives the tokens, from one regex pass."""
+    return list(map(re.Match.span, _TOKEN_RE.finditer(text)))
 
 
 def iter_documents(corpus_paths) -> "list[tuple[str, str]]":
@@ -369,13 +238,13 @@ def normalize_answer(s: str) -> str:
     return _strip_outer(s).casefold()
 
 
-def align_answer(context_tokens: TokenSequence, context: str, answer: str) -> Span:
-    """Earliest token span whose detokenized text matches the answer under
-    case-folding and outer punctuation stripping."""
+def align_answer(offsets: Sequence[tuple[int, int]], context: str, answer: str) -> Span:
+    """Earliest token span whose source text matches the answer under
+    case-folding and outer punctuation stripping. `offsets` are the
+    context's `token_offsets`."""
     target = normalize_answer(answer)
     if not target:
         raise AnswerNotFoundError(f"answer {answer!r} has no alignable content")
-    offsets = context_tokens.offsets
     n = len(offsets)
     # Outer stripping can only shorten, so spans much longer than the
     # answer cannot match; the slack covers stripped quotes and brackets.
@@ -411,12 +280,15 @@ def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadRe
             if not isinstance(record[field], str):
                 raise MalformedRecordError(path, line_no, f"field {field!r} is not a string")
         context = record["context"]
-        tokens = _tokenize_with_offsets(context, vocab)
+        offsets = token_offsets(context)
         try:
-            span = align_answer(tokens, context, record["answer"])
+            span = align_answer(offsets, context, record["answer"])
         except AnswerNotFoundError:
             report.skipped += 1
             continue
+        # The texts come from the offsets: one regex pass per context.
+        texts = tuple(context[start:end] for start, end in offsets)
+        tokens = TokenSequence(_token_ids(texts, vocab), texts)
         examples.append(AnchorExample(
             context=context,
             question=record["question"],

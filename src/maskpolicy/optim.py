@@ -23,9 +23,6 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     kind: str  # "sgd" | "adam"
     learning_rate: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -39,17 +36,13 @@ def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
     return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 
-def optimizer_step(
-    state: OptimizerState,
-    params: list[tuple[str, Tensor]],
-    grads: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Apply one update in place. grads defaults to each tensor's .grad;
-    a missing gradient counts as zero."""
+def optimizer_step(state: OptimizerState, params: list[tuple[str, Tensor]]) -> None:
+    """Apply one update in place from each tensor's .grad; a missing
+    gradient counts as zero."""
     state.step += 1
     lr = state.learning_rate
     for name, p in params:
-        g = grads.get(name) if grads is not None else p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
@@ -62,10 +55,10 @@ def optimizer_step(
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - state.beta1 ** state.step)
-        v_hat = v / (1.0 - state.beta2 ** state.step)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = m / (1.0 - ADAM_BETA1 ** state.step)
+        v_hat = v / (1.0 - ADAM_BETA2 ** state.step)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from maskpolicy import AnchorExample, Vocab, align_answer, tokenize
+from maskpolicy import AnchorExample, Vocab, align_answer, token_offsets, tokenize
 
 OPEN, CLOSE = "<", ">"
 # 3 specials + 2 sentinels + filler + answer tokens = exactly 50
@@ -51,7 +51,7 @@ def synth_examples(n: int, seed: int, vocab: Vocab | None = None) -> list[Anchor
     for _ in range(n):
         context, answer = synth_context(rng)
         toks = tokenize(context, vocab)
-        span = align_answer(toks, context, answer)
+        span = align_answer(token_offsets(context), context, answer)
         out.append(AnchorExample(context, QUESTION, answer, toks, span))
     return out
 

@@ -15,13 +15,20 @@ from scipy import stats
 from maskpolicy.baselines import (
     random_span_proposer,
     random_token_mask,
-    salient_span_mask,
+    salient_span_mask_with_fallback,
     salient_spans,
 )
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy import corruption
 from maskpolicy.cli import main
-from maskpolicy.corpus import Chunk, Span, chunk_document, iter_documents, tokenize
+from maskpolicy.corpus import (
+    Chunk,
+    Span,
+    chunk_document,
+    iter_documents,
+    token_offsets,
+    tokenize,
+)
 from maskpolicy.corruption import PolicySpec, mask_corpus
 from maskpolicy.evaluation import span_hit_metrics
 from maskpolicy.policy import ScoredSpan, forward, init_policy_params, select_span, top_k_spans
@@ -267,7 +274,7 @@ def test_mask_statistics(capsys):
     assert len(tags) == 4
     chosen = Counter(
         (s.start, s.end) for s in
-        (salient_span_mask(chunk, np.random.default_rng(7000 + t))
+        (salient_span_mask_with_fallback(chunk, np.random.default_rng(7000 + t))[0]
          for t in range(4000)))
     assert set(chosen) == {(t.start, t.end) for t in tags}
     _, p_salient = stats.chisquare([chosen[(t.start, t.end)] for t in tags])
@@ -341,11 +348,9 @@ def test_tagger_reference_fixtures(capsys):
     hits = 0
     for text, highlights in _REFERENCE_CONTEXTS:
         chunk = Chunk(tokenize(text), "ref", 0)
-        ranges = []
-        for tag in salient_spans(chunk):
-            a = chunk.tokens.offsets[tag.span.start][0]
-            b = chunk.tokens.offsets[tag.span.end][1]
-            ranges.append((a, b))
+        offsets = token_offsets(text)
+        ranges = [(offsets[tag.span.start][0], offsets[tag.span.end][1])
+                  for tag in salient_spans(chunk)]
         for fixture in highlights:
             pos = text.index(fixture)
             covered = any(a <= pos and pos + len(fixture) <= b

@@ -1,12 +1,14 @@
 """End-to-end command line runs against a synthetic workspace."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maskpolicy import cli
 from maskpolicy.cli import main
+from maskpolicy.corpus import Vocab
 
 from synth import synth_context, write_anchor_jsonl
 
@@ -448,3 +450,59 @@ class TestCrashSafeMaskCorpus:
         assert set(left) == set(before) - {"manifest.json"}
         # Nothing half-written replaced an artifact of the earlier run.
         assert all(left[name] == before[name] for name in left)
+
+
+class TestCrashSafeArtifacts:
+    """Every other command: an artifact writer failing partway through
+    exits 2, leaves no manifest, and leaves the earlier run's artifact
+    byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, workspace):
+        paths = []
+        for policy in ("randomspan", "salient"):
+            out = workspace / f"crash_{policy}"
+            assert main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
+                         "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                         "--policy", policy, "--max-input-len", "24",
+                         "--max-span-len", "5", "--out", str(out)]) == 0
+            paths.append(str(out / "report.json"))
+        return paths
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train-policy", "eval-policy",
+                                         "compare", "grad-check"])
+    def test_failed_write_keeps_earlier_artifact(self, workspace, reports, tmp_path,
+                                                  monkeypatch, command):
+        vocab = str(workspace / "vocab" / "vocab.txt")
+        argv, artifact, writer = {
+            "build-vocab": (["--corpus", str(workspace / "corpus.txt")],
+                            "vocab.txt", (Vocab, "save")),
+            "train-policy": (["--train", str(workspace / "train.jsonl"),
+                              "--valid", str(workspace / "valid.jsonl"), "--vocab", vocab,
+                              "--epochs", "1", "--batch-size", "8", "--max-input-len", "24",
+                              "--max-span-len", "5", "--d-emb", "4", "--d-h", "4"],
+                             "training_log.jsonl", (cli, "_write_jsonl")),
+            "eval-policy": (["--dev", str(workspace / "dev.jsonl"), "--vocab", vocab,
+                             "--policy", "randomspan", "--max-input-len", "24",
+                             "--max-span-len", "5"],
+                            "report.json", (cli, "write_report")),
+            "compare": (["--reports", *reports], "comparison.json", (cli, "_write_json")),
+            "grad-check": (["--seeds", "1", "--max-len", "3"],
+                           "gradcheck.json", (cli, "_write_json")),
+        }[command]
+        out = tmp_path / "out"
+        run = lambda: main([command, *argv, "--out", str(out)])
+        assert run() == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"manifest.json", artifact} <= set(before)
+
+        def fails_halfway(*args):
+            path = next(a for a in args if isinstance(a, Path))
+            path.write_bytes(before[artifact][:len(before[artifact]) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(*writer, fails_halfway)
+        assert run() == 2
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(left) == set(before) - {"manifest.json"}
+        assert left[artifact] == before[artifact]

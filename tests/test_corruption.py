@@ -89,7 +89,7 @@ class TestCorrupt:
         ids = data.draw(st.lists(st.integers(3, 50), min_size=n, max_size=n))
         text = " ".join("w" for _ in range(n))
         toks = tokenize(text)
-        toks = type(toks)(tuple(ids), toks.offsets, toks.texts)
+        toks = type(toks)(tuple(ids), toks.texts)
         c = Chunk(toks, "prop:00000000", 0)
         start = data.draw(st.integers(0, n - 1))
         end = data.draw(st.integers(start, min(n - 2 if start == 0 else n - 1, start + 9)))

@@ -91,12 +91,16 @@ class TestAdam:
                 np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
         assert theta.data == pytest.approx(ref, abs=1e-15)
 
-    def test_explicit_grads_mapping_wins(self):
-        theta = param([1.0])
-        theta.grad = np.array([100.0])
-        optimizer_step(make_optimizer("sgd", 0.1), [("theta", theta)],
-                       grads={"theta": np.array([1.0])})
-        assert theta.data == pytest.approx([0.9])
+    def test_each_parameter_steps_on_its_own_grad(self):
+        a, b = param([1.0]), param([1.0])
+        a.grad, b.grad = np.array([100.0]), np.array([-0.5])
+        opt = make_optimizer("adam", 0.1)
+        optimizer_step(opt, [("a", a), ("b", b)])
+        # Adam's first step moves each parameter by lr against its own sign.
+        assert a.data == pytest.approx([0.9])
+        assert b.data == pytest.approx([1.1])
+        assert opt.m["a"] == pytest.approx([10.0])
+        assert opt.m["b"] == pytest.approx([-0.05])
 
 
 class TestValidation:

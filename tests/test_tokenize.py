@@ -1,8 +1,12 @@
-"""The tokenizer and chunker against the eager reference in
-tests/tokenize_oracle.py, pickling of chunks whose offsets were never
-found, and a guard that deploying a policy never finds offsets."""
+"""The tokenizer, `token_offsets`, the chunker and anchor alignment against
+the eager reference in tests/tokenize_oracle.py, pickling of chunks, and
+a guard that deploying a policy never finds offsets."""
 
+import json
 import pickle
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +15,19 @@ from hypothesis import strategies as st
 
 import tokenize_oracle
 from maskpolicy import corpus
-from maskpolicy.corpus import Span, TokenSequence, Vocab, chunk_document, tokenize
+from maskpolicy.corpus import (
+    Chunk,
+    TokenSequence,
+    Vocab,
+    align_answer,
+    chunk_document,
+    load_anchor_dataset,
+    normalize_answer,
+    token_offsets,
+    tokenize,
+)
 from maskpolicy.corruption import PolicySpec, mask_corpus
+from maskpolicy.errors import AnswerNotFoundError
 from maskpolicy.policy import init_policy_params
 from synth import synth_context
 
@@ -37,12 +52,25 @@ texts = st.one_of(
 
 def vocab_for(text):
     """A vocabulary holding every other distinct token of `text`."""
-    known = sorted(set(tokenize_oracle.tokenize(text).texts))[::2]
+    known = sorted(set(tokenize_oracle.tokenize(text)[2]))[::2]
     return Vocab(["<pad>", "<unk>", "<mask>", *known])
 
 
 def fields(seq):
-    return seq.ids, seq.texts, seq.offsets
+    return seq.ids, seq.texts
+
+
+def oracle_sequence(text, vocab=None):
+    ids, _, toks = tokenize_oracle.tokenize(text, vocab)
+    return TokenSequence(ids, toks)
+
+
+def oracle_chunks(text, vocab, L):
+    """(ids, offsets, texts) of each chunk: windows of L tokens, and a
+    final shorter window when it holds at least L/4 tokens."""
+    ids, offsets, toks = tokenize_oracle.tokenize(text, vocab)
+    return [(ids[s:s + L], offsets[s:s + L], toks[s:s + L])
+            for s in range(0, len(ids), L) if 4 * min(L, len(ids) - s) >= L]
 
 
 class TestAgainstOracle:
@@ -50,8 +78,9 @@ class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_tokenize_matches(self, text):
         vocab = vocab_for(text)
-        assert fields(tokenize(text)) == fields(tokenize_oracle.tokenize(text))
-        assert fields(tokenize(text, vocab)) == fields(tokenize_oracle.tokenize(text, vocab))
+        assert fields(tokenize(text)) == fields(oracle_sequence(text))
+        assert fields(tokenize(text, vocab)) == fields(oracle_sequence(text, vocab))
+        assert tuple(token_offsets(text)) == tokenize_oracle.tokenize(text)[1]
 
     @given(texts)
     @settings(max_examples=300, deadline=None)
@@ -59,47 +88,86 @@ class TestAgainstOracle:
         vocab = vocab_for(text)
         for L in CHUNK_LENS:
             got = chunk_document(tokenize(text, vocab), L, doc_id="d")
-            want = chunk_document(tokenize_oracle.tokenize(text, vocab), L, doc_id="d")
-            assert [fields(c.tokens) for c in got] == [fields(c.tokens) for c in want]
-            assert got == want
-
-    @given(texts, st.integers(-12, 60), st.integers(-12, 60))
-    @settings(max_examples=300, deadline=None)
-    def test_slice_matches(self, text, start, stop):
-        got = tokenize(text).slice(start, stop)
-        want = tokenize_oracle.tokenize(text).slice(start, stop)
-        assert fields(got) == fields(want)
-        # A slice of a slice shares the same source.
-        assert fields(got.slice(1, -1)) == fields(want.slice(1, -1))
+            assert [c.chunk_index for c in got] == list(range(len(got)))
+            assert [fields(c.tokens) for c in got] == [
+                (ids, toks) for ids, _, toks in oracle_chunks(text, vocab, L)]
 
     @given(texts)
     @settings(max_examples=200, deadline=None)
     def test_offsets_read_before_slicing(self, text):
-        seq = tokenize(text)
-        seq.offsets
+        # A chunk's offsets are the whole text's, sliced as the chunk was.
+        offsets = token_offsets(text)
         for L in CHUNK_LENS:
-            got = chunk_document(seq, L)
-            assert got == chunk_document(tokenize_oracle.tokenize(text), L)
+            got = chunk_document(tokenize(text), L, doc_id="d")
+            assert [tuple(offsets[c.chunk_index * L:][:len(c)]) for c in got] == [
+                offs for _, offs, _ in oracle_chunks(text, None, L)]
+            for c in got:
+                chunk_offsets = offsets[c.chunk_index * L:][:len(c)]
+                assert tuple(text[a:b] for a, b in chunk_offsets) == c.tokens.texts
+
+    @given(texts, st.integers(-12, 60), st.integers(-12, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_slice_matches(self, text, start, stop):
+        ids, _, toks = tokenize_oracle.tokenize(text)
+        got = tokenize(text).slice(start, stop)
+        assert fields(got) == (ids[start:stop], toks[start:stop])
+        assert fields(got.slice(1, -1)) == (ids[start:stop][1:-1], toks[start:stop][1:-1])
+
+
+class TestAnchorAlignment:
+    """Anchor loading finds offsets with token_offsets alone; every record
+    it keeps must align as the oracle's offsets align it."""
+
+    @given(st.lists(st.tuples(texts, st.integers(0, 60), st.integers(0, 60), texts),
+                    min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_kept_records_align_as_over_oracle_offsets(self, draws):
+        # The answer is a slice of its context, or unrelated text.
+        records = [(ctx, ctx[a:b] if a <= b else other) for ctx, a, b, other in draws]
+        vocab = vocab_for(" ".join(ctx for ctx, _ in records))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "anchors.jsonl"
+            path.write_text("".join(
+                json.dumps({"context": ctx, "question": "q", "answer": ans}) + "\n"
+                for ctx, ans in records), encoding="utf-8")
+            examples, report = load_anchor_dataset(path, vocab)
+        want = []
+        for ctx, ans in records:
+            try:
+                want.append((ctx, ans, align_answer(tokenize_oracle.tokenize(ctx)[1], ctx, ans)))
+            except AnswerNotFoundError:
+                pass
+        assert (report.loaded, report.skipped) == (len(want), len(records) - len(want))
+        assert [(ex.context, ex.answer, ex.answer_span) for ex in examples] == want
+        for ex in examples:
+            offsets = token_offsets(ex.context)
+            span = ex.answer_span
+            covered = ex.context[offsets[span.start][0]:offsets[span.end][1]]
+            assert normalize_answer(covered) == normalize_answer(ex.answer)
+            assert fields(ex.context_tokens) == fields(oracle_sequence(ex.context, vocab))
 
 
 class TestDirectlyBuilt:
-    def test_bad_offsets_still_raise(self):
+    def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError):
-            TokenSequence((1, 1), ((0, 2), (1, 3)), ("ab", "bc"))
+            TokenSequence((1, 1), ("ab",))
         with pytest.raises(ValueError):
-            TokenSequence((1,), ((2, 2),), ("",))
-        with pytest.raises(ValueError):
-            TokenSequence((1,), ((0, 1), (2, 3)), ("a", "b"))
+            TokenSequence((1,), ("a", "b"))
 
     def test_slices_and_equality(self):
-        seq = TokenSequence((3, 4, 5), ((0, 1), (2, 4), (4, 5)), ("a", "bc", "."))
-        assert seq.slice(1, 3) == TokenSequence((4, 5), ((2, 4), (4, 5)), ("bc", "."))
+        seq = TokenSequence((3, 4, 5), ("a", "bc", "."))
+        assert seq.slice(1, 3) == TokenSequence((4, 5), ("bc", "."))
         assert seq == tokenize("a bc.", Vocab(["<pad>", "<unk>", "<mask>", "a", "bc", "."]))
-        assert seq.span_text(Span(1, 2), "a bc.") == "bc."
+        assert seq != TokenSequence((3, 4, 5), ("a", "bc", ","))
+        assert hash(seq.slice(0, 3)) == hash(seq)
 
 
 def round_trip(obj):
     return pickle.loads(pickle.dumps(obj))
+
+
+def refuse(*args):
+    raise AssertionError("offsets found")
 
 
 class TestPickle:
@@ -107,51 +175,42 @@ class TestPickle:
     @settings(max_examples=300, deadline=None)
     def test_chunks_round_trip_without_finding_offsets(self, text):
         vocab = vocab_for(text)
-        for L in CHUNK_LENS:
-            want = chunk_document(tokenize_oracle.tokenize(text, vocab), L, doc_id="d")
-            # In order, as one batch (as a worker pool ships them), and
-            # in reverse order one at a time, which scans from earlier marks.
-            batch = chunk_document(tokenize(text, vocab), L, doc_id="d")
-            shipped = round_trip(batch)
-            assert all(c.tokens._source.offsets is None for c in batch)
-            single = chunk_document(tokenize(text, vocab), L, doc_id="d")
-            shipped_alone = [round_trip(c) for c in reversed(single)][::-1]
-            assert shipped == want
-            assert shipped_alone == want
-            # A received chunk ships on again.
-            assert [round_trip(c) for c in round_trip(batch)] == want
+        with mock.patch.object(corpus, "token_offsets", refuse):
+            for L in CHUNK_LENS:
+                want = [TokenSequence(ids, toks) for ids, _, toks in oracle_chunks(text, vocab, L)]
+                # As one batch (as a worker pool ships them), one at a
+                # time in reverse order, and shipped on again.
+                batch = chunk_document(tokenize(text, vocab), L, doc_id="d")
+                assert [c.tokens for c in round_trip(batch)] == want
+                assert [round_trip(c).tokens for c in reversed(batch)][::-1] == want
+                assert [round_trip(c) for c in round_trip(batch)] == batch
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_long_document_in_any_order(self, order):
-        # Longer than several mark strides, so chunks are found from marks
-        # left on the way to other chunks.
-        text = " ".join(f"w{i % 13}{'.' * (i % 3)} " for i in range(3000))
-        want = chunk_document(tokenize_oracle.tokenize(text), 128, doc_id="d")
+        text = " ".join(f"w{i % 13}{'.' * (i % 3)} " for i in range(3000))
+        want = [TokenSequence(ids, toks) for ids, _, toks in oracle_chunks(text, None, 128)]
         got = chunk_document(tokenize(text), 128, doc_id="d")
         shipped = [round_trip(c) for c in got[::order]][::order]
-        assert shipped == want
-
-    def test_chunk_with_offsets_found_round_trips(self):
-        chunk = chunk_document(tokenize("alpha beta, gamma delta"), 2, doc_id="d")[1]
-        chunk.tokens.offsets
-        assert round_trip(chunk) == chunk
-        assert round_trip(chunk).tokens.offsets == ((10, 11), (12, 17))
+        assert [c.tokens for c in shipped] == want
+        assert shipped == got
 
     @pytest.mark.parametrize("L", [8, 128])
     def test_pickle_no_larger_than_eager(self, L):
+        # Chunks ship to workers without offsets, so each must pickle no
+        # larger than the same chunk holding the eager (ids, offsets, texts).
         rng = np.random.default_rng(0)
         text = " ".join(synth_context(rng)[0] + " ." for _ in range(60))
-        lazy = chunk_document(tokenize(text), L, doc_id="d")
-        eager = chunk_document(tokenize_oracle.tokenize(text), L, doc_id="d")
-        assert len(lazy) == len(eager) > 1
-        for a, b in zip(lazy, eager):
+        chunks = chunk_document(tokenize(text), L, doc_id="d")
+        eager = [Chunk(tokens, "d", i) for i, tokens in enumerate(oracle_chunks(text, None, L))]
+        assert len(chunks) == len(eager) > 1
+        for a, b in zip(chunks, eager):
             assert len(pickle.dumps(a)) <= len(pickle.dumps(b))
-        assert len(pickle.dumps(lazy)) <= len(pickle.dumps(eager))
+        assert len(pickle.dumps(chunks)) <= len(pickle.dumps(eager))
 
 
 class TestDeployNeverFindsOffsets:
     """Deploying reads ids (and texts, for salient) only; finding offsets
-    again would bring back the per-token cost tokenize no longer pays."""
+    would bring back a per-token cost deploying does not need."""
 
     @pytest.fixture(scope="class")
     def corpus_file(self, tmp_path_factory):
@@ -173,11 +232,7 @@ class TestDeployNeverFindsOffsets:
             spec.params = init_policy_params(len(vocab), 4, 4, seed=0)
         expected = mask_corpus([corpus_file], vocab, spec, chunk_len=8, workers=1)
 
-        def refuse(*args):
-            raise AssertionError("offsets found while deploying")
-
-        monkeypatch.setattr(corpus, "_find_offsets", refuse)
-        monkeypatch.setattr(corpus, "_tokenize_with_offsets", refuse)
+        monkeypatch.setattr(corpus, "token_offsets", refuse)
         got = mask_corpus([corpus_file], vocab, spec, chunk_len=8, workers=workers)
         assert got == expected
         assert got[1].chunks > 30

@@ -1,16 +1,15 @@
 """Reference tokenizer: one regex match per token, offsets built eagerly.
 
-This is the package's tokenizer as it was before `tokenize` started
-finding offsets lazily. Every token's `(start, end)` comes straight from
-its match object, and the result goes through the checked public
-`TokenSequence` constructor. Tests compare the package's tokenizer and
-chunker against it.
+Every token's id, `(start, end)` and surface text come straight from its
+own match object. Tests compare the package's `tokenize`, `token_offsets`,
+chunker and anchor alignment against it.
 """
 
-from maskpolicy.corpus import _TOKEN_RE, UNK_ID, TokenSequence
+from maskpolicy.corpus import _TOKEN_RE, UNK_ID
 
 
 def tokenize(text, vocab=None):
+    """(ids, offsets, texts) of every token of `text`, as tuples."""
     ids = []
     offsets = []
     texts = []
@@ -19,4 +18,4 @@ def tokenize(text, vocab=None):
         ids.append(vocab.id_of(tok) if vocab is not None else UNK_ID)
         offsets.append((m.start(), m.end()))
         texts.append(tok)
-    return TokenSequence(tuple(ids), tuple(offsets), tuple(texts))
+    return tuple(ids), tuple(offsets), tuple(texts)
