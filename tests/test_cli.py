@@ -334,6 +334,107 @@ class TestConfigHandling:
         assert "chunk_len must be of type int, got 2.5" in capsys.readouterr().err
 
 
+_POLICIES = ["random15", "randomspan", "salient", "learned"]
+
+# Every option of every command: option string -> (dest, choices,
+# required, nargs). Every default is None, so a flag left off never
+# hides a config value.
+PARSER_OPTIONS = {
+    "build-vocab": {
+        "--corpus": ("corpus", None, True, "+"),
+        "--max-size": ("max_size", None, False, None),
+        "--min-freq": ("min_freq", None, False, None),
+    },
+    "train-policy": {
+        "--train": ("train", None, True, None),
+        "--valid": ("valid", None, True, None),
+        "--vocab": ("vocab", None, True, None),
+        "--epochs": ("epochs", None, False, None),
+        "--learning-rate": ("learning_rate", None, False, None),
+        "--batch-size": ("batch_size", None, False, None),
+        "--optimizer": ("optimizer", ["sgd", "adam"], False, None),
+        "--max-input-len": ("max_input_len", None, False, None),
+        "--max-span-len": ("max_span_len", None, False, None),
+        "--seed": ("seed", None, False, None),
+        "--d-emb": ("d_emb", None, False, None),
+        "--d-h": ("d_h", None, False, None),
+        "--clip-norm": ("clip_norm", None, False, None),
+    },
+    "eval-policy": {
+        "--dev": ("dev", None, True, None),
+        "--vocab": ("vocab", None, True, None),
+        "--policy": ("policy", _POLICIES[1:], True, None),
+        "--checkpoint": ("checkpoint", None, False, None),
+        "--max-span-len": ("max_span_len", None, False, None),
+        "--max-input-len": ("max_input_len", None, False, None),
+        "--seed": ("seed", None, False, None),
+    },
+    "mask-corpus": {
+        "--corpus": ("corpus", None, True, "+"),
+        "--vocab": ("vocab", None, True, None),
+        "--policy": ("policy", _POLICIES, True, None),
+        "--checkpoint": ("checkpoint", None, False, None),
+        "--mode": ("mode", ["top1", "top5"], False, None),
+        "--seed": ("seed", None, False, None),
+        "--workers": ("workers", None, False, None),
+        "--chunk-len": ("chunk_len", None, False, None),
+        "--max-span-len": ("max_span_len", None, False, None),
+        "--rate": ("rate", None, False, None),
+    },
+    "compare": {
+        "--reports": ("reports", None, True, "+"),
+    },
+    "grad-check": {
+        "--seeds": ("seeds", None, False, None),
+        "--max-len": ("max_len", None, False, None),
+    },
+}
+
+
+class TestParser:
+    """The parser each command presents, option by option."""
+
+    @staticmethod
+    def _parse(argv):
+        return cli.build_parser().parse_args(argv + ["--out", "out"])
+
+    @pytest.mark.parametrize("command", list(PARSER_OPTIONS))
+    def test_options(self, command):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        got = {}
+        for action in subparsers.choices[command]._actions:
+            if action.dest == "help":
+                continue
+            assert len(action.option_strings) == 1 and action.default is None
+            choices = None if action.choices is None else list(action.choices)
+            got[action.option_strings[0]] = (action.dest, choices, action.required,
+                                             action.nargs)
+        assert got == {**PARSER_OPTIONS[command],
+                       "--config": ("config", None, False, None),
+                       "--out": ("out", None, True, None)}
+
+    def test_numeric_flags_parse_to_their_types(self):
+        args = self._parse(["mask-corpus", "--corpus", "c.txt", "--vocab", "v.txt",
+                            "--policy", "random15", "--rate", "0.5"])
+        assert type(args.rate) is float and args.rate == 0.5
+        args = self._parse(["train-policy", "--train", "t", "--valid", "v",
+                            "--vocab", "v.txt", "--learning-rate", "3e-3"])
+        assert type(args.learning_rate) is float and args.learning_rate == 3e-3
+        args = self._parse(["grad-check", "--seeds", "2"])
+        assert type(args.seeds) is int and args.seeds == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train-policy", "--train", "t", "--valid", "v", "--vocab", "v.txt",
+         "--optimizer", "adagrad"],
+        ["mask-corpus", "--corpus", "c.txt", "--vocab", "v.txt", "--policy", "random15",
+         "--mode", "top9"],
+    ])
+    def test_value_outside_choices_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
