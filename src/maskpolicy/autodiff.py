@@ -107,22 +107,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _wrap(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(out_data)

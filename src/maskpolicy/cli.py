@@ -1,10 +1,15 @@
 """Command line entry points.
 
 Subcommands: build-vocab, train-policy, eval-policy, mask-corpus,
-compare, grad-check. Every run writes its artifacts plus a manifest.json
-into the --out directory. Exit codes: 0 success, 1 usage error, 2 bad
-input (a MaskPolicyError, an unreadable file or malformed JSON); any
-other exception is a bug and propagates with its traceback.
+compare, grad-check. Each key of a command's defaults table is also its
+flag (`max_input_len` is `--max-input-len`) and parses to the type of
+its default. A handler turns the parsed arguments and options into the
+command's input files and one writer per artifact; a single runner then
+publishes every command's output into --out: it removes any earlier
+manifest.json, renames each artifact into place once it is complete,
+and writes the new manifest last. Exit codes: 0 success, 1 usage error,
+2 bad input (a MaskPolicyError, an unreadable file or malformed JSON);
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .checkpoint import atomic_output, load_checkpoint, save_checkpoint
 from .corpus import Vocab, build_vocab, load_anchor_dataset, read_text
@@ -31,8 +37,8 @@ from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODE
 from .training import TrainConfig, grad_check_suite, train_policy
 
 # Default of every option a --config file may set, per command; the keys
-# are the only valid config keys. Path arguments stay on the command line;
-# explicit flags always win over config values.
+# are the only valid config keys, and each is also a flag. Path arguments
+# stay on the command line; explicit flags always win over config values.
 _DEFAULTS = {
     "build-vocab": {"max_size": 50000, "min_freq": 1},
     "train-policy": TrainConfig().hyperparameters(),
@@ -45,6 +51,9 @@ _DEFAULTS = {
     "grad-check": {"seeds": 100, "max_len": 12},
 }
 
+# The allowed values of the options that are not free-form.
+_CHOICES = {"optimizer": ["sgd", "adam"], "mode": [MODE_TOP1, MODE_TOP5]}
+
 
 class _UsageError(Exception):
     pass
@@ -55,24 +64,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+class _Run(NamedTuple):
+    """What a handler leaves for the runner to publish."""
+
+    inputs: list  # files whose digests go into the manifest
+    artifacts: dict[str, Callable[[Path], None]]  # name -> writes it to a given path
+    code: int = 0  # exit code once everything is written
+
+
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: list, artifacts: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config": {k: config[k] for k in sorted(config)},
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "artifacts": {name: _sha256_file(out_dir / name) for name in artifacts},
-    }
-    with atomic_output(out_dir / "manifest.json") as tmp:
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_config(path, command: str) -> dict:
@@ -101,19 +106,10 @@ def _options(args: argparse.Namespace) -> dict:
     resolved = dict(defaults)
     resolved.update(_load_config(args.config, args.command))
     for key in defaults:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
     return resolved
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # Until the new manifest is written, the directory must not look
-    # like a finished run.
-    (out / "manifest.json").unlink(missing_ok=True)
-    return out
 
 
 def _write_json(path, obj) -> None:
@@ -126,21 +122,14 @@ def _write_jsonl(path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _cmd_build_vocab(args) -> int:
-    opts = _options(args)
-    out = _out_dir(args)
+def _cmd_build_vocab(args, opts) -> _Run:
     vocab = build_vocab(args.corpus, max_size=opts["max_size"],
                         min_freq=opts["min_freq"])
-    with atomic_output(out / "vocab.txt") as tmp:
-        vocab.save(tmp)
     print(f"vocab: {len(vocab)} tokens", file=sys.stderr)
-    _write_manifest(out, "build-vocab", opts, args.corpus, ["vocab.txt"])
-    return 0
+    return _Run(args.corpus, {"vocab.txt": vocab.save})
 
 
-def _cmd_train_policy(args) -> int:
-    opts = _options(args)
-    out = _out_dir(args)
+def _cmd_train_policy(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
     cfg = TrainConfig(**opts)
 
@@ -153,17 +142,14 @@ def _cmd_train_policy(args) -> int:
           file=sys.stderr)
 
     params, log = train_policy(train_ex, valid_ex, cfg, vocab_size=len(vocab))
-    save_checkpoint(out / "checkpoint.json", params, vocab,
-                    hyperparameters=cfg.hyperparameters())
-    with atomic_output(out / "training_log.jsonl") as tmp:
-        _write_jsonl(tmp, log.jsonl_records())
     chosen = log.records[log.chosen_epoch - 1]
     print(f"chosen epoch {chosen.epoch}: valid loss {chosen.valid_loss:.4f}",
           file=sys.stderr)
-    _write_manifest(out, "train-policy", opts,
-                    [args.train, args.valid, args.vocab],
-                    ["checkpoint.json", "training_log.jsonl"])
-    return 0
+    return _Run([args.train, args.valid, args.vocab], {
+        "checkpoint.json": lambda path: save_checkpoint(
+            path, params, vocab, hyperparameters=cfg.hyperparameters()),
+        "training_log.jsonl": lambda path: _write_jsonl(path, log.jsonl_records()),
+    })
 
 
 def _drop_unfittable(examples, max_input_len, name):
@@ -177,9 +163,13 @@ def _drop_unfittable(examples, max_input_len, name):
 
 def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> tuple[PolicySpec, dict]:
     """The --policy spec and its checkpoint's hyperparameters. The learned
-    policy's weights come from --checkpoint, which joins `inputs`."""
+    policy's weights come from --checkpoint, which joins `inputs`; no
+    other policy takes one."""
     spec = PolicySpec(kind=args.policy, **knobs)
     if spec.kind != POLICY_LEARNED:
+        if args.checkpoint is not None:
+            raise _UsageError(
+                f"{args.command}: --checkpoint is only read by --policy learned")
         return spec, {}
     if args.checkpoint is None:
         raise _UsageError(f"{args.command}: --checkpoint is required for --policy learned")
@@ -188,9 +178,7 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> tuple[PolicySpec,
     return spec, hyper
 
 
-def _cmd_eval_policy(args) -> int:
-    opts = _options(args)
-    out = _out_dir(args)
+def _cmd_eval_policy(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
     dev, report_load = load_anchor_dataset(args.dev, vocab)
     dev = _drop_unfittable(dev, opts["max_input_len"], "dev")
@@ -204,19 +192,13 @@ def _cmd_eval_policy(args) -> int:
                               max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],
                               seed=opts["seed"])
-    with atomic_output(out / "report.json") as tmp:
-        write_report(tmp, report)
     print(f"{report.policy_tag}: em@1={report.em_at_1:.3f} "
           f"em@5={report.em_at_5:.3f} f1@1={report.token_f1_at_1:.3f}",
           file=sys.stderr)
-    _write_manifest(out, "eval-policy", {**opts, "policy": args.policy},
-                    inputs, ["report.json"])
-    return 0
+    return _Run(inputs, {"report.json": lambda path: write_report(path, report)})
 
 
-def _cmd_mask_corpus(args) -> int:
-    opts = _options(args)
-    out = _out_dir(args)
+def _cmd_mask_corpus(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
@@ -238,124 +220,91 @@ def _cmd_mask_corpus(args) -> int:
                                     chunk_len=opts["chunk_len"],
                                     global_seed=opts["seed"],
                                     workers=opts["workers"])
-    with atomic_output(out / "masked.jsonl") as tmp:
-        write_masked_jsonl(tmp, examples)
-    with atomic_output(out / "summary.json") as tmp:
-        write_summary(tmp, summary)
     print(f"{spec.tag}: {summary.chunks} chunks, "
           f"masked rate {summary.masked_token_rate:.4f}", file=sys.stderr)
-    _write_manifest(out, "mask-corpus", {**opts, "policy": args.policy},
-                    inputs, ["masked.jsonl", "summary.json"])
-    return 0
+    return _Run(inputs, {"masked.jsonl": lambda path: write_masked_jsonl(path, examples),
+                         "summary.json": lambda path: write_summary(path, summary)})
 
 
-def _cmd_compare(args) -> int:
-    _options(args)
-    out = _out_dir(args)
-    reports = [read_report(p) for p in args.reports]
-    table, payload = compare_policies(reports)
-    with atomic_output(out / "comparison.json") as tmp:
-        _write_json(tmp, payload)
+def _cmd_compare(args, opts) -> _Run:
+    table, payload = compare_policies([read_report(p) for p in args.reports])
     print(table)
-    _write_manifest(out, "compare", {}, args.reports, ["comparison.json"])
-    return 0
+    return _Run(args.reports, {"comparison.json": lambda path: _write_json(path, payload)})
 
 
-def _cmd_grad_check(args) -> int:
-    opts = _options(args)
-    out = _out_dir(args)
+def _cmd_grad_check(args, opts) -> _Run:
     result = grad_check_suite(n_seeds=opts["seeds"], max_len=opts["max_len"])
-    with atomic_output(out / "gradcheck.json") as tmp:
-        _write_json(tmp, result)
     print(f"grad check over {result['seeds']} seeds: "
           f"max rel err {result['max_rel_err']:.3e} "
           f"({'pass' if result['pass'] else 'FAIL'})", file=sys.stderr)
-    _write_manifest(out, "grad-check", opts, [], ["gradcheck.json"])
-    return 0 if result["pass"] else 2
+    return _Run([], {"gradcheck.json": lambda path: _write_json(path, result)},
+                code=0 if result["pass"] else 2)
+
+
+_ONE = {"required": True}
+_MANY = {"nargs": "+", "required": True}
+
+# Per command: its handler, its help line and its path arguments, each
+# --name with its argparse settings. Options come from _DEFAULTS.
+_COMMANDS = {
+    "build-vocab": (_cmd_build_vocab, "build a vocabulary file", {"corpus": _MANY}),
+    "train-policy": (_cmd_train_policy, "train the span extraction policy",
+                     {"train": _ONE, "valid": _ONE, "vocab": _ONE}),
+    "eval-policy": (_cmd_eval_policy, "score a policy on anchor data", {
+        "dev": _ONE, "vocab": _ONE,
+        "policy": {**_ONE, "choices": [k for k, p in POLICIES.items() if p.proposer]},
+        "checkpoint": {}}),
+    "mask-corpus": (_cmd_mask_corpus, "corrupt a corpus with a policy", {
+        "corpus": _MANY, "vocab": _ONE,
+        "policy": {**_ONE, "choices": list(POLICIES)}, "checkpoint": {}}),
+    "compare": (_cmd_compare, "rank policy reports side by side", {"reports": _MANY}),
+    "grad-check": (_cmd_grad_check, "finite-difference gradient audit", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="maskpolicy",
                      description="Train, evaluate, and deploy masking policies.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_line, paths) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, settings in paths.items():
+            p.add_argument(f"--{name}", **settings)
+        for key, default in _DEFAULTS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=type(default), choices=_CHOICES.get(key))
         p.add_argument("--config", help="JSON file of option overrides")
         p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("build-vocab", parents=[], help="build a vocabulary file")
-    p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--max-size", type=int, dest="max_size")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    common(p)
-
-    p = sub.add_parser("train-policy", help="train the span extraction policy")
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--max-input-len", type=int, dest="max_input_len")
-    p.add_argument("--max-span-len", type=int, dest="max_span_len")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--d-emb", type=int, dest="d_emb")
-    p.add_argument("--d-h", type=int, dest="d_h")
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    common(p)
-
-    p = sub.add_parser("eval-policy", help="score a policy on anchor data")
-    p.add_argument("--dev", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--policy", required=True,
-                   choices=[kind for kind, policy in POLICIES.items() if policy.proposer])
-    p.add_argument("--checkpoint")
-    p.add_argument("--max-span-len", type=int, dest="max_span_len")
-    p.add_argument("--max-input-len", type=int, dest="max_input_len")
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("mask-corpus", help="corrupt a corpus with a policy")
-    p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--policy", required=True, choices=list(POLICIES))
-    p.add_argument("--checkpoint")
-    p.add_argument("--mode", choices=[MODE_TOP1, MODE_TOP5])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--chunk-len", type=int, dest="chunk_len")
-    p.add_argument("--max-span-len", type=int, dest="max_span_len")
-    p.add_argument("--rate", type=float)
-    common(p)
-
-    p = sub.add_parser("compare", help="rank policy reports side by side")
-    p.add_argument("--reports", nargs="+", required=True)
-    common(p)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    common(p)
-
     return parser
 
 
-_HANDLERS = {
-    "build-vocab": _cmd_build_vocab,
-    "train-policy": _cmd_train_policy,
-    "eval-policy": _cmd_eval_policy,
-    "mask-corpus": _cmd_mask_corpus,
-    "compare": _cmd_compare,
-    "grad-check": _cmd_grad_check,
-}
+def _run(args: argparse.Namespace) -> int:
+    """Runs the command and publishes its artifacts, then its manifest."""
+    opts = _options(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    # Until the new manifest is written, the directory must not look
+    # like a finished run.
+    (out / "manifest.json").unlink(missing_ok=True)
+    run = _COMMANDS[args.command][0](args, opts)
+    for name, write in run.artifacts.items():
+        with atomic_output(out / name) as tmp:
+            write(tmp)
+    manifest = {
+        "command": args.command,
+        "config": {**opts, "policy": args.policy} if "policy" in args else opts,
+        "inputs": {str(p): _sha256_file(p) for p in run.inputs},
+        "artifacts": {name: _sha256_file(out / name) for name in run.artifacts},
+    }
+    with atomic_output(out / "manifest.json") as tmp:
+        _write_json(tmp, manifest)
+    return run.code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return _run(parser.parse_args(argv))
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -128,18 +128,12 @@ def prepare_example(ex: AnchorExample, max_len: int) -> tuple[tuple[int, ...], S
     return ids, Span(ex.answer_span.start - lo, ex.answer_span.end - lo)
 
 
-def _nll(logits: np.ndarray, index: int) -> float:
-    z = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(z))) - z[index])
-
-
 def validation_loss(params: PolicyParams, prepared: list[tuple[tuple[int, ...], Span]],
                     max_input_len: int) -> float:
     total = 0.0
     with no_grad():
         for ids, gold in prepared:
-            s, e = forward(params, ids, max_input_len)
-            total += _nll(s.data, gold.start) + _nll(e.data, gold.end)
+            total += span_loss(*forward(params, ids, max_input_len), gold).item()
     return total / len(prepared)
 
 

@@ -123,6 +123,15 @@ class TestEvalAndCompare:
                      "--out", str(workspace / "bad")])
         assert code == 1
 
+    def test_checkpoint_without_learned_is_usage_error(self, workspace, trained, capsys):
+        code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "randomspan",
+                     "--checkpoint", str(trained / "checkpoint.json"),
+                     "--out", str(workspace / "bad_ckpt")])
+        assert code == 1
+        assert "--checkpoint is only read by --policy learned" in capsys.readouterr().err
+
     def test_random15_cannot_be_evaluated(self, workspace):
         # random15 masks tokens, not spans: it has no span proposer
         code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
@@ -215,6 +224,16 @@ class TestMaskCorpus:
     def test_learned_without_checkpoint_is_usage_error(self, workspace):
         assert self._mask(workspace, workspace / "nockpt", "learned") == 1
 
+    @pytest.mark.parametrize("policy", ["random15", "randomspan", "salient"])
+    def test_checkpoint_without_learned_is_usage_error(self, workspace, trained, capsys,
+                                                       policy):
+        out = workspace / f"ckpt_{policy}"
+        code = self._mask(workspace, out, policy,
+                          ("--checkpoint", str(trained / "checkpoint.json")))
+        assert code == 1
+        assert "--checkpoint is only read by --policy learned" in capsys.readouterr().err
+        assert not (out / "masked.jsonl").exists()
+
     def test_corpus_files_sharing_a_name_rejected(self, workspace, capsys):
         # doc ids carry only the file name, so these two files would get
         # the same doc ids and the same per-chunk seeds
@@ -252,6 +271,14 @@ class TestGradCheckCommand:
         assert code == 0
         result = json.loads((out / "gradcheck.json").read_text())
         assert result["pass"] is True
+
+    def test_failed_check_exits_2_after_publishing(self, tmp_path, monkeypatch):
+        failed = {"seeds": 1, "max_rel_err": 1.0, "pass": False}
+        monkeypatch.setattr(cli, "grad_check_suite", lambda **_: failed)
+        out = tmp_path / "gc"
+        assert main(["grad-check", "--seeds", "1", "--out", str(out)]) == 2
+        assert json.loads((out / "gradcheck.json").read_text()) == failed
+        assert "gradcheck.json" in manifest(out)["artifacts"]
 
 
 class TestConfigHandling:
