@@ -1,5 +1,7 @@
 """Corruption of chunks into masked examples and corpus-scale deployment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from maskpolicy.baselines import MaskDecisions
 from maskpolicy.checkpoint import save_checkpoint
-from maskpolicy.corpus import MASK_ID, Chunk, Span, Vocab, tokenize
+from maskpolicy.corpus import MASK_ID, Chunk, Span, TokenSequence, Vocab, tokenize
 from maskpolicy.corruption import (
     POLICIES,
     MaskedExample,
@@ -97,6 +99,36 @@ class TestCorrupt:
         assert ex.original_ids() == tuple(ids)
         for pos in ex.masked_positions:
             assert ex.input_ids[pos] == MASK_ID
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_span_equals_its_mask(self, n):
+        # A span and the decision vector that marks the same positions
+        # must give the same example, down to the type of every id.
+        c = Chunk(TokenSequence(tuple(range(10, 10 + n)), ("w",) * n), "span:00000000", 3)
+        for start in range(n):
+            for end in range(start, n + 2):
+                # Past the end, the vector grows to hold the span.
+                mask = np.zeros(max(n, end + 1), dtype=bool)
+                mask[start:end + 1] = True
+                decisions = (Span(start, end), MaskDecisions(mask, "span"))
+                if end >= n:
+                    for d in decisions:
+                        with pytest.raises(SpanOutOfBoundsError):
+                            corrupt(c, d)
+                elif (start, end) == (0, n - 1):
+                    for d in decisions:
+                        with pytest.raises(AllMaskedError):
+                            corrupt(c, d)
+                else:
+                    by_span, by_mask = (corrupt(c, d, policy_tag="t", seed_used=7)
+                                        for d in decisions)
+                    assert dataclasses.astuple(by_span) == dataclasses.astuple(by_mask)
+                    for name in ("input_ids", "masked_positions", "target_ids"):
+                        got = getattr(by_span, name)
+                        assert type(got) is tuple
+                        assert all(type(v) is int for v in got)
+                        assert got == getattr(by_mask, name)
+                    assert by_span.masked_positions == tuple(range(start, end + 1))
 
     def test_json_round_trip(self, vocab):
         c = chunk_of("a b c", vocab, doc_id="corpus.txt:00000007", index=3)
