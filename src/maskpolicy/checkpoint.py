@@ -7,10 +7,13 @@ to `{"shape": [...], "data": "..."}`. `data` is the base64 of the
 tensor's little-endian float64 bytes in C order, so a round trip is
 bit-exact. Float-list checkpoints of format version 1 no longer load.
 
-save_checkpoint writes the header and then one tensor at a time into a
-temporary file beside the target, and renames it into place only once
-it is complete: memory stays bounded by the largest tensor, and a
-failed save leaves any earlier checkpoint as it was.
+write_checkpoint streams the header and then one tensor at a time to a
+file, so memory stays bounded by the largest tensor. save_checkpoint
+writes through it into a temporary file beside the target and renames
+that into place only once it is complete, so a failed save leaves any
+earlier checkpoint as it was. A caller that already publishes its
+outputs atomically (the command line runner) uses write_checkpoint, so
+the checkpoint is renamed once.
 
 Loading with a vocabulary verifies the hash so a policy is never
 deployed over ids it was not trained on. Loading checks every tensor's
@@ -41,11 +44,19 @@ _DTYPE = np.dtype("<f8")
 
 def save_checkpoint(path, params: PolicyParams, vocab: Vocab,
                     hyperparameters: dict | None = None) -> None:
-    path = Path(path)
+    """Write the checkpoint to `path` atomically."""
+    with atomic_output(path) as tmp:
+        write_checkpoint(tmp, params, vocab, hyperparameters)
+
+
+def write_checkpoint(path, params: PolicyParams, vocab: Vocab,
+                     hyperparameters: dict | None = None) -> None:
+    """Stream the checkpoint straight into `path`; a failure partway
+    leaves a partial file there."""
     header = json.dumps({"format_version": FORMAT_VERSION,
                          "vocab_hash": vocab.content_hash(),
                          "hyperparameters": dict(hyperparameters or {})})
-    with atomic_output(path) as tmp, open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(f'{header[:-1]}, "parameters": {{'.encode("ascii"))
         for i, (name, t) in enumerate(params.named_parameters()):
             fh.write(f'{", " if i else ""}{json.dumps(name)}: '

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .checkpoint import atomic_output, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_output, load_checkpoint, write_checkpoint
 from .corpus import Vocab, build_vocab, load_anchor_dataset, read_text
 from .corruption import (
     POLICIES,
@@ -146,7 +146,7 @@ def _cmd_train_policy(args, opts) -> _Run:
     print(f"chosen epoch {chosen.epoch}: valid loss {chosen.valid_loss:.4f}",
           file=sys.stderr)
     return _Run([args.train, args.valid, args.vocab], {
-        "checkpoint.json": lambda path: save_checkpoint(
+        "checkpoint.json": lambda path: write_checkpoint(
             path, params, vocab, hyperparameters=cfg.hyperparameters()),
         "training_log.jsonl": lambda path: _write_jsonl(path, log.jsonl_records()),
     })

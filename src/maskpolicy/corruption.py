@@ -119,33 +119,44 @@ def masked_example_from_json_obj(obj: dict) -> MaskedExample:
     )
 
 
+def _all_masked(chunk: Chunk) -> AllMaskedError:
+    return AllMaskedError(
+        f"all {len(chunk)} positions selected for masking in chunk "
+        f"{chunk.doc_id}:{chunk.chunk_index}")
+
+
 def corrupt(chunk: Chunk, decisions: MaskDecisions | Span,
             policy_tag: str = "", seed_used: int = 0) -> MaskedExample:
     """Replace the selected positions with <mask>, keeping targets."""
     n = len(chunk)
+    ids = chunk.tokens.ids
     if isinstance(decisions, Span):
-        if decisions.end >= n:
+        # One contiguous run: the example is three slices of the ids.
+        start, stop = decisions.start, decisions.end + 1
+        if stop > n:
             raise SpanOutOfBoundsError(
                 f"span {decisions} out of bounds for chunk of length {n}")
-        mask = np.zeros(n, dtype=bool)
-        mask[decisions.start:decisions.end + 1] = True
+        if stop - start == n:
+            raise _all_masked(chunk)
+        input_ids = ids[:start] + (MASK_ID,) * (stop - start) + ids[stop:]
+        positions = tuple(range(start, stop))
+        targets = ids[start:stop]
     else:
-        if len(decisions.d) != n:
-            raise SpanOutOfBoundsError(
-                f"decision vector of length {len(decisions.d)} does not "
-                f"match chunk of length {n}")
         mask = decisions.d
-    if n > 0 and bool(mask.all()):
-        raise AllMaskedError(
-            f"all {n} positions selected for masking in chunk "
-            f"{chunk.doc_id}:{chunk.chunk_index}")
-    positions = tuple(int(p) for p in np.flatnonzero(mask))
-    ids = list(chunk.tokens.ids)
-    targets = tuple(ids[p] for p in positions)
-    for p in positions:
-        ids[p] = MASK_ID
+        if len(mask) != n:
+            raise SpanOutOfBoundsError(
+                f"decision vector of length {len(mask)} does not "
+                f"match chunk of length {n}")
+        if n > 0 and bool(mask.all()):
+            raise _all_masked(chunk)
+        positions = tuple(np.flatnonzero(mask).tolist())
+        targets = tuple(ids[p] for p in positions)
+        masked = list(ids)
+        for p in positions:
+            masked[p] = MASK_ID
+        input_ids = tuple(masked)
     return MaskedExample(
-        input_ids=tuple(ids),
+        input_ids=input_ids,
         masked_positions=positions,
         target_ids=targets,
         doc_id=chunk.doc_id,

@@ -9,6 +9,7 @@ pairing a strong start with a far-away strong end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,13 +189,25 @@ class ScoredSpan:
     score: float
 
 
+# (m, max_span_len) pairs whose span band is remembered. Deploying calls
+# span_band once per chunk, and nearly every chunk has the full chunk
+# length, so a few entries serve almost every call; at m = 128 and
+# max_span_len = 10 an entry holds about 20 KB.
+_SPAN_BAND_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_SPAN_BAND_CACHE_SIZE)
 def span_band(m: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of every span (i, j) with i <= j < m and length at
-    most max_span_len, row-major: by i, then by j."""
+    most max_span_len, row-major: by i, then by j. Memoised: the arrays
+    are shared between calls, so they are read-only."""
     # The (m, max_span_len) band: row i, column w is the span (i, i + w).
     band = np.arange(m)[:, None] + np.arange(min(max_span_len, m)) < m
     i, w = np.nonzero(band)
-    return i, i + w
+    j = i + w
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
 
 
 def top_k_spans(start_logits, end_logits, k: int,

@@ -634,3 +634,52 @@ class TestCrashSafeArtifacts:
         left = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(left) == set(before) - {"manifest.json"}
         assert left[artifact] == before[artifact]
+
+
+class TestCheckpointPublishedOnce:
+    """The runner renames each artifact into place; the checkpoint writer
+    under it must not add a rename of its own."""
+
+    def _train(self, workspace, out):
+        return main(["train-policy", "--train", str(workspace / "train.jsonl"),
+                     "--valid", str(workspace / "valid.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--epochs", "1", "--batch-size", "8", "--max-input-len", "24",
+                     "--max-span-len", "5", "--d-emb", "4", "--d-h", "4",
+                     "--out", str(out)])
+
+    def test_one_replace_per_artifact(self, workspace, tmp_path, monkeypatch):
+        import os
+
+        renames = []
+        replace = os.replace
+
+        def logged(src, dst):
+            renames.append((Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", logged)
+        out = tmp_path / "out"
+        assert self._train(workspace, out) == 0
+        assert sorted(dst for _, dst in renames) == [
+            "checkpoint.json", "manifest.json", "training_log.jsonl"]
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+        vocab = Vocab.load(workspace / "vocab" / "vocab.txt")
+        params, hyper, _ = cli.load_checkpoint(out / "checkpoint.json", vocab)
+        assert (params.d_emb, hyper["d_h"]) == (4, 4)
+
+    def test_failed_checkpoint_keeps_earlier_one(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self._train(workspace, out) == 0
+        before = (out / "checkpoint.json").read_bytes()
+        write = cli.write_checkpoint
+
+        def fails_halfway(path, *args, **kwargs):
+            write(path, *args, **kwargs)
+            Path(path).write_bytes(Path(path).read_bytes()[:len(before) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "write_checkpoint", fails_halfway)
+        assert self._train(workspace, out) == 2
+        assert (out / "checkpoint.json").read_bytes() == before
+        assert not (out / "manifest.json").exists()

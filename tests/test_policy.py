@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from maskpolicy import policy
 from maskpolicy.autodiff import Tensor
 from maskpolicy.errors import (
     EmptySequenceError,
@@ -262,6 +263,30 @@ class TestSpanBand:
                 want = [(i, j) for i in range(m)
                         for j in range(i, min(i + max_span_len, m))]
                 assert list(zip(starts.tolist(), ends.tolist())) == want
+
+    def test_returned_arrays_are_read_only(self):
+        for array in span_band(12, 4):
+            with pytest.raises(ValueError):
+                array[0] = 5
+            with pytest.raises(ValueError):
+                array += 1
+        assert span_band(12, 4)[0][0] == 0
+
+    def test_cached_calls_equal_a_fresh_computation(self):
+        # Twice over every shape: the second sweep finds some entries
+        # cached and others long evicted.
+        limit = policy._SPAN_BAND_CACHE_SIZE
+        for _ in range(2):
+            for m in range(60):
+                for max_span_len in range(14):
+                    for _ in range(2):
+                        starts, ends = span_band(m, max_span_len)
+                        fresh = span_band.__wrapped__(m, max_span_len)
+                        assert np.array_equal(starts, fresh[0])
+                        assert np.array_equal(ends, fresh[1])
+                        assert starts is not fresh[0]
+                    assert span_band.cache_info().currsize <= limit
+        assert span_band.cache_info().maxsize == limit
 
 
 class TestParameterTable:

@@ -1,10 +1,14 @@
-"""The tokenizer, `token_offsets`, the chunker and anchor alignment against
-the eager reference in tests/tokenize_oracle.py, pickling of chunks, and
-a guard that deploying a policy never finds offsets."""
+"""The tokenizer, `build_vocab`, `token_offsets`, the chunker and anchor
+alignment against the eager reference in tests/tokenize_oracle.py, the
+character classes the tokenizer's whitespace-split path rests on,
+pickling of chunks, and a guard that deploying a policy never finds
+offsets."""
 
 import json
 import pickle
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +24,7 @@ from maskpolicy.corpus import (
     TokenSequence,
     Vocab,
     align_answer,
+    build_vocab,
     chunk_document,
     load_anchor_dataset,
     normalize_answer,
@@ -27,7 +32,7 @@ from maskpolicy.corpus import (
     tokenize,
 )
 from maskpolicy.corruption import PolicySpec, mask_corpus
-from maskpolicy.errors import AnswerNotFoundError
+from maskpolicy.errors import AnswerNotFoundError, EmptyCorpusError
 from maskpolicy.policy import init_policy_params
 from synth import synth_context
 
@@ -42,6 +47,8 @@ _ALPHABET = (
     ".,!?'\"-<>"                           # punctuation
     "\x00"                                 # NUL: a punctuation token
     " \t\r\n\u2028\u0085\u00a0\u3000"       # whitespace, CR, LF and separators
+    "\x0b\x0c\x1c\x1f\u1680\u2009"           # VT, FF, separators: whitespace too
+    "\u200b\ufeff"                         # zero-width space, BOM: punctuation tokens
 )
 texts = st.one_of(
     st.text(alphabet=_ALPHABET, max_size=60),
@@ -112,6 +119,50 @@ class TestAgainstOracle:
         got = tokenize(text).slice(start, stop)
         assert fields(got) == (ids[start:stop], toks[start:stop])
         assert fields(got.slice(1, -1)) == (ids[start:stop][1:-1], toks[start:stop][1:-1])
+
+
+class TestCharacterClasses:
+    """`tokenize` splits on `str.split()` and keeps `str.isalnum()` words
+    whole, which gives the regex's tokens only while Python's whitespace
+    and alphanumeric tests agree with the regex classes. Checked over
+    every code point, surrogates included."""
+
+    EVERY = "".join(map(chr, range(0x110000)))
+
+    def test_whitespace_is_the_regex_whitespace_class(self):
+        spaces = "".join(filter(str.isspace, self.EVERY))
+        assert "".join(re.findall(r"\s", self.EVERY)) == spaces
+        # str.split() drops exactly the isspace() characters.
+        assert "".join(self.EVERY.split()) == re.sub(r"\s", "", self.EVERY)
+        assert len(self.EVERY.split()) == len(re.findall(r"\S+", self.EVERY))
+
+    def test_alphanumeric_or_underscore_is_the_regex_word_class(self):
+        word = "".join(ch for ch in self.EVERY if ch.isalnum() or ch == "_")
+        assert "".join(re.findall(r"\w", self.EVERY)) == word
+
+
+class TestBuildVocab:
+    @given(st.lists(texts, min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_the_oracle_tokens(self, docs):
+        # Line breaks are whitespace, so the file's tokens are the joined
+        # text's tokens however its lines are cut.
+        counts = Counter(tokenize_oracle.tokenize("\n".join(docs))[2])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.txt"
+            path.write_bytes("\n".join(docs).encode("utf-8"))
+            if not counts:
+                with pytest.raises(EmptyCorpusError):
+                    build_vocab([path])
+                return
+            ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
+            assert build_vocab([path]).id_to_token[3:] == tuple(ranked)
+            assert build_vocab([path], max_size=5).id_to_token[3:] == tuple(ranked[:2])
+            # A token is kept at every min_freq up to its count and not
+            # beyond, which pins each count exactly.
+            for min_freq in sorted(set(counts.values()) | {max(counts.values()) + 1}):
+                kept = build_vocab([path], min_freq=min_freq).id_to_token[3:]
+                assert kept == tuple(tok for tok in ranked if counts[tok] >= min_freq)
 
 
 class TestAnchorAlignment:
