@@ -119,12 +119,6 @@ def masked_example_from_json_obj(obj: dict) -> MaskedExample:
     )
 
 
-def _all_masked(chunk: Chunk) -> AllMaskedError:
-    return AllMaskedError(
-        f"all {len(chunk)} positions selected for masking in chunk "
-        f"{chunk.doc_id}:{chunk.chunk_index}")
-
-
 def corrupt(chunk: Chunk, decisions: MaskDecisions | Span,
             policy_tag: str = "", seed_used: int = 0) -> MaskedExample:
     """Replace the selected positions with <mask>, keeping targets."""
@@ -136,25 +130,24 @@ def corrupt(chunk: Chunk, decisions: MaskDecisions | Span,
         if stop > n:
             raise SpanOutOfBoundsError(
                 f"span {decisions} out of bounds for chunk of length {n}")
-        if stop - start == n:
-            raise _all_masked(chunk)
-        input_ids = ids[:start] + (MASK_ID,) * (stop - start) + ids[stop:]
         positions = tuple(range(start, stop))
+        input_ids = ids[:start] + (MASK_ID,) * (stop - start) + ids[stop:]
         targets = ids[start:stop]
     else:
-        mask = decisions.d
-        if len(mask) != n:
+        if len(decisions.d) != n:
             raise SpanOutOfBoundsError(
-                f"decision vector of length {len(mask)} does not "
+                f"decision vector of length {len(decisions.d)} does not "
                 f"match chunk of length {n}")
-        if n > 0 and bool(mask.all()):
-            raise _all_masked(chunk)
-        positions = tuple(np.flatnonzero(mask).tolist())
-        targets = tuple(ids[p] for p in positions)
+        positions = tuple(np.flatnonzero(decisions.d).tolist())
         masked = list(ids)
         for p in positions:
             masked[p] = MASK_ID
         input_ids = tuple(masked)
+        targets = tuple(ids[p] for p in positions)
+    if n > 0 and len(positions) == n:
+        raise AllMaskedError(
+            f"all {n} positions selected for masking in chunk "
+            f"{chunk.doc_id}:{chunk.chunk_index}")
     return MaskedExample(
         input_ids=input_ids,
         masked_positions=positions,
