@@ -1,9 +1,11 @@
-"""LSTM sequence op against analytic cases, the scalar-loop oracle, and
-finite differences, on whole and ragged batches."""
+"""LSTM sequence op against analytic cases, the scalar-loop oracle, the
+masked all-rows op it replaced, and finite differences, on whole and
+ragged batches."""
 
 import numpy as np
 import pytest
 
+import masked_lstm_oracle
 from scalar_oracle import lstm_direction
 
 from maskpolicy.autodiff import Tensor, backward, concat, grad_check, mul, no_grad, sum_all
@@ -179,30 +181,58 @@ class TestCellGradients:
 
 
 class TestRaggedBatch:
-    def test_rows_match_their_own_unpadded_runs(self):
+    @pytest.mark.parametrize("lengths", [[5, 1, 3, 5], [5, 0, 3, 5]])
+    def test_rows_match_their_own_unpadded_runs(self, lengths):
         rng = np.random.default_rng(8)
         params = random_params(rng, 3, 2)
-        lengths = [5, 1, 3, 5]
         data = np.zeros((5, 4, 3))
         for b, n in enumerate(lengths):
             data[:n, b] = rng.uniform(-1, 1, size=(n, 3))
         for reverse in (False, True):
             out = lstm_sequence(Tensor(data), lengths, params, reverse).data
             for b, n in enumerate(lengths):
-                alone = run(data[:n, b], params, reverse)
-                np.testing.assert_allclose(out[:n, b], alone, rtol=0, atol=1e-15)
+                if n:
+                    alone = run(data[:n, b], params, reverse)
+                    np.testing.assert_allclose(out[:n, b], alone, rtol=0, atol=1e-15)
                 assert not out[n:, b].any()
 
-    def test_padding_values_do_not_leak(self):
+    @pytest.mark.parametrize("lengths", [[4, 2], [4, 0, 2]])
+    def test_padding_values_do_not_leak(self, lengths):
         rng = np.random.default_rng(9)
         params = random_params(rng, 2, 3)
-        data = rng.uniform(-1, 1, size=(4, 2, 2))
+        data = rng.uniform(-1, 1, size=(4, len(lengths), 2))
         noisy = data.copy()
-        noisy[2:, 1] = 50.0
+        for b, n in enumerate(lengths):
+            noisy[n:, b] = 50.0
         for reverse in (False, True):
-            clean = lstm_sequence(Tensor(data), [4, 2], params, reverse).data
-            dirty = lstm_sequence(Tensor(noisy), [4, 2], params, reverse).data
-            assert dirty[:2, 1] == pytest.approx(clean[:2, 1], abs=0)
+            clean = lstm_sequence(Tensor(data), lengths, params, reverse).data
+            dirty = lstm_sequence(Tensor(noisy), lengths, params, reverse).data
+            np.testing.assert_array_equal(dirty, clean)
+
+    def test_zero_length_row_gets_zero_output_and_gradient(self):
+        rng = np.random.default_rng(11)
+        params = random_params(rng, 2, 3)
+        x = Tensor(rng.uniform(-1, 1, size=(4, 3, 2)), requires_grad=True)
+        lengths = [3, 0, 4]
+        mix = Tensor(rng.uniform(-1, 1, size=(4, 3, 3)))
+        for reverse in (False, True):
+            x.zero_grad()
+            out = lstm_sequence(x, lengths, params, reverse)
+            assert not out.data[:, 1].any()
+            backward(sum_all(mul(out, mix)))
+            assert not x.grad[:, 1].any()
+            assert x.grad[:, 2].any()
+
+    def test_permuting_rows_permutes_outputs(self):
+        rng = np.random.default_rng(12)
+        params = random_params(rng, 3, 4)
+        lengths = np.array([2, 6, 0, 6, 3, 5])
+        data = rng.uniform(-1, 1, size=(6, 6, 3))
+        for perm in (rng.permutation(6), np.argsort(-lengths, kind="stable")):
+            for reverse in (False, True):
+                out = lstm_sequence(Tensor(data), lengths, params, reverse).data
+                moved = lstm_sequence(Tensor(data[:, perm]), lengths[perm], params, reverse).data
+                np.testing.assert_array_equal(moved, out[:, perm])
 
     def test_ragged_bidirectional_gradient(self):
         for seed in range(20):
@@ -251,3 +281,66 @@ class TestBilstm:
             assert not params.b.data.any()
             assert params.hidden_size == 3
             assert params.input_size == input_size
+
+
+def oracle_case(rng, max_h=8, max_d=8, max_t=12, max_b=9):
+    """Random shapes and a ragged batch with unsorted lengths, some of them
+    0; the padding holds live-looking values, which neither op may read."""
+    hid = int(rng.integers(1, max_h + 1))
+    n_in = int(rng.integers(1, max_d + 1))
+    T = int(rng.integers(1, max_t + 1))
+    B = int(rng.integers(1, max_b + 1))
+    lengths = rng.integers(0, T + 1, size=B)
+    return random_params(rng, n_in, hid), rng.uniform(-1, 1, size=(T, B, n_in)), lengths
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w), initial=0.0) <= rel * max(np.max(np.abs(w), initial=0.0), 1e-300)
+
+
+class TestMaskedOracle:
+    """The live-row op against the masked all-rows op it replaced."""
+
+    CASES = [("random", seed) for seed in range(40)] + [
+        # deploy-sized: many full rows and a ragged tail, unsorted
+        ("fixed", (32, 24, 30, [30, 30, 7, 30, 1, 30, 30, 19, 0, 30, 30, 12])),
+        ("fixed", (16, 16, 20, [20, 19, 18, 11, 11, 3, 1])),  # already sorted
+        ("fixed", (16, 8, 9, [0, 0, 0])),
+        ("fixed", (12, 5, 14, [14])),
+    ]
+
+    @staticmethod
+    def build(kind, spec):
+        if kind == "random":
+            return oracle_case(np.random.default_rng(700 + spec))
+        hid, n_in, T, lengths = spec
+        rng = np.random.default_rng(hid * 1000 + T)
+        params = random_params(rng, n_in, hid)
+        return params, rng.uniform(-1, 1, size=(T, len(lengths), n_in)), np.array(lengths)
+
+    @pytest.mark.parametrize("kind,spec", CASES)
+    def test_forward_is_bit_identical(self, kind, spec):
+        params, data, lengths = self.build(kind, spec)
+        for reverse in (False, True):
+            want = masked_lstm_oracle.lstm_sequence(Tensor(data), lengths, params, reverse).data
+            taped = lstm_sequence(Tensor(data, requires_grad=True), lengths, params, reverse)
+            with no_grad():
+                plain = lstm_sequence(Tensor(data), lengths, params, reverse)
+            np.testing.assert_array_equal(taped.data, want)
+            np.testing.assert_array_equal(plain.data, want)
+
+    @pytest.mark.parametrize("kind,spec", CASES)
+    def test_gradients_match(self, kind, spec):
+        params, data, lengths = self.build(kind, spec)
+        mix = Tensor(np.random.default_rng(1).uniform(-1, 1, size=data.shape[:2] + (params.hidden_size,)))
+        for reverse in (False, True):
+            grads = []
+            for op in (lstm_sequence, masked_lstm_oracle.lstm_sequence):
+                x = Tensor(data, requires_grad=True)
+                params.W.zero_grad()
+                params.b.zero_grad()
+                backward(sum_all(mul(op(x, lengths, params, reverse), mix)))
+                grads.append((x.grad, params.W.grad, params.b.grad))
+            assert_grads_close(*grads)
+            assert not grads[0][0][np.arange(data.shape[0])[:, None] >= lengths[None, :]].any()

@@ -91,6 +91,35 @@ class TestAdam:
                 np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
         assert theta.data == pytest.approx(ref, abs=1e-15)
 
+    def test_matches_out_of_place_formula_bit_for_bit(self):
+        # the textbook update, one new array per operation, in the same
+        # operation order as the in-place step
+        rng = np.random.default_rng(4)
+        shapes = {"W": (3, 5), "b": (5,)}
+        start = {k: rng.uniform(-1, 1, size=s) for k, s in shapes.items()}
+        grads = [{k: rng.uniform(-2, 2, size=s) for k, s in shapes.items()} for _ in range(3)]
+        lr = 0.003
+
+        params = {k: param(v.copy()) for k, v in start.items()}
+        opt = make_optimizer("adam", lr)
+        for step_grads in grads:
+            for k, p in params.items():
+                p.grad = step_grads[k].copy()
+            optimizer_step(opt, list(params.items()))
+
+        for k in shapes:
+            p, m, v = start[k].copy(), np.zeros(shapes[k]), np.zeros(shapes[k])
+            for step, step_grads in enumerate(grads, start=1):
+                g = step_grads[k]
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+                m_hat = m / (1.0 - ADAM_BETA1 ** step)
+                v_hat = v / (1.0 - ADAM_BETA2 ** step)
+                p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.testing.assert_array_equal(params[k].data, p)
+            np.testing.assert_array_equal(opt.m[k], m)
+            np.testing.assert_array_equal(opt.v[k], v)
+
     def test_each_parameter_steps_on_its_own_grad(self):
         a, b = param([1.0]), param([1.0])
         a.grad, b.grad = np.array([100.0]), np.array([-0.5])
