@@ -18,18 +18,30 @@ W_h (4H, H). As in cuDNN (Appleyard et al., arXiv 1604.01946), the
 input projections x_t @ W_x^T + b of all T*B rows are one GEMM before
 the loop, and only h @ W_h^T and the gate math run per step.
 
-The forward direction runs t = 0..T-1 and the reverse direction
-t = T-1..0. After each step, h and c are multiplied by a 0/1 mask, so
-state stays zero past a row's end: the reverse direction of every row
-starts from zero state at its own last real step, and outputs at padded
-steps are zero.
+The op computes sigmoid(a) as (1 + tanh(a/2))/2, which is bounded for
+every input. The halving is folded into the weights: the i, f and o
+rows of W_x, W_h and b are scaled by 1/2 once per call, which is exact
+for a power of two, so each step runs one tanh over all four gates and
+then one scale and one offset, and its values are bit for bit those of
+halving the pre-activations.
 
-On the tape the op is one node with a hand-derived backward (BPTT): a
-reverse loop over steps computes the pre-activation gradients dz_t and
-carries dh and dc; then dW, db and dx are each one GEMM or one sum over
-all T*B rows. Under no_grad, or when nothing needs a gradient, the op
-keeps no per-step state. Every op output is checked finite once, when
-its Tensor is created.
+The forward direction runs t = 0..T-1 and the reverse direction
+t = T-1..0. The rows are ordered by length, longest first (a stable
+sort; rows already in that order, as always at B = 1, are not moved),
+so the rows live at step t are a prefix [:live[t]] of the batch in
+either direction. A step runs its GEMM and gate math on that prefix
+only. Rows outside it keep zero state and zero output, so the reverse
+direction of every row starts from zero state at its own last real
+step, and outputs at padded steps are zero.
+
+On the tape the op is one node with a hand-derived backward (BPTT).
+Every gate factor that does not depend on the carried dh and dc is
+computed for all steps at once before the reverse loop; the loop then
+updates dc, writes the pre-activation gradients dz_t of the live rows
+and carries dh = dz_t @ W_h. dW, db and dx are each one or two GEMMs or
+one sum over all T*B rows. Under no_grad, or when nothing needs a
+gradient, the op keeps no per-step state. Every op output is checked
+finite once, when its Tensor is created.
 """
 
 from __future__ import annotations
@@ -56,24 +68,19 @@ class LstmCellParams:
         return self.W.shape[1] - self.hidden_size
 
 
-def _activate_gates_(z: np.ndarray, hid: int) -> None:
-    """Pre-activations (B, 4H) -> [i, f, g, o] activations, in place.
+def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gate-row (scale, offset) over [i, f, g, o]: 1/2 and 1/2 on the
+    sigmoid rows, 1 and -0.0 on the candidate rows.
 
-    One tanh serves all four gates, with sigmoid(a) = (1 + tanh(a/2))/2
-    on the i, f and o blocks; it is bounded for every input, and far
-    cheaper than a sigmoid built from exp and log."""
-    sig_if, sig_o = z[:, :2 * hid], z[:, 3 * hid:]
-    sig_if *= 0.5
-    sig_o *= 0.5
-    np.tanh(z, out=z)
-    for s in (sig_if, sig_o):
-        s *= 0.5
-        s += 0.5
-
-
-def _step_mask(lengths: np.ndarray, T: int) -> np.ndarray:
-    """(T, B, 1) float mask: 1 at real steps, 0 at padding."""
-    return (np.arange(T)[:, None] < lengths[None, :]).astype(np.float64)[:, :, None]
+    With the sigmoid rows of W and b scaled by the same 1/2, tanh of a
+    pre-activation times scale plus offset is sigmoid(a) = (1 + tanh(a/2))/2
+    on i, f and o and tanh(a) on g. Each factor is exact: halving is exact,
+    and x * 1 + (-0.0) returns x bit for bit, the sign of a zero included."""
+    scale = np.full(4 * hid, 0.5)
+    offset = np.full(4 * hid, 0.5)
+    scale[2 * hid:3 * hid] = 1.0
+    offset[2 * hid:3 * hid] = -0.0
+    return scale, offset
 
 
 def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = False) -> Tensor:
@@ -91,76 +98,126 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (B,) or B == 0 or lengths.min() < 0 or lengths.max() > T:
         raise ShapeMismatchError(f"lstm_sequence(lengths within [0, {T}])", lengths.shape, x.shape)
-
-    w_x = W.data[:, :D]
-    w_h = W.data[:, D:]
-    w_h_t = np.ascontiguousarray(w_h.T)
-    mask = _step_mask(lengths, T)
     record = grad_enabled() and (x.requires_grad or W.requires_grad or b.requires_grad)
 
-    # Pre-activations of every step; each step's slice is turned into its
-    # gate activations in place, so afterwards this array holds the gates.
-    gates = (x.data.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
-    gates += b.data
-    out = np.empty((T, B, hid))
-    cells = np.empty((T, B, hid)) if record else None
-    tanh_cells = np.empty((T, B, hid)) if record else None
-    h = np.zeros((B, hid))
-    c = np.zeros((B, hid))
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
-        z = gates[t]
-        z += h @ w_h_t
-        _activate_gates_(z, hid)
-        c = z[:, hid:2 * hid] * c + z[:, :hid] * z[:, 2 * hid:3 * hid]
-        tc = np.tanh(c)
-        h = z[:, 3 * hid:] * tc
-        c *= mask[t]
-        h *= mask[t]
-        out[t] = h
-        if record:
-            cells[t] = c
-            tanh_cells[t] = tc
+    # Rows run longest first, so the rows live at step t are the prefix
+    # [:live[t]]; rows already in that order are not gathered or scattered.
+    order = None
+    xs = x.data
+    if np.any(lengths[1:] > lengths[:-1]):
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        xs = xs[:, order]
+    live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
 
+    scale, offset = _sigmoid_fold(hid)
+    w_x = W.data[:, :D] * scale[:, None]
+    w_h_t = np.ascontiguousarray(W.data[:, D:].T)
+    w_h_t *= scale
+
+    # Pre-activations of every step; each step's live rows are turned into
+    # their gate activations in place, so afterwards this array holds the gates.
+    gates = (xs.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
+    gates += b.data * scale
+    del xs
+    out = np.zeros((T, B, hid))
+    cells = np.zeros((T, B, hid)) if record else None
+    tanh_cells = np.zeros((T, B, hid)) if record else None
+    c_state = np.zeros((B, hid))
+    prev = None
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        n = live[t]
+        if not n:
+            continue
+        z = gates[t, :n]
+        if prev is not None:
+            # numpy runs a one-row product through gemv, which rounds
+            # differently from gemm; a lone live row of a wider batch rides in
+            # a two-row gemm, so no row's values depend on how many are live.
+            rows = 2 if n == 1 < B else n
+            z += (out[prev, :rows] @ w_h_t)[:n]
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        i_g, f_g, g_c, o_g = z[:, :hid], z[:, hid:2 * hid], z[:, 2 * hid:3 * hid], z[:, 3 * hid:]
+        if record:
+            c = np.multiply(f_g, c_state[:n] if prev is None else cells[prev, :n], out=cells[t, :n])
+        else:
+            c = c_state[:n]
+            c *= f_g
+        c += i_g * g_c
+        tc = np.tanh(c, out=tanh_cells[t, :n]) if record else np.tanh(c)
+        np.multiply(o_g, tc, out=out[t, :n])
+        prev = t
+
+    result = out
+    if order is not None:
+        result = np.empty_like(out)
+        result[:, order] = out
     if not record:
-        return Tensor(out)
+        return Tensor(result)
+    if live[-1] < B:
+        # Padded steps hold pre-activations of padding input; zero them so
+        # every gate factor below is zero there.
+        gates[np.arange(T)[:, None] >= lengths] = 0.0
 
     def backward(grad):
-        d_gates = np.empty_like(gates)
-        dh = np.zeros((B, hid))
-        dc = np.zeros((B, hid))
-        zeros = np.zeros((B, hid))
-        back = range(T) if reverse else range(T - 1, -1, -1)
-        for t in back:
-            prev = t + 1 if reverse else t - 1
-            c_prev = cells[prev] if 0 <= prev < T else zeros
-            g_t = gates[t]
-            i_g, f_g = g_t[:, :hid], g_t[:, hid:2 * hid]
-            g_c, o_g = g_t[:, 2 * hid:3 * hid], g_t[:, 3 * hid:]
-            tc = tanh_cells[t]
-            dh = grad[t] + dh
-            dh *= mask[t]
-            dc *= mask[t]
-            dc = dc + dh * o_g * (1.0 - tc * tc)
-            dz = d_gates[t]
-            dz[:, :hid] = dc * g_c * i_g * (1.0 - i_g)
-            dz[:, hid:2 * hid] = dc * c_prev * f_g * (1.0 - f_g)
-            dz[:, 2 * hid:3 * hid] = dc * i_g * (1.0 - g_c * g_c)
-            dz[:, 3 * hid:] = dh * tc * o_g * (1.0 - o_g)
-            dh = dz @ w_h
-            dc = dc * f_g
-        # State fed into each step: the previous step's output, zero at the start.
-        h_prev = np.zeros_like(out)
+        # Every factor that does not depend on the carried dh and dc, for
+        # all steps at once: [g i(1-i), c_prev f(1-f), i(1-g^2)] as one
+        # block over the contiguous i, f, g rows, then tc o(1-o) and o(1-tc^2).
+        g4 = gates.reshape(T, B, 4, hid)
+        i_g, f_g, g_c, o_g = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
+        ifg = np.empty((T, B, 3, hid))
+        np.subtract(1.0, g4[:, :, :2], out=ifg[:, :, :2])
+        ifg[:, :, :2] *= g4[:, :, :2]
+        ifg[:, :, 0] *= g_c
         if reverse:
-            h_prev[:-1] = out[1:]
+            ifg[:-1, :, 1] *= cells[1:]
+            ifg[-1, :, 1] = 0.0
         else:
-            h_prev[1:] = out[:-1]
-        dz_rows = d_gates.reshape(T * B, 4 * hid)
-        xh = np.concatenate([x.data.reshape(T * B, D), h_prev.reshape(T * B, hid)], axis=1)
-        dx = (dz_rows @ w_x).reshape(T, B, D)
-        return dx, dz_rows.T @ xh, dz_rows.sum(axis=0)
+            ifg[1:, :, 1] *= cells[:-1]
+            ifg[0, :, 1] = 0.0
+        np.square(g_c, out=ifg[:, :, 2])
+        np.subtract(1.0, ifg[:, :, 2], out=ifg[:, :, 2])
+        ifg[:, :, 2] *= i_g
+        o_factor = np.subtract(1.0, o_g)
+        o_factor *= o_g
+        o_factor *= tanh_cells
+        c_factor = np.square(tanh_cells)
+        np.subtract(1.0, c_factor, out=c_factor)
+        c_factor *= o_g
 
-    return _wrap(out, (x, W, b), backward)
+        if order is not None:
+            grad = grad[:, order]
+        d_gates = np.zeros((T, B, 4 * hid))
+        dz4 = d_gates.reshape(T, B, 4, hid)
+        w_h = W.data[:, D:]
+        dh_state = np.zeros((B, hid))
+        dc_state = np.zeros((B, hid))
+        for t in range(T) if reverse else range(T - 1, -1, -1):
+            n = live[t]
+            if not n:
+                continue
+            dh, dc = dh_state[:n], dc_state[:n]
+            dh += grad[t, :n]
+            dc += dh * c_factor[t, :n]
+            np.multiply(ifg[t, :n], dc[:, None, :], out=dz4[t, :n, :3])
+            np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
+            np.matmul(d_gates[t, :n], w_h, out=dh)
+            dc *= f_g[t, :n]
+        if order is not None:
+            d_sorted, d_gates = d_gates, np.empty_like(d_gates)
+            d_gates[:, order] = d_sorted
+        # Each step's state input is the neighbouring step's output; the
+        # first step of a direction reads zero state and adds nothing to dW_h.
+        dz_h, h_in = (d_gates[:-1], result[1:]) if reverse else (d_gates[1:], result[:-1])
+        dz_rows = d_gates.reshape(T * B, 4 * hid)
+        d_w = np.concatenate([dz_rows.T @ x.data.reshape(T * B, D),
+                              dz_h.reshape(-1, 4 * hid).T @ h_in.reshape(-1, hid)], axis=1)
+        dx = (dz_rows @ W.data[:, :D]).reshape(T, B, D)
+        return dx, d_w, dz_rows.sum(axis=0)
+
+    return _wrap(result, (x, W, b), backward)
 
 
 def bilstm_sequence(x: Tensor, lengths, fwd: LstmCellParams, bwd: LstmCellParams) -> Tensor:

@@ -1,8 +1,8 @@
 """SGD and Adam parameter updates.
 
-Parameters are updated in place, keyed by name so optimizer state can
-outlive any particular forward graph. Adam uses the standard
-bias-corrected update with beta1=0.9, beta2=0.999, eps=1e-8.
+Parameters and Adam's moments are updated in place, keyed by name so
+optimizer state can outlive any particular forward graph. Adam uses the
+standard bias-corrected update with beta1=0.9, beta2=0.999, eps=1e-8.
 """
 
 from __future__ import annotations
@@ -50,15 +50,24 @@ def optimizer_step(state: OptimizerState, params: list[tuple[str, Tensor]]) -> N
         if state.kind == "sgd":
             p.data -= lr * g
             continue
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - ADAM_BETA1 ** state.step)
-        v_hat = v / (1.0 - ADAM_BETA2 ** state.step)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        # Moments and step in place, in the operation order of the textbook
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), so they match it bit for bit.
+        step, den = np.empty_like(m), np.empty_like(v)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        np.multiply(g, g, out=den)
+        m *= ADAM_BETA1
+        m += step
+        den *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += den
+        np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=step)
+        step *= lr
+        np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step /= den
+        p.data -= step

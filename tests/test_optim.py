@@ -95,7 +95,7 @@ class TestAdam:
         # the textbook update, one new array per operation, in the same
         # operation order as the in-place step
         rng = np.random.default_rng(4)
-        shapes = {"W": (3, 5), "b": (5,)}
+        shapes = {"W": (3, 5), "b": ()}  # a 0-d bias, like the span heads
         start = {k: rng.uniform(-1, 1, size=s) for k, s in shapes.items()}
         grads = [{k: rng.uniform(-2, 2, size=s) for k, s in shapes.items()} for _ in range(3)]
         lr = 0.003
