@@ -119,7 +119,7 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
     # their gate activations in place, so afterwards this array holds the gates.
     gates = (xs.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
     gates += b.data * scale
-    del xs
+    del xs  # a gathered copy is not needed past the projection
     out = np.zeros((T, B, hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
@@ -156,7 +156,7 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         result[:, order] = out
     if not record:
         return Tensor(result)
-    if live[-1] < B:
+    if lengths[-1] < T:
         # Padded steps hold pre-activations of padding input; zero them so
         # every gate factor below is zero there.
         gates[np.arange(T)[:, None] >= lengths] = 0.0
@@ -173,10 +173,10 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         ifg[:, :, 0] *= g_c
         if reverse:
             ifg[:-1, :, 1] *= cells[1:]
-            ifg[-1, :, 1] = 0.0
+            ifg[-1:, :, 1] = 0.0
         else:
             ifg[1:, :, 1] *= cells[:-1]
-            ifg[0, :, 1] = 0.0
+            ifg[:1, :, 1] = 0.0
         np.square(g_c, out=ifg[:, :, 2])
         np.subtract(1.0, ifg[:, :, 2], out=ifg[:, :, 2])
         ifg[:, :, 2] *= i_g
