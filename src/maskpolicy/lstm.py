@@ -26,13 +26,13 @@ then one scale and one offset, and its values are bit for bit those of
 halving the pre-activations.
 
 The forward direction runs t = 0..T-1 and the reverse direction
-t = T-1..0. The rows are ordered by length, longest first (a stable
-sort; rows already in that order, as always at B = 1, are not moved),
-so the rows live at step t are a prefix [:live[t]] of the batch in
-either direction. A step runs its GEMM and gate math on that prefix
-only. Rows outside it keep zero state and zero output, so the reverse
-direction of every row starts from zero state at its own last real
-step, and outputs at padded steps are zero.
+t = T-1..0. The caller sorts the rows by length, longest first, and the
+op rejects lengths that increase anywhere, so the rows live at step t
+are a prefix [:live[t]] of the batch in either direction. A step runs
+its GEMM and gate math on that prefix only. Rows outside it keep zero
+state and zero output, so the reverse direction of every row starts
+from zero state at its own last real step, and outputs at padded steps
+are zero.
 
 On the tape the op is one node with a hand-derived backward (BPTT).
 Every gate factor that does not depend on the carried dh and dc is
@@ -86,8 +86,9 @@ def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
 def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = False) -> Tensor:
     """Hidden state at every step of one direction: (T, B, D) -> (T, B, H).
 
-    Steps at or past lengths[b] are padding: they neither read nor write
-    row b's state, and their outputs are zero."""
+    The rows come longest first: lengths must not increase from one row
+    to the next. Steps at or past lengths[b] are padding: they neither
+    read nor write row b's state, and their outputs are zero."""
     hid = params.hidden_size
     W, b = params.W, params.b
     if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],):
@@ -98,16 +99,11 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (B,) or B == 0 or lengths.min() < 0 or lengths.max() > T:
         raise ShapeMismatchError(f"lstm_sequence(lengths within [0, {T}])", lengths.shape, x.shape)
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ShapeMismatchError("lstm_sequence(lengths longest first)", lengths.shape, x.shape)
     record = grad_enabled() and (x.requires_grad or W.requires_grad or b.requires_grad)
 
-    # Rows run longest first, so the rows live at step t are the prefix
-    # [:live[t]]; rows already in that order are not gathered or scattered.
-    order = None
-    xs = x.data
-    if np.any(lengths[1:] > lengths[:-1]):
-        order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
-        xs = xs[:, order]
+    # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
     live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
 
     scale, offset = _sigmoid_fold(hid)
@@ -117,9 +113,8 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
 
     # Pre-activations of every step; each step's live rows are turned into
     # their gate activations in place, so afterwards this array holds the gates.
-    gates = (xs.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
+    gates = (x.data.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
     gates += b.data * scale
-    del xs  # a gathered copy is not needed past the projection
     out = np.zeros((T, B, hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
@@ -150,12 +145,8 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         np.multiply(o_g, tc, out=out[t, :n])
         prev = t
 
-    result = out
-    if order is not None:
-        result = np.empty_like(out)
-        result[:, order] = out
     if not record:
-        return Tensor(result)
+        return Tensor(out)
     if lengths[-1] < T:
         # Padded steps hold pre-activations of padding input; zero them so
         # every gate factor below is zero there.
@@ -187,8 +178,6 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         np.subtract(1.0, c_factor, out=c_factor)
         c_factor *= o_g
 
-        if order is not None:
-            grad = grad[:, order]
         d_gates = np.zeros((T, B, 4 * hid))
         dz4 = d_gates.reshape(T, B, 4, hid)
         w_h = W.data[:, D:]
@@ -205,19 +194,16 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
             np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
             np.matmul(d_gates[t, :n], w_h, out=dh)
             dc *= f_g[t, :n]
-        if order is not None:
-            d_sorted, d_gates = d_gates, np.empty_like(d_gates)
-            d_gates[:, order] = d_sorted
         # Each step's state input is the neighbouring step's output; the
         # first step of a direction reads zero state and adds nothing to dW_h.
-        dz_h, h_in = (d_gates[:-1], result[1:]) if reverse else (d_gates[1:], result[:-1])
+        dz_h, h_in = (d_gates[:-1], out[1:]) if reverse else (d_gates[1:], out[:-1])
         dz_rows = d_gates.reshape(T * B, 4 * hid)
         d_w = np.concatenate([dz_rows.T @ x.data.reshape(T * B, D),
                               dz_h.reshape(-1, 4 * hid).T @ h_in.reshape(-1, hid)], axis=1)
         dx = (dz_rows @ W.data[:, :D]).reshape(T, B, D)
         return dx, d_w, dz_rows.sum(axis=0)
 
-    return _wrap(result, (x, W, b), backward)
+    return _wrap(out, (x, W, b), backward)
 
 
 def bilstm_sequence(x: Tensor, lengths, fwd: LstmCellParams, bwd: LstmCellParams) -> Tensor:

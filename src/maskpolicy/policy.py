@@ -139,7 +139,8 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
 
 def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, Tensor]:
     """Start and end logits of a padded batch, each flat (T*B,) in
-    time-major order. Logits at padded positions are meaningless."""
+    time-major order. The sequences come longest first. Logits at padded
+    positions are meaningless."""
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     T, B = int(lengths.max()), len(seqs)
     ids = np.zeros((T, B), dtype=np.intp)
@@ -164,17 +165,22 @@ def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LE
 def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference-only forward over several id sequences at once, as one
-    padded batch with no tape. Returns (start_logits, end_logits) per
-    sequence, each as long as its sequence."""
+    padded batch with no tape. The sequences may come in any order: the
+    batch is sorted once, longest first (a stable sort), as the LSTM op
+    requires. Returns (start_logits, end_logits) per sequence, in input
+    order, each as long as its sequence."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         return []
+    order = np.argsort([-len(s) for s in seqs], kind="stable")
     with no_grad():
-        start_logits, end_logits = _batch_logits(params, seqs)
+        start_logits, end_logits = _batch_logits(params, [seqs[b] for b in order])
     B = len(seqs)
     start = start_logits.data.reshape(-1, B)
     end = end_logits.data.reshape(-1, B)
-    return [(start[:len(s), b].copy(), end[:len(s), b].copy()) for b, s in enumerate(seqs)]
+    column = np.argsort(order)  # input row b is column column[b] of the logits
+    return [(start[:len(s), c].copy(), end[:len(s), c].copy())
+            for s, c in zip(seqs, column.tolist())]
 
 
 def score_positions(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN

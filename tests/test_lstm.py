@@ -34,6 +34,16 @@ def seq(steps, requires_grad=False):
     return Tensor(np.asarray(steps, dtype=np.float64)[:, None, :], requires_grad=requires_grad)
 
 
+def longest_first(data, lengths):
+    """A (T, B, D) batch's data columns and lengths, reordered together
+    longest first by a stable sort, the row order lstm_sequence takes.
+    The data comes back C-contiguous, because grad_check perturbs a
+    tensor through a flat view of it."""
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    return np.ascontiguousarray(data[:, order]), lengths[order]
+
+
 def run(xs, params, reverse=False):
     """Hidden states (T, H) of one direction over one whole sequence."""
     x = seq(xs)
@@ -113,7 +123,7 @@ class TestCellShapes:
         with pytest.raises(ShapeMismatchError):
             lstm_sequence(Tensor(np.zeros((3, 2))), [3], params)
 
-    @pytest.mark.parametrize("lengths", [[3], [1, 2, 3], [4, 1], [-1, 2]])
+    @pytest.mark.parametrize("lengths", [[3], [1, 2, 3], [4, 1], [-1, 2], [2, 3]])
     def test_lengths_must_match_batch_and_fit(self, lengths):
         params = zero_params(2, 2)
         with pytest.raises(ShapeMismatchError):
@@ -127,8 +137,8 @@ class TestCellShapes:
 
 
 def ragged_case(rng, max_t=4, max_b=3):
-    """Random small shapes, a ragged batch with zeroed padding, and weights
-    mixing the outputs into a scalar."""
+    """Random small shapes, a ragged batch with zeroed padding, longest
+    first, and weights mixing the outputs into a scalar."""
     hid = int(rng.integers(1, 4))
     n_in = int(rng.integers(1, 4))
     T = int(rng.integers(1, max_t + 1))
@@ -137,6 +147,7 @@ def ragged_case(rng, max_t=4, max_b=3):
     lengths[0] = T
     data = rng.uniform(-1, 1, size=(T, B, n_in))
     data[np.arange(T)[:, None] >= lengths[None, :]] = 0.0
+    data, lengths = longest_first(data, lengths)
     params = random_params(rng, n_in, hid)
     x = Tensor(data, requires_grad=True)
     mix = Tensor(rng.uniform(-1, 1, size=(T, B, hid)))
@@ -188,6 +199,7 @@ class TestRaggedBatch:
             data = np.zeros((5, 4, 3))
             for b, n in enumerate(lengths):
                 data[:n, b] = rng.uniform(-1, 1, size=(n, 3))
+            data, lengths = longest_first(data, lengths)
             for reverse in (False, True):
                 out = lstm_sequence(Tensor(data), lengths, params, reverse).data
                 for b, n in enumerate(lengths):
@@ -200,7 +212,7 @@ class TestRaggedBatch:
         rng = np.random.default_rng(9)
         params = random_params(rng, 2, 3)
         for lengths in ([4, 2], [4, 0, 2]):
-            data = rng.uniform(-1, 1, size=(4, len(lengths), 2))
+            data, lengths = longest_first(rng.uniform(-1, 1, size=(4, len(lengths), 2)), lengths)
             noisy = data.copy()
             for b, n in enumerate(lengths):
                 noisy[n:, b] = 50.0
@@ -210,11 +222,14 @@ class TestRaggedBatch:
                 np.testing.assert_array_equal(dirty, clean)
 
     def test_permuting_rows_permutes_outputs(self):
+        # rows of equal length may come in any order; swapping them swaps
+        # their outputs bit for bit
         rng = np.random.default_rng(12)
         params = random_params(rng, 3, 4)
-        lengths = np.array([2, 6, 0, 6, 3, 5])
-        data = rng.uniform(-1, 1, size=(6, 6, 3))
-        for perm in (rng.permutation(6), np.argsort(-lengths, kind="stable")):
+        lengths = np.array([6, 6, 6, 5, 3, 3, 2, 0, 0])
+        data = rng.uniform(-1, 1, size=(6, 9, 3))
+        for _ in range(3):
+            perm = np.lexsort((rng.random(9), -lengths))  # shuffled within each length
             for reverse in (False, True):
                 out = lstm_sequence(Tensor(data), lengths, params, reverse).data
                 moved = lstm_sequence(Tensor(data[:, perm]), lengths[perm], params, reverse).data
@@ -289,7 +304,7 @@ class TestMaskedOracle:
     """The live-row op against the masked all-rows op it replaced."""
 
     CASES = [("random", seed) for seed in range(40)] + [
-        # deploy-sized: many full rows and a ragged tail, unsorted
+        # deploy-sized: many full rows and a ragged tail, given unsorted
         ("fixed", (32, 24, 30, [30, 30, 7, 30, 1, 30, 30, 19, 0, 30, 30, 12])),
         ("fixed", (16, 16, 20, [20, 19, 18, 11, 11, 3, 1])),  # already sorted
         ("fixed", (16, 8, 9, [0, 0, 0])),
@@ -299,12 +314,16 @@ class TestMaskedOracle:
 
     @staticmethod
     def build(kind, spec):
+        """Weights and a batch, its rows reordered longest first; both ops
+        run on those same rows."""
         if kind == "random":
-            return oracle_case(np.random.default_rng(700 + spec))
-        hid, n_in, T, lengths = spec
-        rng = np.random.default_rng(hid * 1000 + T)
-        params = random_params(rng, n_in, hid)
-        return params, rng.uniform(-1, 1, size=(T, len(lengths), n_in)), np.array(lengths)
+            params, data, lengths = oracle_case(np.random.default_rng(700 + spec))
+        else:
+            hid, n_in, T, lengths = spec
+            rng = np.random.default_rng(hid * 1000 + T)
+            params = random_params(rng, n_in, hid)
+            data = rng.uniform(-1, 1, size=(T, len(lengths), n_in))
+        return (params, *longest_first(data, lengths))
 
     @pytest.mark.parametrize("kind,spec", CASES)
     def test_forward_is_bit_identical(self, kind, spec):

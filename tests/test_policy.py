@@ -137,6 +137,24 @@ class TestScoreBatch:
             np.testing.assert_allclose(start, alone_start, rtol=0, atol=1e-12)
             np.testing.assert_allclose(end, alone_end, rtol=0, atol=1e-12)
 
+    def test_rows_come_back_in_input_order(self):
+        # the batch is sorted longest first inside, equal lengths included;
+        # every row's logits come back at its input position
+        params = init_policy_params(30, 5, 4, seed=15)
+        rng = np.random.default_rng(22)
+        lengths = rng.permutation([128] * 5 + [40, 77, 40, 12]).tolist()
+        batch = [[int(t) for t in rng.integers(0, params.vocab_size, size=n)] for n in lengths]
+        got = score_batch(params, batch)
+        assert [(len(s), len(e)) for s, e in got] == [(n, n) for n in lengths]
+        for ids, (start, end) in zip(batch, got):
+            alone_start, alone_end = score_batch(params, [ids])[0]
+            np.testing.assert_allclose(start, alone_start, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(end, alone_end, rtol=0, atol=1e-12)
+        perm = rng.permutation(len(batch))
+        for (start, end), b in zip(score_batch(params, [batch[b] for b in perm]), perm):
+            np.testing.assert_allclose(start, got[b][0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(end, got[b][1], rtol=0, atol=1e-12)
+
     def test_empty_batch(self):
         assert score_batch(small_params(), []) == []
 
