@@ -32,11 +32,8 @@ reference the tests compare against.
 from __future__ import annotations
 
 import functools
-import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -264,24 +261,3 @@ def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
         return tags
 
     return propose
-
-
-def load_tagger_fixtures(path) -> list[tuple[str, list[tuple[str, int, int]]]]:
-    """Fixture rows of (text, [(kind, start_char, end_char)])."""
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        rows.append((obj["text"],
-                     [(t["kind"], t["start_char"], t["end_char"]) for t in obj["tags"]]))
-    return rows
-
-
-def tag_char_ranges(offsets: Sequence[tuple[int, int]],
-                    tags: list[SalientTag]) -> list[tuple[str, int, int]]:
-    """Tags as (kind, start_char, end_char) against the source text.
-    `offsets` are the source's `token_offsets`, sliced as the tagged
-    chunk was."""
-    return [(tag.kind.value, offsets[tag.span.start][0], offsets[tag.span.end][1])
-            for tag in tags]

@@ -324,8 +324,3 @@ def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadRe
         ))
         report.loaded += 1
     return examples, report
-
-
-def detokenize_ids(vocab: Vocab, ids) -> str:
-    """Vocabulary-based surface form: token strings joined by spaces."""
-    return " ".join(vocab.id_to_token[i] for i in ids)

@@ -1,5 +1,6 @@
 """Baseline masking policies and the salient-span tagger."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,10 @@ from maskpolicy.baselines import (
     RANDOM_MASK_RATE,
     SalientKind,
     SalientTag,
-    load_tagger_fixtures,
     random_span_mask,
     random_token_mask,
     salient_span_mask_with_fallback,
     salient_spans,
-    tag_char_ranges,
 )
 from maskpolicy.corpus import Chunk, Span, token_offsets, tokenize
 from maskpolicy.errors import InvalidRateError
@@ -27,6 +26,26 @@ FIXTURES = Path(__file__).parent / "data" / "tagger_fixtures.jsonl"
 
 def chunk_of(text):
     return Chunk(tokenize(text), "test:00000000", 0)
+
+
+def load_tagger_fixtures(path):
+    """Fixture rows of (text, [(kind, start_char, end_char)])."""
+    rows = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        rows.append((obj["text"],
+                     [(t["kind"], t["start_char"], t["end_char"]) for t in obj["tags"]]))
+    return rows
+
+
+def tag_char_ranges(offsets, tags):
+    """Tags as (kind, start_char, end_char) against the source text.
+    `offsets` are the source's `token_offsets`, sliced as the tagged
+    chunk was."""
+    return [(tag.kind.value, offsets[tag.span.start][0], offsets[tag.span.end][1])
+            for tag in tags]
 
 
 class TestRandomTokenMask:

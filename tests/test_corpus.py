@@ -16,7 +16,6 @@ from maskpolicy.corpus import (
     align_answer,
     build_vocab,
     chunk_document,
-    detokenize_ids,
     iter_documents,
     load_anchor_dataset,
     normalize_answer,
@@ -313,7 +312,3 @@ class TestTokenSequence:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             TokenSequence((1,), ("a", "b"))
-
-    def test_detokenize_ids(self):
-        vocab = make_vocab("x", "y")
-        assert detokenize_ids(vocab, [3, 4, 2]) == "x y <mask>"
