@@ -160,30 +160,15 @@ def scale(a: Tensor, s: float) -> Tensor:
 # --- linear algebra -------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix times vector: (m, n) @ (n,) -> (m,)."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    inner_a = ad.shape[-1]
-    inner_b = bd.shape[0]
-    if inner_a != inner_b:
+    if ad.ndim != 2 or bd.ndim != 1 or ad.shape[1] != bd.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
 
-    out_data = ad @ bd
+    def backward(g):
+        return np.outer(g, bd), ad.T @ g
 
-    if ad.ndim == 2 and bd.ndim == 2:
-        def backward(g):
-            return g @ bd.T, ad.T @ g
-    elif ad.ndim == 2 and bd.ndim == 1:
-        def backward(g):
-            return np.outer(g, bd), ad.T @ g
-    elif ad.ndim == 1 and bd.ndim == 2:
-        def backward(g):
-            return bd @ g, np.outer(ad, g)
-    else:  # 1D @ 1D -> scalar
-        def backward(g):
-            return g * bd, g * ad
-
-    return _wrap(out_data, (a, b), backward)
+    return _wrap(ad @ bd, (a, b), backward)
 
 
 # --- shape ops ------------------------------------------------------------
@@ -214,18 +199,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _wrap(a.data.reshape(shape), (a,), backward)
 
 
-def pick(a: Tensor, i: int) -> Tensor:
-    if a.ndim != 1 or not (0 <= i < a.size):
-        raise ShapeMismatchError(f"pick[{i}]", a.shape)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return _wrap(a.data[i].copy(), (a,), backward)
-
-
 def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows of a (V, d) table; gradients scatter-add back."""
     if table.ndim != 2:
@@ -242,25 +215,13 @@ def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _wrap(table.data[idx], (table,), backward)
 
 
-# --- reductions and losses --------------------------------------------------
+# --- reductions -----------------------------------------------------------
 
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         return (np.full(a.shape, float(g)),)
 
     return _wrap(np.sum(a.data), (a,), backward)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    if a.ndim != 1 or a.size == 0:
-        raise ShapeMismatchError("log_softmax", a.shape)
-    z = a.data - np.max(a.data)
-    out_data = z - np.log(np.sum(np.exp(z)))
-
-    def backward(g):
-        return (g - np.exp(out_data) * np.sum(g),)
-
-    return _wrap(out_data, (a,), backward)
 
 
 # --- backward pass ----------------------------------------------------------
@@ -318,17 +279,18 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     worst = 0.0
     with no_grad():
         for p, a in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            aflat = a.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
+            # Perturb p.data in place: a reshaped copy of a non-contiguous
+            # array would leave f unchanged.
+            data = p.data
+            for idx in np.ndindex(data.shape):
+                orig = data[idx]
+                data[idx] = orig + eps
                 f_plus = f().item()
-                flat[i] = orig - eps
+                data[idx] = orig - eps
                 f_minus = f().item()
-                flat[i] = orig
+                data[idx] = orig
                 numeric = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]), abs(numeric))
+                rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))
                 if rel > worst:
                     worst = rel
     return worst

@@ -67,7 +67,6 @@ class SalientTag:
 @dataclass
 class MaskDecisions:
     d: np.ndarray  # bool per chunk position
-    produced_by: str
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=bool)
@@ -80,7 +79,7 @@ def random_token_mask(chunk: Chunk, rate: float = RANDOM_MASK_RATE,
         raise InvalidRateError(f"rate must be in [0, 1], got {rate}")
     if rng is None:
         rng = np.random.default_rng(0)
-    return MaskDecisions(rng.random(len(chunk)) < rate, "random15")
+    return MaskDecisions(rng.random(len(chunk)) < rate)
 
 
 def _is_day(tok: str) -> bool:

@@ -33,7 +33,8 @@ from .corruption import (
 )
 from .errors import MaskPolicyError
 from .evaluation import compare_policies, read_report, span_hit_metrics, write_report
-from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODE_TOP5
+from .optim import OPTIMIZERS
+from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODES
 from .training import TrainConfig, grad_check_suite, train_policy
 
 # Default of every option a --config file may set, per command; the keys
@@ -52,7 +53,7 @@ _DEFAULTS = {
 }
 
 # The allowed values of the options that are not free-form.
-_CHOICES = {"optimizer": ["sgd", "adam"], "mode": [MODE_TOP1, MODE_TOP5]}
+_CHOICES = {"optimizer": OPTIMIZERS, "mode": MODES}
 
 
 class _UsageError(Exception):

@@ -46,7 +46,7 @@ from .policy import (
     DEFAULT_MAX_INPUT_LEN,
     DEFAULT_MAX_SPAN_LEN,
     MODE_TOP1,
-    MODE_TOP5,
+    MODES,
     TOP5_POOL,
     PolicyParams,
     Proposer,
@@ -174,7 +174,7 @@ class PolicySpec:
     def validate(self) -> None:
         if self.kind not in POLICIES:
             raise MaskPolicyError(f"unknown policy kind {self.kind!r}")
-        if self.mode not in (MODE_TOP1, MODE_TOP5):
+        if self.mode not in MODES:
             raise MaskPolicyError(f"unknown selection mode {self.mode!r}")
         if not (0.0 <= self.rate <= 1.0):
             raise InvalidRateError(f"rate must be in [0, 1], got {self.rate}")

@@ -18,10 +18,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+OPTIMIZERS = ("sgd", "adam")
+
 
 @dataclass
 class OptimizerState:
-    kind: str  # "sgd" | "adam"
+    kind: str  # one of OPTIMIZERS
     learning_rate: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -29,7 +31,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
+    if kind not in OPTIMIZERS:
         raise InvalidOptionError(f"unknown optimizer kind: {kind!r}")
     if learning_rate <= 0:
         raise InvalidOptionError(f"learning rate must be positive, got {learning_rate}")

@@ -37,6 +37,7 @@ Proposer = Callable[[Chunk, int, np.random.Generator], list[Span]]
 
 MODE_TOP1 = "top1"
 MODE_TOP5 = "top5"
+MODES = (MODE_TOP1, MODE_TOP5)
 TOP5_POOL = 5
 
 

@@ -1,10 +1,10 @@
 """Supervised training of the masking policy on (context, answer) pairs.
 
-Loss per example is the sum of two cross entropies: negative
-log-softmax of the start logits at the gold start plus the same for the
-end. Checkpoint selection is by minimum mean validation loss across
-epochs. Long contexts are truncated to a deterministic window centered
-on the answer span.
+Loss per example is the sum of two cross entropies, one tape node:
+negative log-softmax of the start logits at the gold start plus the
+same for the end. Checkpoint selection is by minimum mean validation
+loss across epochs. Long contexts are truncated to a deterministic
+window centered on the answer span.
 """
 
 from __future__ import annotations
@@ -14,26 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    backward,
-    clip_grad_norm,
-    grad_check,
-    log_softmax,
-    no_grad,
-    pick,
-    scale,
-)
+from .autodiff import Tensor, _wrap, add, backward, clip_grad_norm, grad_check, no_grad, scale
 from .corpus import AnchorExample, Span
 from .errors import (
     EmptyDatasetError,
     InvalidOptionError,
     NonFiniteLossError,
     SequenceTooLongError,
+    ShapeMismatchError,
     SpanOutOfBoundsError,
 )
-from .optim import make_optimizer, optimizer_step
+from .optim import OPTIMIZERS, make_optimizer, optimizer_step
 from .policy import (
     DEFAULT_MAX_INPUT_LEN,
     DEFAULT_MAX_SPAN_LEN,
@@ -68,7 +59,7 @@ class TrainConfig:
             raise InvalidOptionError(f"seed must be non-negative, got {self.seed}")
         if self.max_span_len > self.max_input_len:
             raise InvalidOptionError("max_span_len cannot exceed max_input_len")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise InvalidOptionError(f"unknown optimizer: {self.optimizer!r}")
 
     def hyperparameters(self) -> dict:
@@ -95,14 +86,35 @@ class TrainingLog:
         ]
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits)
+    return z - np.log(np.sum(np.exp(z)))
+
+
 def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
-    """Cross entropy of the gold start plus cross entropy of the gold end."""
+    """Cross entropy of the gold start plus cross entropy of the gold end,
+    as one tape node whose parents are the two logits tensors.
+
+    With lp = log_softmax(logits) for each head, the loss is
+    -lp_start[gold.start] - lp_end[gold.end]. Given the upstream gradient
+    g, each head's gradient is exp(lp) * g, minus g at its gold index."""
+    if (start_logits.ndim != 1 or start_logits.size == 0
+            or end_logits.shape != start_logits.shape):
+        raise ShapeMismatchError("span_loss", start_logits.shape, end_logits.shape)
     n = start_logits.size
     if gold.start >= n or gold.end >= n:
         raise SpanOutOfBoundsError(f"gold span ({gold.start}, {gold.end}) outside length {n}")
-    nll_start = scale(pick(log_softmax(start_logits), gold.start), -1.0)
-    nll_end = scale(pick(log_softmax(end_logits), gold.end), -1.0)
-    return add(nll_start, nll_end)
+    lp_start = _log_softmax(start_logits.data)
+    lp_end = _log_softmax(end_logits.data)
+
+    def backward(g):
+        g_start = np.exp(lp_start) * g
+        g_start[gold.start] -= g
+        g_end = np.exp(lp_end) * g
+        g_end[gold.end] -= g
+        return g_start, g_end
+
+    return _wrap(-lp_start[gold.start] - lp_end[gold.end], (start_logits, end_logits), backward)
 
 
 def truncate_around_answer(n_tokens: int, gold: Span, max_len: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""Tensor core: op values, backward rules, and the gradient checker."""
+"""Tensor core: op values, backward rules, and the gradient checker,
+plus the span loss, the one loss op on the tape."""
 
 import math
 import pickle
@@ -15,15 +16,20 @@ from maskpolicy.autodiff import (
     concat,
     embed_rows,
     grad_check,
-    log_softmax,
     matmul,
     mul,
     no_grad,
-    pick,
     scale,
     sum_all,
 )
-from maskpolicy.errors import NonFiniteError, NonScalarLossError, ShapeMismatchError
+from maskpolicy.corpus import Span
+from maskpolicy.errors import (
+    NonFiniteError,
+    NonScalarLossError,
+    ShapeMismatchError,
+    SpanOutOfBoundsError,
+)
+from maskpolicy.training import span_loss
 
 
 def param(values):
@@ -32,17 +38,17 @@ def param(values):
 
 class TestOpValues:
     def test_matmul_2x2(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.data.tolist() == [[11.0]]
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([5.0, 6.0]))
+        assert out.data.tolist() == [17.0, 39.0]
 
-    def test_log_softmax_symmetric(self):
-        out = log_softmax(Tensor([0.0, 0.0]))
-        assert out.data == pytest.approx([-math.log(2)] * 2, abs=1e-15)
+    def test_span_loss_symmetric(self):
+        out = span_loss(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]), Span(0, 1))
+        assert out.data == pytest.approx(2 * math.log(2), abs=1e-15)
 
-    def test_log_softmax_large_values_stay_finite(self):
-        out = log_softmax(Tensor([1000.0, 0.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(0.0, abs=1e-12)
+    def test_span_loss_large_logits_stay_finite(self):
+        big = Tensor([1000.0, 0.0])
+        assert span_loss(big, big, Span(0, 0)).data == pytest.approx(0.0, abs=1e-12)
+        assert span_loss(big, big, Span(1, 1)).data == pytest.approx(2000.0, abs=1e-9)
 
     def test_concat_joins_last_axis(self):
         joined = concat([Tensor([[1.0, 2.0]]), Tensor([[3.0]])])
@@ -65,11 +71,32 @@ class TestShapeAndFiniteness:
 
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+            matmul(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
 
-    def test_pick_out_of_range(self):
+    @pytest.mark.parametrize("a, b", [
+        ([[1.0, 2.0]], [[1.0], [2.0]]),
+        ([1.0, 2.0], [[1.0], [2.0]]),
+        ([1.0, 2.0], [1.0, 2.0]),
+    ], ids=["2d_2d", "1d_2d", "1d_1d"])
+    def test_matmul_takes_only_matrix_times_vector(self, a, b):
         with pytest.raises(ShapeMismatchError):
-            pick(Tensor([1.0, 2.0]), 2)
+            matmul(Tensor(a), Tensor(b))
+
+    @pytest.mark.parametrize("start, end", [
+        ([[0.0, 1.0]], [[0.0, 1.0]]),
+        ([], []),
+        ([0.0, 1.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+    ], ids=["2d", "empty", "end_longer", "start_longer"])
+    def test_span_loss_shape_mismatch(self, start, end):
+        with pytest.raises(ShapeMismatchError):
+            span_loss(Tensor(start), Tensor(end), Span(0, 0))
+
+    def test_span_loss_gold_past_either_head(self):
+        logits = Tensor([1.0, 2.0])
+        for gold in (Span(0, 2), Span(2, 2)):
+            with pytest.raises(SpanOutOfBoundsError):
+                span_loss(logits, logits, gold)
 
     def test_nan_rejected_at_creation(self):
         with pytest.raises(NonFiniteError):
@@ -111,10 +138,15 @@ class TestShapeAndFiniteness:
 
 class TestBackward:
     def test_linear_case_gradient_is_input(self):
-        w = param([1.0, -2.0, 0.5])
+        w = param([[1.0, -2.0, 0.5]])
         x = Tensor([3.0, 4.0, 5.0])
         backward(matmul(w, x))
-        assert w.grad == pytest.approx(x.data)
+        assert w.grad.tolist() == [x.data.tolist()]
+
+    def test_span_loss_is_one_node(self):
+        s, e = param([0.5, -1.0, 2.0]), param([1.0, 0.0, -0.5])
+        loss = span_loss(s, e, Span(1, 2))
+        assert loss._parents == (s, e)
 
     def test_unused_parameter_gets_no_gradient(self):
         used = param([2.0])
@@ -134,7 +166,7 @@ class TestBackward:
 
         def losses(w):
             l1 = sum_all(mul(w, w))
-            l2 = pick(log_softmax(w), 1)
+            l2 = span_loss(w, mul(w, w), Span(1, 2))
             return l1, l2
 
         w = param(values)
@@ -166,7 +198,7 @@ class TestBackward:
             x = param(rng.uniform(-10, 10, size=6))
             y = param(rng.uniform(-10, 10, size=6))
             loss = sum_all(mul(x, y))
-            loss = add(loss, pick(log_softmax(add(x, y)), 2))
+            loss = add(loss, span_loss(add(x, y), mul(x, y), Span(2, 4)))
             backward(loss)
             assert np.all(np.isfinite(x.grad))
             assert np.all(np.isfinite(y.grad))
@@ -191,9 +223,14 @@ class TestGradCheck:
         grad_check(lambda: sum_all(mul(theta, theta)), [theta])
         assert theta.data == pytest.approx(before, abs=0)
 
+    def test_non_contiguous_parameter(self):
+        # Fortran order: reshape(-1) of this array is a copy, not a view.
+        theta = param(np.asfortranarray(np.arange(1.0, 7.0).reshape(2, 3)))
+        assert not theta.data.flags.c_contiguous
+        assert grad_check(lambda: sum_all(mul(theta, theta)), [theta]) < 1e-8
 
-OPS = ["add", "mul", "scale", "matmul_22", "matmul_21", "matmul_12", "matmul_11",
-       "concat", "pick", "embed_rows", "log_softmax", "broadcast"]
+
+OPS = ["add", "mul", "scale", "matmul_21", "concat", "embed_rows", "span_loss", "broadcast"]
 
 
 def square_sum(t):
@@ -213,30 +250,20 @@ def build_op_loss(name, rng):
     if name == "scale":
         a = param(v(4))
         return lambda: sum_all(scale(a, -1.7)), [a]
-    if name == "matmul_22":
-        a, b = param(v(2, 3)), param(v(3, 2))
-        return lambda: square_sum(matmul(a, b)), [a, b]
     if name == "matmul_21":
         a, b = param(v(2, 3)), param(v(3))
-        return lambda: square_sum(matmul(a, b)), [a, b]
-    if name == "matmul_12":
-        a, b = param(v(3)), param(v(3, 2))
-        return lambda: square_sum(matmul(a, b)), [a, b]
-    if name == "matmul_11":
-        a, b = param(v(3)), param(v(3))
         return lambda: square_sum(matmul(a, b)), [a, b]
     if name == "concat":
         a, b = param(v(2)), param(v(3))
         return lambda: square_sum(concat([a, b])), [a, b]
-    if name == "pick":
-        a = param(v(4))
-        return lambda: mul(pick(a, 2), pick(a, 2)), [a]
     if name == "embed_rows":
         a = param(v(4, 2))
         return lambda: square_sum(embed_rows(a, [0, 2, 2, 3])), [a]
-    if name == "log_softmax":
-        a = param(v(5))
-        return lambda: pick(log_softmax(a), 1), [a]
+    if name == "span_loss":
+        a, b = param(v(5)), param(v(5))
+        start = int(rng.integers(0, 5))
+        gold = Span(start, int(rng.integers(start, 5)))
+        return lambda: span_loss(a, b, gold), [a, b]
     if name == "broadcast":
         a, b = param(v(4)), param(v(1))
         return lambda: sum_all(mul(add(a, b), b)), [a, b]

@@ -60,10 +60,6 @@ class TestRandomTokenMask:
     def test_default_rate(self):
         assert RANDOM_MASK_RATE == 0.15
 
-    def test_tag(self):
-        d = random_token_mask(chunk_of("a b"), rng=np.random.default_rng(0))
-        assert d.produced_by == "random15"
-
     def test_rate_out_of_range(self):
         for rate in (-0.1, 1.1):
             with pytest.raises(InvalidRateError):

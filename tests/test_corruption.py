@@ -53,7 +53,7 @@ class TestCorrupt:
 
     def test_decision_vector(self, vocab):
         c = chunk_of("a b c d", vocab)
-        d = MaskDecisions(np.array([True, False, False, True]), "random15")
+        d = MaskDecisions(np.array([True, False, False, True]))
         ex = corrupt(c, d)
         assert ex.input_ids == (MASK_ID, 4, 5, MASK_ID)
         assert ex.masked_positions == (0, 3)
@@ -61,7 +61,7 @@ class TestCorrupt:
 
     def test_empty_decision_keeps_chunk(self, vocab):
         c = chunk_of("a b", vocab)
-        ex = corrupt(c, MaskDecisions(np.zeros(2, dtype=bool), "random15"))
+        ex = corrupt(c, MaskDecisions(np.zeros(2, dtype=bool)))
         assert ex.input_ids == (3, 4)
         assert ex.masked_positions == ()
 
@@ -83,7 +83,7 @@ class TestCorrupt:
     def test_wrong_length_decisions(self, vocab):
         c = chunk_of("a b c", vocab)
         with pytest.raises(SpanOutOfBoundsError):
-            corrupt(c, MaskDecisions(np.zeros(2, dtype=bool), "random15"))
+            corrupt(c, MaskDecisions(np.zeros(2, dtype=bool)))
 
     @given(st.integers(2, 30), st.data())
     @settings(max_examples=200)
@@ -110,7 +110,7 @@ class TestCorrupt:
                 # Past the end, the vector grows to hold the span.
                 mask = np.zeros(max(n, end + 1), dtype=bool)
                 mask[start:end + 1] = True
-                decisions = (Span(start, end), MaskDecisions(mask, "span"))
+                decisions = (Span(start, end), MaskDecisions(mask))
                 if end >= n:
                     for d in decisions:
                         with pytest.raises(SpanOutOfBoundsError):

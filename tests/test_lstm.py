@@ -36,12 +36,10 @@ def seq(steps, requires_grad=False):
 
 def longest_first(data, lengths):
     """A (T, B, D) batch's data columns and lengths, reordered together
-    longest first by a stable sort, the row order lstm_sequence takes.
-    The data comes back C-contiguous, because grad_check perturbs a
-    tensor through a flat view of it."""
+    longest first by a stable sort, the row order lstm_sequence takes."""
     lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
-    return np.ascontiguousarray(data[:, order]), lengths[order]
+    return data[:, order], lengths[order]
 
 
 def run(xs, params, reverse=False):
