@@ -230,7 +230,8 @@ class TestGradCheck:
         assert grad_check(lambda: sum_all(mul(theta, theta)), [theta]) < 1e-8
 
 
-OPS = ["add", "mul", "scale", "matmul_21", "concat", "embed_rows", "span_loss", "broadcast"]
+OPS = ["add", "mul", "scale", "matmul_21", "concat", "embed_rows", "span_loss",
+       "span_loss_shared_head", "broadcast"]
 
 
 def square_sum(t):
@@ -264,6 +265,12 @@ def build_op_loss(name, rng):
         start = int(rng.integers(0, 5))
         gold = Span(start, int(rng.integers(start, 5)))
         return lambda: span_loss(a, b, gold), [a, b]
+    if name == "span_loss_shared_head":
+        # One tensor feeds both heads, so its gradient sums both picks.
+        a = param(v(5))
+        start = int(rng.integers(0, 5))
+        gold = Span(start, int(rng.integers(start, 5)))
+        return lambda: span_loss(a, a, gold), [a]
     if name == "broadcast":
         a, b = param(v(4)), param(v(1))
         return lambda: sum_all(mul(add(a, b), b)), [a, b]
