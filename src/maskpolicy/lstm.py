@@ -15,8 +15,15 @@ rows [input, forget, candidate, output], each block of H rows:
 
 W is split at call time into its x columns W_x (4H, D) and h columns
 W_h (4H, H). As in cuDNN (Appleyard et al., arXiv 1604.01946), the
-input projections x_t @ W_x^T + b of all T*B rows are one GEMM before
-the loop, and only h @ W_h^T and the gate math run per step.
+input projections x_t @ W_x^T + b are one GEMM before the loop, and
+only h @ W_h^T and the gate math run per step. The GEMM runs over all
+T*B rows of x, or, when the input is given as U distinct rows plus a
+(T, B) index into them, over those U rows once: each step then gathers
+its live rows' pre-activations from the (U, 4H) table, so a row that
+repeats in the batch, the padding's row included, is projected once.
+That form exists for embedded tokens, which repeat, and runs only
+without a tape: a taped version would need a segmented-sum backward,
+and training batches hold few repeats.
 
 The op computes sigmoid(a) as (1 + tanh(a/2))/2, which is bounded for
 every input. The halving is folded into the weights: the i, f and o
@@ -51,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _wrap, concat, grad_enabled
-from .errors import ShapeMismatchError
+from .errors import MaskPolicyError, ShapeMismatchError
 
 
 @dataclass
@@ -83,25 +90,41 @@ def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = False) -> Tensor:
+def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = False,
+                  index=None) -> Tensor:
     """Hidden state at every step of one direction: (T, B, D) -> (T, B, H).
 
     The rows come longest first: lengths must not increase from one row
     to the next. Steps at or past lengths[b] are padding: they neither
-    read nor write row b's state, and their outputs are zero."""
+    read nor write row b's state, and their outputs are zero.
+
+    With `index`, x holds U distinct input rows (U, D) and index is a
+    (T, B) integer array naming the row each position reads; the output
+    equals that of x[index], bit for bit. This form records no tape, so
+    it is rejected when a gradient would be needed."""
     hid = params.hidden_size
     W, b = params.W, params.b
     if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],):
         raise ShapeMismatchError("lstm_sequence(W vs b)", W.shape, b.shape)
-    if x.ndim != 3 or x.shape[2] != params.input_size:
+    if x.ndim != (3 if index is None else 2) or x.shape[-1] != params.input_size:
         raise ShapeMismatchError("lstm_sequence(x vs W)", x.shape, W.shape)
-    T, B, D = x.shape
+    if index is None:
+        T, B, D = x.shape
+    else:
+        index = np.asarray(index, dtype=np.intp)
+        if index.ndim != 2 or index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+            raise ShapeMismatchError(f"lstm_sequence(index within [0, {x.shape[0]}))",
+                                     index.shape, x.shape)
+        (T, B), D = index.shape, x.shape[1]
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (B,) or B == 0 or lengths.min() < 0 or lengths.max() > T:
-        raise ShapeMismatchError(f"lstm_sequence(lengths within [0, {T}])", lengths.shape, x.shape)
+        raise ShapeMismatchError(f"lstm_sequence(lengths within [0, {T}])", lengths.shape, (T, B))
     if np.any(lengths[1:] > lengths[:-1]):
-        raise ShapeMismatchError("lstm_sequence(lengths longest first)", lengths.shape, x.shape)
+        raise ShapeMismatchError("lstm_sequence(lengths longest first)", lengths.shape, (T, B))
     record = grad_enabled() and (x.requires_grad or W.requires_grad or b.requires_grad)
+    if record and index is not None:
+        raise MaskPolicyError("lstm_sequence with an index of distinct rows records no tape; "
+                              "gather the rows or run under no_grad")
 
     # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
     live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
@@ -111,10 +134,23 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
     w_h_t = np.ascontiguousarray(W.data[:, D:].T)
     w_h_t *= scale
 
-    # Pre-activations of every step; each step's live rows are turned into
-    # their gate activations in place, so afterwards this array holds the gates.
-    gates = (x.data.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
-    gates += b.data * scale
+    if index is None:
+        # Pre-activations of every step; each step's live rows are turned into
+        # their gate activations in place, so afterwards this array holds the gates.
+        gates = (x.data.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
+        gates += b.data * scale
+    else:
+        # Pre-activations of each distinct row. A product of one or two rows
+        # rounds differently from a wider one (see the loop), so the rows are
+        # padded with a repeat to as many as T*B gathered rows would give, up
+        # to three; from three rows on, a row's values do not depend on how
+        # many share its product.
+        rows = x.data
+        short = min(3, T * B) - len(rows)
+        if short > 0:
+            rows = np.concatenate([rows, np.repeat(rows[:1], short, axis=0)])
+        table = rows @ w_x.T
+        table += b.data * scale
     out = np.zeros((T, B, hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
@@ -124,7 +160,10 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         n = live[t]
         if not n:
             continue
-        z = gates[t, :n]
+        if index is None:
+            z = gates[t, :n]
+        else:
+            z = table[index[t, :n]]
         if prev is not None:
             # numpy runs a one-row product through gemv, which rounds
             # differently from gemm; a lone live row of a wider batch rides in
@@ -206,8 +245,9 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
     return _wrap(out, (x, W, b), backward)
 
 
-def bilstm_sequence(x: Tensor, lengths, fwd: LstmCellParams, bwd: LstmCellParams) -> Tensor:
+def bilstm_sequence(x: Tensor, lengths, fwd: LstmCellParams, bwd: LstmCellParams,
+                    index=None) -> Tensor:
     """Bidirectional layer, (T, B, D) -> (T, B, 2H): per step, the forward
-    state followed by the reverse state."""
-    return concat([lstm_sequence(x, lengths, fwd),
-                   lstm_sequence(x, lengths, bwd, reverse=True)])
+    state followed by the reverse state. `index` is as in lstm_sequence."""
+    return concat([lstm_sequence(x, lengths, fwd, index=index),
+                   lstm_sequence(x, lengths, bwd, reverse=True, index=index)])

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, add, embed_rows, matmul, no_grad, reshape
+from .autodiff import Tensor, add, embed_rows, grad_enabled, matmul, no_grad, reshape
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
@@ -133,7 +133,7 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
         raise EmptySequenceError("policy forward on empty sequence")
     if len(ids) > max_input_len:
         raise SequenceTooLongError(f"sequence length {len(ids)} exceeds limit {max_input_len}")
-    if any(i < 0 or i >= params.vocab_size for i in ids):
+    if min(ids) < 0 or max(ids) >= params.vocab_size:
         raise ShapeMismatchError("forward(ids)", (len(ids),), params.embedding.shape)
     return ids
 
@@ -141,14 +141,25 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
 def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, Tensor]:
     """Start and end logits of a padded batch, each flat (T*B,) in
     time-major order. The sequences come longest first. Logits at padded
-    positions are meaningless."""
+    positions are meaningless.
+
+    Without a tape, the first layer reads each distinct id of the padded
+    batch once: it gets those embedding rows plus the (T, B) index into
+    them, so a token repeated in the batch is embedded and projected once.
+    On the tape it reads the gathered (T, B, d_emb) embeddings, whose
+    backward scatters into the embedding table."""
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     T, B = int(lengths.max()), len(seqs)
     ids = np.zeros((T, B), dtype=np.intp)
     for b, seq in enumerate(seqs):
         ids[:len(seq), b] = seq
-    embedded = reshape(embed_rows(params.embedding, ids.reshape(-1)), (T, B, params.d_emb))
-    layer1 = bilstm_sequence(embedded, lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"))
+    index = None
+    if grad_enabled():
+        x = reshape(embed_rows(params.embedding, ids.reshape(-1)), (T, B, params.d_emb))
+    else:
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        x, index = embed_rows(params.embedding, distinct), inverse.reshape(T, B)
+    layer1 = bilstm_sequence(x, lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"), index)
     layer2 = bilstm_sequence(layer1, lengths, params.cell("lstm2.fwd"), params.cell("lstm2.bwd"))
     hidden = reshape(layer2, (T * B, 2 * params.d_h))
     weights = params.tensors
@@ -168,8 +179,10 @@ def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_IN
     """Inference-only forward over several id sequences at once, as one
     padded batch with no tape. The sequences may come in any order: the
     batch is sorted once, longest first (a stable sort), as the LSTM op
-    requires. Returns (start_logits, end_logits) per sequence, in input
-    order, each as long as its sequence."""
+    requires. The first layer embeds and projects each distinct id of the
+    batch once (see _batch_logits); the logits are bit for bit those of
+    projecting every position. Returns (start_logits, end_logits) per
+    sequence, in input order, each as long as its sequence."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         return []
@@ -234,8 +247,9 @@ def top_k_spans(start_logits, end_logits, k: int,
 
     i, j = span_band(m, max_span_len)
     score = start[i] + end[j]
-    # lexsort sorts by its last key first: score descending, then i, then j.
-    order = np.lexsort((j, i, -score))[:k]
+    # The band is row-major, so a stable sort of the scores alone breaks
+    # ties by i, then j.
+    order = np.argsort(-score, kind="stable")[:k]
     return [ScoredSpan(Span(int(i[t]), int(j[t])), float(score[t])) for t in order]
 
 

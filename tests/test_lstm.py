@@ -9,7 +9,7 @@ import masked_lstm_oracle
 from scalar_oracle import lstm_direction
 
 from maskpolicy.autodiff import Tensor, backward, concat, grad_check, mul, no_grad, sum_all
-from maskpolicy.errors import NonFiniteError, ShapeMismatchError
+from maskpolicy.errors import MaskPolicyError, NonFiniteError, ShapeMismatchError
 from maskpolicy.lstm import LstmCellParams, bilstm_sequence, lstm_sequence
 from maskpolicy.policy import init_policy_params
 
@@ -280,6 +280,60 @@ class TestBilstm:
             assert not params.b.data.any()
             assert params.hidden_size == 3
             assert params.input_size == input_size
+
+
+class TestDistinctRows:
+    """Distinct input rows plus a (T, B) index against the gathered batch.
+
+    At the deploy width (D = H = 128) a product of one or two rows rounds
+    differently from a wider one, so batches with fewer than three
+    distinct rows check that the op never projects them in a smaller
+    product than the gathered rows would run in."""
+
+    @staticmethod
+    def case(n_rows, T, B):
+        """Weights, n_rows distinct rows, a (T, B) index using every one of
+        them, and ragged lengths, longest first."""
+        rng = np.random.default_rng(1000 * n_rows + 10 * T + B)
+        params = random_params(rng, 128, 128)
+        rows = rng.uniform(-1, 1, size=(n_rows, 128))
+        index = rng.permutation(np.arange(T * B) % n_rows).reshape(T, B)
+        lengths = np.sort(rng.integers(1, T + 1, size=B))[::-1].copy()
+        lengths[0] = T
+        return params, rows, index, lengths
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 32])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 40])
+    def test_bit_identical_to_gathered_input(self, n_rows, B):
+        for T in (1, 2, 3, 9):
+            if n_rows > T * B:
+                continue
+            params, rows, index, lengths = self.case(n_rows, T, B)
+            with no_grad():
+                for reverse in (False, True):
+                    want = lstm_sequence(Tensor(rows[index]), lengths, params, reverse).data
+                    got = lstm_sequence(Tensor(rows), lengths, params, reverse, index=index).data
+                    np.testing.assert_array_equal(got, want)
+                both = bilstm_sequence(Tensor(rows), lengths, params, params, index=index).data
+                np.testing.assert_array_equal(
+                    both, bilstm_sequence(Tensor(rows[index]), lengths, params, params).data)
+
+    @pytest.mark.parametrize("index", [[[0, 2]], [[-1, 0]], [0, 1], [[[0]]]])
+    def test_index_must_name_rows_as_a_matrix(self, index):
+        params = zero_params(2, 2)
+        with no_grad(), pytest.raises(ShapeMismatchError):
+            lstm_sequence(Tensor(np.zeros((2, 2))), [1, 1], params, index=index)
+
+    def test_rows_must_be_a_matrix(self):
+        params = zero_params(2, 2)
+        with no_grad(), pytest.raises(ShapeMismatchError):
+            lstm_sequence(Tensor(np.zeros((1, 2, 2))), [1, 1], params, index=[[0, 0]])
+
+    def test_rejected_on_the_tape(self):
+        # the index form has no backward; a taped call must gather the rows
+        params = zero_params(2, 2)
+        with pytest.raises(MaskPolicyError):
+            lstm_sequence(Tensor(np.zeros((2, 2))), [1, 1], params, index=[[0, 1]])
 
 
 def oracle_case(rng, max_h=8, max_d=8, max_t=12, max_b=9):

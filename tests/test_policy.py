@@ -164,6 +164,41 @@ class TestScoreBatch:
             score_batch(params, [[1, 2], []])
         with pytest.raises(SequenceTooLongError):
             score_batch(params, [[1], [2] * 9], max_input_len=8)
+        for bad in (-1, params.vocab_size):
+            ids = [1] * 90 + [bad] + [2] * 37
+            with pytest.raises(ShapeMismatchError):
+                score_batch(params, [[1, 2], ids])
+
+
+def gathered_logits(params, batch):
+    """score_batch's logits as the taped path computes them: it embeds
+    and projects every padded position instead of each distinct id once."""
+    order = np.argsort([-len(s) for s in batch], kind="stable")
+    start, end = policy._batch_logits(params, [batch[b] for b in order])
+    B = len(batch)
+    start, end = start.data.reshape(-1, B), end.data.reshape(-1, B)
+    got = {b: (start[:len(batch[b]), c], end[:len(batch[b]), c]) for c, b in enumerate(order)}
+    return [got[b] for b in range(B)]
+
+
+class TestDistinctIds:
+    """score_batch projects each distinct id of a batch once. At the
+    deploy width a product of one or two rows rounds differently from a
+    wider one, so the batches with one or two distinct ids (the padding's
+    id 0 counts) pin that the first layer never runs such a product where
+    the gathered batch would not."""
+
+    @pytest.mark.parametrize("batch", [[[7]], [[7, 7]], [[7, 7, 7]], [[5, 6], [5]], "deploy"])
+    def test_logits_equal_the_gathered_batch(self, batch):
+        params = init_policy_params(300, 128, 128, seed=31)
+        if batch == "deploy":
+            rng = np.random.default_rng(32)
+            lengths = rng.permutation([128] * 28 + [77, 40, 101, 12])
+            batch = [[int(t) for t in rng.zipf(1.3, size=n) % 300] for n in lengths]
+        for (start, end), (want_start, want_end) in zip(score_batch(params, batch),
+                                                         gathered_logits(params, batch)):
+            np.testing.assert_array_equal(start, want_start)
+            np.testing.assert_array_equal(end, want_end)
 
 
 class TestTopKSpans:
@@ -229,6 +264,23 @@ class TestTopKSpans:
             top_k_spans(np.zeros(2), np.zeros(2), k=0, max_span_len=2)
         with pytest.raises(InvalidOptionError):
             top_k_spans(np.zeros(2), np.zeros(2), k=1, max_span_len=0)
+
+    @pytest.mark.parametrize("logits", ["rounded", "equal"])
+    def test_order_matches_a_lexsort_on_score_start_end(self, logits):
+        # the tie rule spelled out: score descending, then i, then j
+        rng = np.random.default_rng(12)
+        for m in range(1, 60):
+            for max_span_len in range(1, 14):
+                if logits == "rounded":
+                    start = np.round(rng.normal(size=m), 1)
+                    end = np.round(rng.normal(size=m), 1)
+                else:
+                    start = end = np.full(m, 0.25)
+                i, j = span_band(m, max_span_len)
+                score = start[i] + end[j]
+                want = np.lexsort((j, i, -score))
+                got = top_k_spans(start, end, len(i), max_span_len)
+                assert [(s.span.start, s.span.end) for s in got] == list(zip(i[want], j[want]))
 
     def test_scores_descend(self):
         rng = np.random.default_rng(4)
