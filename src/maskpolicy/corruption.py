@@ -8,7 +8,6 @@ distributed over worker processes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass, field
@@ -50,8 +49,8 @@ from .policy import (
     TOP5_POOL,
     PolicyParams,
     Proposer,
-    learned_proposer,
     score_batch,
+    score_batches,
     select_span,
     top_k_spans,
 )
@@ -61,11 +60,6 @@ POLICY_RANDOM15 = "random15"
 POLICY_RANDOM_SPAN = "randomspan"
 POLICY_SALIENT = "salient"
 POLICY_LEARNED = "learned"
-
-# Chunks the learned policy scores as one padded BiLSTM pass. At
-# d = 128, one worker's throughput is flat from 16 to 64 chunks and
-# half as high at 1 (sweep in CHANGES.md).
-SCORE_BATCH = 32
 
 # Baseline documents a pool worker takes per task; a learned batch is a
 # task of its own. At one document a task the messages cost more than
@@ -245,12 +239,13 @@ class PolicyKind:
     `select(chunk, spec, rng, logits)` returns the chunk's mask decisions
     and whether a fallback produced them; `logits` are the learned
     policy's scores for the chunk, None for the others. `proposer(spec)`
-    builds the ranked-span proposer that evaluation scores, or is None
-    for a kind that proposes no spans."""
+    gives what evaluation scores: a ranked-span proposer, or for the
+    learned kind its parameters, which evaluation scores in batches. It
+    is None for a kind that proposes no spans."""
 
     select: Callable[[Chunk, PolicySpec, np.random.Generator, tuple | None],
                      tuple[MaskDecisions | Span, bool]]
-    proposer: Callable[[PolicySpec], Proposer] | None = None
+    proposer: Callable[[PolicySpec], Proposer | PolicyParams] | None = None
 
 
 # Every policy kind. Salient differs between the two roles on purpose:
@@ -270,17 +265,8 @@ POLICIES: dict[str, PolicyKind] = {
         proposer=lambda spec: salient_proposer(spec.max_span_len)),
     POLICY_LEARNED: PolicyKind(
         select=_select_learned,
-        proposer=lambda spec: learned_proposer(
-            spec.params, spec.max_span_len, spec.max_input_len)),
+        proposer=lambda spec: spec.params),
 }
-
-
-def _iter_chunk_batches(docs: list[tuple[str, str]], vocab: Vocab, chunk_len: int):
-    """Batches of SCORE_BATCH chunks, cut from the corpus's chunk stream."""
-    chunks = (chunk for doc_id, text in docs
-              for chunk in chunk_document(tokenize(text, vocab), chunk_len, doc_id=doc_id))
-    while batch := list(itertools.islice(chunks, SCORE_BATCH)):
-        yield batch
 
 
 def _mask_job(job, vocab: Vocab, spec: PolicySpec, chunk_len: int, global_seed: int
@@ -354,9 +340,9 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
                 workers: int = 1) -> tuple[list[MaskedExample], MaskSummary]:
     """Deploy a policy over a corpus; deterministic in `workers`.
 
-    The learned policy scores chunks in batches of SCORE_BATCH, cut from
-    the corpus's chunk stream in order, so the makeup of every batch,
-    and with it every score, is the same for any worker count. The
+    The learned policy scores chunks in batches of policy.SCORE_BATCH,
+    cut from the corpus's chunk stream in order, so the makeup of every
+    batch, and with it every score, is the same for any worker count. The
     baselines work one document at a time: holding a batch of chunks
     would only keep their token objects alive longer."""
     spec.validate()
@@ -369,7 +355,9 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     _check_distinct_file_names(corpus_paths)
     docs = iter_documents(corpus_paths)
     if spec.kind == POLICY_LEARNED:
-        jobs = _iter_chunk_batches(docs, vocab, chunk_len)
+        jobs = score_batches(
+            chunk for doc_id, text in docs
+            for chunk in chunk_document(tokenize(text, vocab), chunk_len, doc_id=doc_id))
     else:
         jobs = docs
     args = (vocab, spec, chunk_len, global_seed)

@@ -2,9 +2,10 @@
 and measure how often masked corpus spans line up with known answers.
 
 A policy is evaluated through a proposer: a callable that, given a
-chunk, returns up to k candidate spans in rank order. Exact match at 1
-and at 5, and token-level F1 of the top candidate, are averaged over
-the dataset.
+chunk, returns up to k candidate spans in rank order. The learned
+policy is evaluated from its parameters instead: its windows are scored
+in padded batches and ranked by top_k_spans. Exact match at 1 and at 5,
+and token-level F1 of the top candidate, are averaged over the dataset.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .policy import (
     DEFAULT_MAX_SPAN_LEN,
     PolicyParams,
     Proposer,
-    learned_proposer,
+    score_batch,
+    score_batches,
+    top_k_spans,
 )
 from .seeding import derive_rng
 from .training import prepare_example
@@ -91,25 +94,21 @@ def span_hit_metrics(policy: PolicyParams | Proposer,
                      max_span_len: int = DEFAULT_MAX_SPAN_LEN,
                      max_input_len: int = DEFAULT_MAX_INPUT_LEN,
                      seed: int = 0) -> PolicyReport:
-    """EM@1, EM@5, and top-1 token F1 of a proposer against gold spans."""
+    """EM@1, EM@5, and top-1 token F1 of a proposer, or of the learned
+    policy's parameters, against gold spans."""
     if not dataset:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
     if max_span_len < 1:
         raise InvalidOptionError(f"max_span_len must be >= 1, got {max_span_len}")
+    windows = [prepare_example(ex, max_input_len) for ex in dataset]
     if isinstance(policy, PolicyParams):
-        proposer = learned_proposer(policy, max_span_len, max_input_len)
+        ranked = _learned_candidates(policy, windows, max_span_len, max_input_len)
     else:
-        proposer = policy
+        ranked = _proposed_candidates(policy, dataset, windows, seed)
     em1 = 0
     em5 = 0
     f1_total = 0.0
-    for idx, ex in enumerate(dataset):
-        ids, gold = prepare_example(ex, max_input_len)
-        lo = ex.answer_span.start - gold.start
-        window = ex.context_tokens.slice(lo, lo + len(ids))
-        chunk = Chunk(window, doc_id="eval", chunk_index=idx)
-        rng = derive_rng(seed, "eval", idx)
-        candidates = proposer(chunk, REPORT_K, rng)[:REPORT_K]
+    for (_, gold), candidates in zip(windows, ranked):
         if candidates:
             if candidates[0] == gold:
                 em1 += 1
@@ -125,6 +124,26 @@ def span_hit_metrics(policy: PolicyParams | Proposer,
         answer_coverage=None,
         n_examples=n,
     )
+
+
+def _learned_candidates(params: PolicyParams, windows, max_span_len: int,
+                        max_input_len: int):
+    """Each window's top REPORT_K spans, in dataset order; the windows
+    are scored in batches cut from that order."""
+    for batch in score_batches(windows):
+        for start, end in score_batch(params, [ids for ids, _ in batch], max_input_len):
+            yield [c.span for c in top_k_spans(start, end, REPORT_K, max_span_len)]
+
+
+def _proposed_candidates(proposer: Proposer, dataset: list[AnchorExample], windows,
+                         seed: int):
+    """The proposer's first REPORT_K spans for each window, in dataset
+    order, each drawn with the window's own seeded stream."""
+    for idx, (ex, (ids, gold)) in enumerate(zip(dataset, windows)):
+        lo = ex.answer_span.start - gold.start
+        chunk = Chunk(ex.context_tokens.slice(lo, lo + len(ids)), doc_id="eval",
+                      chunk_index=idx)
+        yield proposer(chunk, REPORT_K, derive_rng(seed, "eval", idx))[:REPORT_K]
 
 
 def _norm_token_list(texts) -> list[str]:

@@ -10,8 +10,9 @@ pairing a strong start with a far-away strong end.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +31,12 @@ from .lstm import LstmCellParams, bilstm_sequence
 DEFAULT_MAX_INPUT_LEN = 128
 DEFAULT_MAX_SPAN_LEN = 10
 EMBED_INIT_BOUND = 0.1
+
+# Sequences scored as one padded BiLSTM pass, by the learned deploy,
+# validation and evaluation alike. At d = 128, one worker's throughput
+# is flat from 16 to 64 chunks and half as high at 1 (sweep in
+# CHANGES.md).
+SCORE_BATCH = 32
 
 # A proposer maps (chunk, k, rng) to at most k spans, best first; it is
 # how evaluation sees a policy.
@@ -197,6 +204,15 @@ def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_IN
             for s, c in zip(seqs, column.tolist())]
 
 
+def score_batches(items: Iterable) -> Iterator[list]:
+    """Consecutive batches of SCORE_BATCH items, the last possibly
+    shorter, cut from `items` in order: the makeup of every batch, and
+    with it every score, depends only on the order of the items."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, SCORE_BATCH)):
+        yield batch
+
+
 def score_positions(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Inference-only forward of one sequence: plain arrays, no tape."""
@@ -264,15 +280,3 @@ def select_span(candidates: list[ScoredSpan], mode: str, rng: np.random.Generato
         pool = min(TOP5_POOL, len(candidates))
         return candidates[int(rng.integers(0, pool))].span
     raise InvalidOptionError(f"unknown selection mode: {mode!r}")
-
-
-def learned_proposer(params: PolicyParams,
-                     max_span_len: int = DEFAULT_MAX_SPAN_LEN,
-                     max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> Proposer:
-    def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
-        start_logits, end_logits = score_positions(
-            params, chunk.tokens.ids, max_input_len=max_input_len)
-        return [c.span for c in
-                top_k_spans(start_logits, end_logits, k, max_span_len)]
-
-    return propose

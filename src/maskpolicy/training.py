@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, add, backward, clip_grad_norm, grad_check, no_grad, scale
+from .autodiff import Tensor, _wrap, add, backward, clip_grad_norm, grad_check, scale
 from .corpus import AnchorExample, Span
 from .errors import (
     EmptyDatasetError,
@@ -31,6 +31,8 @@ from .policy import (
     PolicyParams,
     forward,
     init_policy_params,
+    score_batch,
+    score_batches,
 )
 
 
@@ -91,21 +93,28 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z)))
 
 
-def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
-    """Cross entropy of the gold start plus cross entropy of the gold end,
-    as one tape node whose parents are the two logits tensors.
-
-    With lp = log_softmax(logits) for each head, the loss is
-    -lp_start[gold.start] - lp_end[gold.end]. Given the upstream gradient
-    g, each head's gradient is exp(lp) * g, minus g at its gold index."""
+def _span_nll(start_logits: np.ndarray, end_logits: np.ndarray, gold: Span
+              ) -> tuple[np.float64, np.ndarray, np.ndarray]:
+    """The span loss -lp_start[gold.start] - lp_end[gold.end] of one
+    sequence's logits, where lp = log_softmax(logits) for each head,
+    returned with lp_start and lp_end."""
     if (start_logits.ndim != 1 or start_logits.size == 0
             or end_logits.shape != start_logits.shape):
         raise ShapeMismatchError("span_loss", start_logits.shape, end_logits.shape)
     n = start_logits.size
     if gold.start >= n or gold.end >= n:
         raise SpanOutOfBoundsError(f"gold span ({gold.start}, {gold.end}) outside length {n}")
-    lp_start = _log_softmax(start_logits.data)
-    lp_end = _log_softmax(end_logits.data)
+    lp_start = _log_softmax(start_logits)
+    lp_end = _log_softmax(end_logits)
+    return -lp_start[gold.start] - lp_end[gold.end], lp_start, lp_end
+
+
+def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
+    """Cross entropy of the gold start plus cross entropy of the gold end
+    (see _span_nll), as one tape node whose parents are the two logits
+    tensors. Given the upstream gradient g, each head's gradient is
+    exp(lp) * g, minus g at its gold index."""
+    loss, lp_start, lp_end = _span_nll(start_logits.data, end_logits.data, gold)
 
     def backward(g):
         g_start = np.exp(lp_start) * g
@@ -114,7 +123,7 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
         g_end[gold.end] -= g
         return g_start, g_end
 
-    return _wrap(-lp_start[gold.start] - lp_end[gold.end], (start_logits, end_logits), backward)
+    return _wrap(loss, (start_logits, end_logits), backward)
 
 
 def truncate_around_answer(n_tokens: int, gold: Span, max_len: int) -> tuple[int, int]:
@@ -142,10 +151,14 @@ def prepare_example(ex: AnchorExample, max_len: int) -> tuple[tuple[int, ...], S
 
 def validation_loss(params: PolicyParams, prepared: list[tuple[tuple[int, ...], Span]],
                     max_input_len: int) -> float:
+    """Mean span loss over prepared (ids, gold) windows. They are scored
+    in batches cut from dataset order, and the per-window losses are
+    summed in that order."""
     total = 0.0
-    with no_grad():
-        for ids, gold in prepared:
-            total += span_loss(*forward(params, ids, max_input_len), gold).item()
+    for batch in score_batches(prepared):
+        logits = score_batch(params, [ids for ids, _ in batch], max_input_len)
+        for (start, end), (_, gold) in zip(logits, batch):
+            total += float(_span_nll(start, end, gold)[0])
     return total / len(prepared)
 
 

@@ -19,7 +19,7 @@ from maskpolicy.baselines import (
     salient_spans,
 )
 from maskpolicy.checkpoint import save_checkpoint
-from maskpolicy import corruption
+from maskpolicy import policy
 from maskpolicy.cli import main
 from maskpolicy.corpus import (
     Chunk,
@@ -301,10 +301,10 @@ def test_deterministic_deployment(capsys, tmp_path_factory,
     save_checkpoint(ckpt, params, vocab,
                     hyperparameters=SENTINEL_CFG.hyperparameters())
 
-    def run(label, workers, batch=corruption.SCORE_BATCH):
+    def run(label, workers, batch=policy.SCORE_BATCH):
         out = root / label
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corruption, "SCORE_BATCH", batch)
+            mp.setattr(policy, "SCORE_BATCH", batch)
             code = main(["mask-corpus", "--corpus", str(corpus),
                          "--vocab", str(vocab_path), "--policy", "learned",
                          "--checkpoint", str(ckpt), "--mode", "top5",
@@ -322,7 +322,7 @@ def test_deterministic_deployment(capsys, tmp_path_factory,
     verdict(capsys, "determinism", ok,
             f"byte-identical masked.jsonl+summary.json across repeat runs, "
             f"worker counts 1, 2, 8 and scoring batch sizes 1, 7, "
-            f"{corruption.SCORE_BATCH} in {dt:.1f}s")
+            f"{policy.SCORE_BATCH} in {dt:.1f}s")
 
 
 # --- salient tagger on reference contexts ------------------------------

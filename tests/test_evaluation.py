@@ -11,7 +11,9 @@ from maskpolicy.errors import (
     TooFewReportsError,
     VocabMismatchError,
 )
+from maskpolicy import policy
 from maskpolicy.evaluation import (
+    REPORT_K,
     PolicyReport,
     answer_coverage,
     compare_policies,
@@ -21,7 +23,8 @@ from maskpolicy.evaluation import (
     token_f1,
     write_report,
 )
-from maskpolicy.policy import init_policy_params
+from maskpolicy.policy import init_policy_params, score_positions, top_k_spans
+from maskpolicy.training import prepare_example
 
 from synth import synth_examples, synth_vocab
 
@@ -49,8 +52,6 @@ class TestSpanHitMetrics:
     def test_perfect_proposer_scores_one(self):
         data = synth_examples(10, seed=0)
         golds = {}
-        from maskpolicy.training import prepare_example
-
         for idx, ex in enumerate(data):
             golds[idx] = prepare_example(ex, 24)[1]
 
@@ -88,6 +89,26 @@ class TestSpanHitMetrics:
                                   max_span_len=5, max_input_len=24)
         assert report.n_examples == 6
         assert 0.0 <= report.em_at_5 <= 1.0
+
+    def test_learned_batches_match_one_window_at_a_time(self):
+        # windows of 7 to 16 tokens, some cut around the answer, in more
+        # than one scoring batch
+        data = synth_examples(45, seed=6)
+        assert len(data) > policy.SCORE_BATCH
+        params = init_policy_params(len(synth_vocab()), d_emb=4, d_h=3, seed=5)
+        got = span_hit_metrics(params, data, "learned-top1", max_span_len=4, max_input_len=16)
+        em1 = em5 = 0
+        f1 = 0.0
+        for ex in data:
+            ids, gold = prepare_example(ex, 16)
+            start, end = score_positions(params, ids, max_input_len=16)
+            spans = [c.span for c in top_k_spans(start, end, REPORT_K, 4)]
+            em1 += spans[0] == gold
+            em5 += gold in spans
+            f1 += token_f1(spans[0], gold)
+        assert em1 > 0 and em5 > em1  # this seed scores some hits at both depths
+        n = len(data)
+        assert (got.em_at_1, got.em_at_5, got.token_f1_at_1) == (em1 / n, em5 / n, f1 / n)
 
     def test_deterministic_given_seed(self):
         data = synth_examples(12, seed=4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maskpolicy import policy
+from maskpolicy import corruption, evaluation, policy, training
 from maskpolicy.autodiff import Tensor
 from maskpolicy.errors import (
     EmptySequenceError,
@@ -15,7 +15,8 @@ from maskpolicy.errors import (
     SequenceTooLongError,
     ShapeMismatchError,
 )
-from maskpolicy.corpus import Span
+from maskpolicy.corpus import Span, chunk_document, iter_documents, tokenize
+from maskpolicy.corruption import PolicySpec, mask_corpus
 from maskpolicy.policy import (
     PolicyParams,
     ScoredSpan,
@@ -23,14 +24,17 @@ from maskpolicy.policy import (
     init_policy_params,
     param_shapes,
     score_batch,
+    score_batches,
     score_positions,
     select_span,
     span_band,
     top_k_spans,
 )
-from maskpolicy.training import span_loss
+from maskpolicy.evaluation import span_hit_metrics
+from maskpolicy.training import prepare_example, span_loss, validation_loss
 
 from scalar_oracle import policy_forward, weights_from_params
+from synth import synth_context, synth_examples, synth_vocab
 
 
 def small_params(seed=0, vocab=8, d_emb=3, d_h=2):
@@ -168,6 +172,49 @@ class TestScoreBatch:
             ids = [1] * 90 + [bad] + [2] * 37
             with pytest.raises(ShapeMismatchError):
                 score_batch(params, [[1, 2], ids])
+
+
+class TestScoreBatches:
+    def test_cuts_in_order(self, monkeypatch):
+        monkeypatch.setattr(policy, "SCORE_BATCH", 3)
+        assert list(score_batches(iter(range(7)))) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(score_batches([])) == []
+
+    def test_every_caller_hands_the_scorer_batches_cut_in_order(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(policy, "SCORE_BATCH", 7)
+        batches = []
+
+        def recording_score_batch(params, batch, max_input_len):
+            batches.append([tuple(ids) for ids in batch])
+            return score_batch(params, batch, max_input_len)
+
+        for module in (corruption, training, evaluation):
+            monkeypatch.setattr(module, "score_batch", recording_score_batch)
+
+        def handed(run, expected):
+            batches.clear()
+            run()
+            assert [len(b) for b in batches[:-1]] == [7] * (len(batches) - 1)
+            assert 1 <= len(batches[-1]) <= 7
+            assert [ids for b in batches for ids in b] == [tuple(ids) for ids in expected]
+
+        vocab = synth_vocab()
+        params = init_policy_params(len(vocab), 4, 3, seed=0)
+        rng = np.random.default_rng(8)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(synth_context(rng)[0] + "\n" for _ in range(12)),
+                          encoding="utf-8")
+        spec = PolicySpec(kind="learned", params=params, max_span_len=3, max_input_len=6)
+        chunks = [c.tokens.ids for doc_id, text in iter_documents([corpus])
+                  for c in chunk_document(tokenize(text, vocab), 6, doc_id=doc_id)]
+        assert len(chunks) > 2 * 7
+        handed(lambda: mask_corpus([corpus], vocab, spec, chunk_len=6), chunks)
+
+        windows = [prepare_example(ex, 12) for ex in synth_examples(17, seed=9)]
+        handed(lambda: validation_loss(params, windows, 12), [ids for ids, _ in windows])
+        handed(lambda: span_hit_metrics(params, synth_examples(17, seed=9), "learned",
+                                        max_span_len=3, max_input_len=12),
+               [ids for ids, _ in windows])
 
 
 def gathered_logits(params, batch):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from maskpolicy import policy
 from maskpolicy.corpus import Span
 from maskpolicy.errors import EmptyDatasetError, InvalidOptionError, SequenceTooLongError
+from maskpolicy.policy import forward, init_policy_params
 from maskpolicy.training import (
     EpochRecord,
     TrainConfig,
@@ -101,17 +103,40 @@ class TestTruncation:
         assert ids[gold.start:gold.end + 1] == orig
 
 
+def ragged_windows(n, seed, vocab_size):
+    """n prepared (ids, gold) windows of 5 to 128 tokens, lengths in
+    shuffled order, each with a gold span of at most 10 tokens."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.r_[5, 128, rng.integers(5, 129, size=n)][:n])
+    windows = []
+    for length in lengths.tolist():
+        ids = tuple(int(t) for t in rng.integers(0, vocab_size, size=length))
+        start = int(rng.integers(0, length))
+        end = int(rng.integers(start, min(length, start + 10)))
+        windows.append((ids, Span(start, end)))
+    return windows
+
+
 class TestValidationLoss:
     def test_matches_span_loss_on_singleton(self):
         examples = synth_examples(1, seed=0)
         prep = [prepare_example(examples[0], 24)]
-        from maskpolicy.policy import forward, init_policy_params
-
         params = init_policy_params(len(synth_vocab()), 4, 4, seed=1)
         got = validation_loss(params, prep, max_input_len=24)
         s, e = forward(params, prep[0][0], 24)
         want = span_loss(s, e, prep[0][1]).item()
         assert got == pytest.approx(want, abs=1e-12)
+
+    # more than two batches, an exact multiple of the batch, one window
+    @pytest.mark.parametrize("n", [70, 2 * policy.SCORE_BATCH, 1])
+    def test_ragged_set_matches_mean_span_loss(self, n):
+        params = init_policy_params(50, 4, 4, seed=2)
+        windows = ragged_windows(n, seed=n, vocab_size=50)
+        if n > 1:
+            assert {len(ids) for ids, _ in windows} >= {5, 128}
+        losses = [span_loss(*forward(params, ids, 128), gold).item() for ids, gold in windows]
+        got = validation_loss(params, windows, max_input_len=128)
+        assert got == pytest.approx(sum(losses) / n, abs=1e-12)
 
 
 class TestEpochSelection:
