@@ -171,33 +171,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _wrap(ad @ bd, (a, b), backward)
 
 
-# --- shape ops ------------------------------------------------------------
-
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Join along the last axis; all leading dimensions must agree."""
-    if not tensors:
-        raise ShapeMismatchError("concat", ())
-    lead = tensors[0].shape[:-1]
-    if any(t.ndim == 0 or t.shape[:-1] != lead for t in tensors):
-        raise ShapeMismatchError("concat", *[t.shape for t in tensors])
-    sizes = [t.shape[-1] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, bounds, axis=-1))
-
-    return _wrap(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), backward)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.size:
-        raise ShapeMismatchError(f"reshape to {tuple(shape)}", a.shape)
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _wrap(a.data.reshape(shape), (a,), backward)
-
+# --- gathers ---------------------------------------------------------------
 
 def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows of a (V, d) table; gradients scatter-add back."""

@@ -19,7 +19,7 @@ Loading with a vocabulary verifies the hash so a policy is never
 deployed over ids it was not trained on. Loading checks every tensor's
 encoding, byte count, finiteness and shape against the model's
 parameter table, so a malformed checkpoint fails at load time with a
-MaskPolicyError naming the bad key or parameter.
+MaskPolicyError naming the file and the bad key or parameter.
 """
 
 from __future__ import annotations
@@ -114,22 +114,24 @@ def _field(payload: dict, key: str, kind: type, default=None):
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dict, str]:
     """Returns (params, hyperparameters, vocab_hash); verifies the hash
-    when a vocabulary is supplied."""
+    when a vocabulary is supplied. Every error names `path`."""
     try:
         payload = json.loads(Path(path).read_bytes())
+        if not isinstance(payload, dict):
+            raise MaskPolicyError("does not hold a JSON object")
+        version = payload.get("format_version")
+        if version != FORMAT_VERSION:
+            raise MaskPolicyError(f"unsupported checkpoint format_version: {version!r}")
+        vocab_hash = _field(payload, "vocab_hash", str)
+        if vocab is not None and vocab.content_hash() != vocab_hash:
+            raise VocabMismatchError(
+                f"built for vocab {vocab_hash[:12]}..., got {vocab.content_hash()[:12]}...")
+        hyperparameters = _field(payload, "hyperparameters", dict, default={})
+        raw = _field(payload, "parameters", dict)
+        params = PolicyParams.from_arrays({name: _array(name, entry) for name, entry in raw.items()})
     except UnicodeDecodeError:
         raise UndecodableTextError.locate(path) from None
-    if not isinstance(payload, dict):
-        raise MaskPolicyError(f"checkpoint {path} does not hold a JSON object")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise MaskPolicyError(f"unsupported checkpoint format_version: {version!r}")
-    vocab_hash = _field(payload, "vocab_hash", str)
-    if vocab is not None and vocab.content_hash() != vocab_hash:
-        raise VocabMismatchError(
-            f"checkpoint was built for vocab {vocab_hash[:12]}..., "
-            f"got {vocab.content_hash()[:12]}...")
-    hyperparameters = _field(payload, "hyperparameters", dict, default={})
-    raw = _field(payload, "parameters", dict)
-    params = PolicyParams.from_arrays({name: _array(name, entry) for name, entry in raw.items()})
+    except (MaskPolicyError, json.JSONDecodeError) as e:
+        kind = VocabMismatchError if isinstance(e, VocabMismatchError) else MaskPolicyError
+        raise kind(f"checkpoint {path}: {e}") from None
     return params, hyperparameters, vocab_hash

@@ -84,7 +84,10 @@ def _sha256_file(path) -> str:
 def _load_config(path, command: str) -> dict:
     if path is None:
         return {}
-    obj = json.loads(read_text(path))
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise MaskPolicyError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise MaskPolicyError(f"config file {path} must hold a JSON object")
     defaults = _DEFAULTS[command]
@@ -98,6 +101,9 @@ def _load_config(path, command: str) -> dict:
         if not (type(value) is kind or (kind is float and type(value) is int)):
             raise MaskPolicyError(
                 f"config file {path}: {key} must be of type {kind.__name__}, got {value!r}")
+        # NaN fails this too, and an int too large for a float does not pass.
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise MaskPolicyError(f"config file {path}: {key} must be finite, got {value!r}")
     return obj
 
 
@@ -162,21 +168,32 @@ def _drop_unfittable(examples, max_input_len, name):
     return kept
 
 
-def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> tuple[PolicySpec, dict]:
-    """The --policy spec and its checkpoint's hyperparameters. The learned
-    policy's weights come from --checkpoint, which joins `inputs`; no
-    other policy takes one."""
+def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
+    """The --policy spec. The learned policy's weights come from
+    --checkpoint, which joins `inputs`; no other policy takes one. The
+    spec's max_input_len, the longest window the command scores, may not
+    exceed the input length the checkpoint was trained with, which
+    becomes the spec's limit."""
     spec = PolicySpec(kind=args.policy, **knobs)
     if spec.kind != POLICY_LEARNED:
         if args.checkpoint is not None:
             raise _UsageError(
                 f"{args.command}: --checkpoint is only read by --policy learned")
-        return spec, {}
+        return spec
     if args.checkpoint is None:
         raise _UsageError(f"{args.command}: --checkpoint is required for --policy learned")
     spec.params, hyper, spec.vocab_hash = load_checkpoint(args.checkpoint, vocab)
+    trained_len = hyper.get("max_input_len", spec.max_input_len)
+    if type(trained_len) is not int:
+        raise MaskPolicyError(
+            f"checkpoint {args.checkpoint}: max_input_len is not an integer: {trained_len!r}")
+    if spec.max_input_len > trained_len:
+        raise MaskPolicyError(
+            f"input length {spec.max_input_len} exceeds the policy's input limit of "
+            f"{trained_len} (checkpoint {args.checkpoint})")
+    spec.max_input_len = trained_len
     inputs.append(args.checkpoint)
-    return spec, hyper
+    return spec
 
 
 def _cmd_eval_policy(args, opts) -> _Run:
@@ -187,8 +204,8 @@ def _cmd_eval_policy(args, opts) -> _Run:
           file=sys.stderr)
 
     inputs = [args.dev, args.vocab]
-    spec, _ = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
-                           max_input_len=opts["max_input_len"])
+    spec = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
+                        max_input_len=opts["max_input_len"])
     report = span_hit_metrics(POLICIES[spec.kind].proposer(spec), dev, policy_tag=args.policy,
                               max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],
@@ -203,19 +220,8 @@ def _cmd_mask_corpus(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
-    spec, hyper = _policy_spec(args, vocab, inputs, mode=opts["mode"], rate=opts["rate"],
-                               max_span_len=opts["max_span_len"],
-                               max_input_len=opts["chunk_len"])
-    if spec.params is not None:
-        trained_len = hyper.get("max_input_len", opts["chunk_len"])
-        if type(trained_len) is not int:
-            raise MaskPolicyError(
-                f"checkpoint {args.checkpoint}: max_input_len is not an integer: {trained_len!r}")
-        if opts["chunk_len"] > trained_len:
-            raise MaskPolicyError(
-                f"chunk length {opts['chunk_len']} exceeds the policy's "
-                f"input limit of {trained_len}")
-        spec.max_input_len = trained_len
+    spec = _policy_spec(args, vocab, inputs, mode=opts["mode"], rate=opts["rate"],
+                        max_span_len=opts["max_span_len"], max_input_len=opts["chunk_len"])
 
     examples, summary = mask_corpus(args.corpus, vocab, spec,
                                     chunk_len=opts["chunk_len"],

@@ -1,9 +1,12 @@
-"""Bidirectional LSTM layers as whole-sequence ops on the autodiff tape.
+"""Bidirectional LSTM layers as one whole-sequence op on the autodiff tape.
 
-A batch is time-major and zero-padded: x has shape (T, B, D), and row b
-holds lengths[b] real steps followed by padding. One direction of one
-layer over the whole batch is a single op, `lstm_sequence`, which
-returns the hidden state of every step as a (T, B, H) tensor.
+A batch is time-major and ragged: position (t, b) is step t of row b,
+and row b holds lengths[b] real steps followed by padding. The input is
+U rows (U, D) plus a (T, B) integer index naming the row each position
+reads, so a row that repeats in the batch is stored and projected once.
+`bilstm_sequence` runs one layer over the whole batch and returns every
+position's hidden states as (T*B, 2H) time-major rows: row t*B + b is
+the forward state of (t, b) followed by its reverse state.
 
 Gate layout inside the fused weight matrix W (4H, D + H) is fixed as
 rows [input, forget, candidate, output], each block of H rows:
@@ -15,22 +18,26 @@ rows [input, forget, candidate, output], each block of H rows:
 
 W is split at call time into its x columns W_x (4H, D) and h columns
 W_h (4H, H). As in cuDNN (Appleyard et al., arXiv 1604.01946), the
-input projections x_t @ W_x^T + b are one GEMM before the loop, and
-only h @ W_h^T and the gate math run per step. The GEMM runs over all
-T*B rows of x, or, when the input is given as U distinct rows plus a
-(T, B) index into them, over those U rows once: each step then gathers
-its live rows' pre-activations from the (U, 4H) table, so a row that
-repeats in the batch, the padding's row included, is projected once.
-That form exists for embedded tokens, which repeat, and runs only
-without a tape: a taped version would need a segmented-sum backward,
-and training batches hold few repeats.
+input projections x @ W_x^T + b are one GEMM over the U rows before the
+loop; each step gathers its live rows' pre-activations from that (U, 4H)
+table, and only h @ W_h^T and the gate math run per step.
 
-The op computes sigmoid(a) as (1 + tanh(a/2))/2, which is bounded for
-every input. The halving is folded into the weights: the i, f and o
-rows of W_x, W_h and b are scaled by 1/2 once per call, which is exact
-for a power of two, so each step runs one tanh over all four gates and
-then one scale and one offset, and its values are bit for bit those of
-halving the pre-activations.
+A GEMM's row can round differently with the number of rows in the
+product, so the table may depend on U. With OpenBLAS 0.3.31 (Haswell
+kernel), the rows of an (m, d) @ (d, 4d) product differ from the same
+rows of a taller product for these m:
+
+    d   8-24   32    48    64    96    128
+    m   1      1-9   1-6   1-4   1-3   1-2
+
+The rows are padded with a repeat to min(3, T*B), which makes the table
+independent of U at d <= 24 and d = 128, but not in between.
+
+sigmoid(a) is computed as (1 + tanh(a/2))/2, which is bounded for every
+input. The halving is folded into the weights: the i, f and o rows of
+W_x, W_h and b are scaled by 1/2 once per call, which is exact for a
+power of two, so each step runs one tanh over all four gates and then
+one scale and one offset.
 
 The forward direction runs t = 0..T-1 and the reverse direction
 t = T-1..0. The caller sorts the rows by length, longest first, and the
@@ -38,17 +45,17 @@ op rejects lengths that increase anywhere, so the rows live at step t
 are a prefix [:live[t]] of the batch in either direction. A step runs
 its GEMM and gate math on that prefix only. Rows outside it keep zero
 state and zero output, so the reverse direction of every row starts
-from zero state at its own last real step, and outputs at padded steps
-are zero.
+from zero state at its own last real step.
 
-On the tape the op is one node with a hand-derived backward (BPTT).
-Every gate factor that does not depend on the carried dh and dc is
-computed for all steps at once before the reverse loop; the loop then
-updates dc, writes the pre-activation gradients dz_t of the live rows
-and carries dh = dz_t @ W_h. dW, db and dx are each one or two GEMMs or
-one sum over all T*B rows. Under no_grad, or when nothing needs a
-gradient, the op keeps no per-step state. Every op output is checked
-finite once, when its Tensor is created.
+On the tape a layer is one node with a hand-derived backward: BPTT
+through each direction, then each position's two input gradients
+added and scatter-added once onto the U rows. Every gate factor that
+does not depend on the carried dh and dc is computed for all steps at
+once before the reverse loop; the loop then updates dc, writes the
+pre-activation gradients dz_t of the live rows and carries
+dh = dz_t @ W_h. dW, db and dx are each one or two GEMMs or one sum over
+all T*B positions. Under no_grad, or when nothing needs a gradient, the
+op keeps no per-step state.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, concat, grad_enabled
-from .errors import MaskPolicyError, ShapeMismatchError
+from .autodiff import Tensor, _wrap, grad_enabled
+from .errors import ShapeMismatchError
 
 
 @dataclass
@@ -90,67 +97,31 @@ def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = False,
-                  index=None) -> Tensor:
-    """Hidden state at every step of one direction: (T, B, D) -> (T, B, H).
-
-    The rows come longest first: lengths must not increase from one row
-    to the next. Steps at or past lengths[b] are padding: they neither
-    read nor write row b's state, and their outputs are zero.
-
-    With `index`, x holds U distinct input rows (U, D) and index is a
-    (T, B) integer array naming the row each position reads; the output
-    equals that of x[index], bit for bit. This form records no tape, so
-    it is rejected when a gradient would be needed."""
+def _direction(rows: np.ndarray, index: np.ndarray, live: list[int], params: LstmCellParams,
+               reverse: bool, record: bool):
+    """One direction of a layer in plain arrays: the hidden states (T, B, H)
+    and, when recording, backward(grad, x), which maps their gradient
+    (T, B, H) and the gathered input x (T*B, D) to (dx, dW, db), dx per
+    position (T*B, D)."""
+    (T, B), D = index.shape, rows.shape[1]
     hid = params.hidden_size
-    W, b = params.W, params.b
-    if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],):
-        raise ShapeMismatchError("lstm_sequence(W vs b)", W.shape, b.shape)
-    if x.ndim != (3 if index is None else 2) or x.shape[-1] != params.input_size:
-        raise ShapeMismatchError("lstm_sequence(x vs W)", x.shape, W.shape)
-    if index is None:
-        T, B, D = x.shape
-    else:
-        index = np.asarray(index, dtype=np.intp)
-        if index.ndim != 2 or index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-            raise ShapeMismatchError(f"lstm_sequence(index within [0, {x.shape[0]}))",
-                                     index.shape, x.shape)
-        (T, B), D = index.shape, x.shape[1]
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (B,) or B == 0 or lengths.min() < 0 or lengths.max() > T:
-        raise ShapeMismatchError(f"lstm_sequence(lengths within [0, {T}])", lengths.shape, (T, B))
-    if np.any(lengths[1:] > lengths[:-1]):
-        raise ShapeMismatchError("lstm_sequence(lengths longest first)", lengths.shape, (T, B))
-    record = grad_enabled() and (x.requires_grad or W.requires_grad or b.requires_grad)
-    if record and index is not None:
-        raise MaskPolicyError("lstm_sequence with an index of distinct rows records no tape; "
-                              "gather the rows or run under no_grad")
-
-    # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
-    live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
-
+    W = params.W.data
     scale, offset = _sigmoid_fold(hid)
-    w_x = W.data[:, :D] * scale[:, None]
-    w_h_t = np.ascontiguousarray(W.data[:, D:].T)
+    w_x = W[:, :D] * scale[:, None]
+    w_h_t = np.ascontiguousarray(W[:, D:].T)
     w_h_t *= scale
 
-    if index is None:
-        # Pre-activations of every step; each step's live rows are turned into
-        # their gate activations in place, so afterwards this array holds the gates.
-        gates = (x.data.reshape(T * B, D) @ w_x.T).reshape(T, B, 4 * hid)
-        gates += b.data * scale
-    else:
-        # Pre-activations of each distinct row. A product of one or two rows
-        # rounds differently from a wider one (see the loop), so the rows are
-        # padded with a repeat to as many as T*B gathered rows would give, up
-        # to three; from three rows on, a row's values do not depend on how
-        # many share its product.
-        rows = x.data
-        short = min(3, T * B) - len(rows)
-        if short > 0:
-            rows = np.concatenate([rows, np.repeat(rows[:1], short, axis=0)])
-        table = rows @ w_x.T
-        table += b.data * scale
+    # Pre-activations of each row, padded with a repeat to at least the
+    # min(3, T*B) rows a product over every position would have (see the
+    # module docstring).
+    short = min(3, T * B) - len(rows)
+    if short > 0:
+        rows = np.concatenate([rows, np.repeat(rows[:1], short, axis=0)])
+    table = rows @ w_x.T
+    table += params.b.data * scale
+    # Recording, each step's live rows keep their gate activations here, and
+    # padded positions stay zero; otherwise it is one step's buffer.
+    gates = np.zeros((T, B, 4 * hid)) if record else np.empty((B, 4 * hid))
     out = np.zeros((T, B, hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
@@ -160,16 +131,16 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         n = live[t]
         if not n:
             continue
-        if index is None:
-            z = gates[t, :n]
-        else:
-            z = table[index[t, :n]]
+        # The index was checked against the rows, so "clip" never clips; it
+        # lets take write straight into `out` instead of through a buffer.
+        z = table.take(index[t, :n], axis=0, out=gates[t, :n] if record else gates[:n],
+                       mode="clip")
         if prev is not None:
             # numpy runs a one-row product through gemv, which rounds
             # differently from gemm; a lone live row of a wider batch rides in
             # a two-row gemm, so no row's values depend on how many are live.
-            rows = 2 if n == 1 < B else n
-            z += (out[prev, :rows] @ w_h_t)[:n]
+            m = 2 if n == 1 < B else n
+            z += (out[prev, :m] @ w_h_t)[:n]
         np.tanh(z, out=z)
         z *= scale
         z += offset
@@ -183,15 +154,10 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         tc = np.tanh(c, out=tanh_cells[t, :n]) if record else np.tanh(c)
         np.multiply(o_g, tc, out=out[t, :n])
         prev = t
-
     if not record:
-        return Tensor(out)
-    if lengths[-1] < T:
-        # Padded steps hold pre-activations of padding input; zero them so
-        # every gate factor below is zero there.
-        gates[np.arange(T)[:, None] >= lengths] = 0.0
+        return out, None
 
-    def backward(grad):
+    def backward(grad, x):
         # Every factor that does not depend on the carried dh and dc, for
         # all steps at once: [g i(1-i), c_prev f(1-f), i(1-g^2)] as one
         # block over the contiguous i, f, g rows, then tc o(1-o) and o(1-tc^2).
@@ -219,7 +185,7 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
 
         d_gates = np.zeros((T, B, 4 * hid))
         dz4 = d_gates.reshape(T, B, 4, hid)
-        w_h = W.data[:, D:]
+        w_h = W[:, D:]
         dh_state = np.zeros((B, hid))
         dc_state = np.zeros((B, hid))
         for t in range(T) if reverse else range(T - 1, -1, -1):
@@ -237,17 +203,63 @@ def lstm_sequence(x: Tensor, lengths, params: LstmCellParams, reverse: bool = Fa
         # first step of a direction reads zero state and adds nothing to dW_h.
         dz_h, h_in = (d_gates[:-1], out[1:]) if reverse else (d_gates[1:], out[:-1])
         dz_rows = d_gates.reshape(T * B, 4 * hid)
-        d_w = np.concatenate([dz_rows.T @ x.data.reshape(T * B, D),
+        d_w = np.concatenate([dz_rows.T @ x,
                               dz_h.reshape(-1, 4 * hid).T @ h_in.reshape(-1, hid)], axis=1)
-        dx = (dz_rows @ W.data[:, :D]).reshape(T, B, D)
-        return dx, d_w, dz_rows.sum(axis=0)
+        return dz_rows @ W[:, :D], d_w, dz_rows.sum(axis=0)
 
-    return _wrap(out, (x, W, b), backward)
+    return out, backward
 
 
-def bilstm_sequence(x: Tensor, lengths, fwd: LstmCellParams, bwd: LstmCellParams,
-                    index=None) -> Tensor:
-    """Bidirectional layer, (T, B, D) -> (T, B, 2H): per step, the forward
-    state followed by the reverse state. `index` is as in lstm_sequence."""
-    return concat([lstm_sequence(x, lengths, fwd, index=index),
-                   lstm_sequence(x, lengths, bwd, reverse=True, index=index)])
+def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams,
+                    bwd: LstmCellParams) -> Tensor:
+    """One bidirectional layer: U input rows (U, D) read through a (T, B)
+    index -> (T*B, 2H) time-major rows, each the forward state followed by
+    the reverse state.
+
+    The batch's rows come longest first: lengths must not increase from
+    one row to the next. Steps at or past lengths[b] are padding: they
+    neither read nor write row b's state, and their outputs are zero."""
+    hid = fwd.hidden_size
+    for cell in (fwd, bwd):
+        W, b = cell.W, cell.b
+        if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],) or W.shape != fwd.W.shape:
+            raise ShapeMismatchError("bilstm_sequence(W vs b vs forward W)", W.shape, b.shape,
+                                     fwd.W.shape)
+    if rows.ndim != 2 or rows.shape[1] != fwd.input_size:
+        raise ShapeMismatchError("bilstm_sequence(rows vs W)", rows.shape, fwd.W.shape)
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 2 or index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
+        raise ShapeMismatchError(f"bilstm_sequence(index within [0, {rows.shape[0]}))",
+                                 index.shape, rows.shape)
+    T, B = index.shape
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (B,) or B == 0 or lengths.min() < 0 or lengths.max() > T:
+        raise ShapeMismatchError(f"bilstm_sequence(lengths within [0, {T}])", lengths.shape, (T, B))
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ShapeMismatchError("bilstm_sequence(lengths longest first)", lengths.shape, (T, B))
+    parents = (rows, fwd.W, fwd.b, bwd.W, bwd.b)
+    record = grad_enabled() and any(p.requires_grad for p in parents)
+
+    # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
+    live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
+    out_f, back_f = _direction(rows.data, index, live, fwd, False, record)
+    out_b, back_b = _direction(rows.data, index, live, bwd, True, record)
+    out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)
+    if not record:
+        return Tensor(out)
+
+    def backward(grad):
+        grad = grad.reshape(T, B, 2 * hid)
+        flat = index.reshape(-1)
+        x = rows.data[flat]
+        dx, dw_f, db_f = back_f(grad[:, :, :hid], x)
+        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], x)
+        # The two directions are added per position before one scatter, so
+        # each row's gradient sums its positions in order, as a scatter of
+        # the gathered rows' gradients would.
+        dx += dx_b
+        d_rows = np.zeros_like(rows.data)
+        np.add.at(d_rows, flat, dx)
+        return d_rows, dw_f, db_f, dw_b, db_b
+
+    return _wrap(out, parents, backward)

@@ -7,6 +7,7 @@ standard bias-corrected update with beta1=0.9, beta2=0.999, eps=1e-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ class OptimizerState:
 def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
     if kind not in OPTIMIZERS:
         raise InvalidOptionError(f"unknown optimizer kind: {kind!r}")
-    if learning_rate <= 0:
-        raise InvalidOptionError(f"learning rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < math.inf:
+        raise InvalidOptionError(f"learning_rate must be finite and positive, got {learning_rate}")
     return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, add, embed_rows, grad_enabled, matmul, no_grad, reshape
+from .autodiff import Tensor, add, embed_rows, matmul, no_grad
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
@@ -150,25 +150,22 @@ def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, 
     time-major order. The sequences come longest first. Logits at padded
     positions are meaningless.
 
-    Without a tape, the first layer reads each distinct id of the padded
-    batch once: it gets those embedding rows plus the (T, B) index into
-    them, so a token repeated in the batch is embedded and projected once.
-    On the tape it reads the gathered (T, B, d_emb) embeddings, whose
-    backward scatters into the embedding table."""
+    The first layer reads each distinct id of the padded batch once: it
+    gets those embedding rows plus the (T, B) index into them, so a token
+    repeated in the batch is embedded and projected once, and its
+    gradient is scattered back once. The second layer reads the first
+    layer's T*B output rows in order. The same path runs on the tape and
+    off it."""
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     T, B = int(lengths.max()), len(seqs)
     ids = np.zeros((T, B), dtype=np.intp)
     for b, seq in enumerate(seqs):
         ids[:len(seq), b] = seq
-    index = None
-    if grad_enabled():
-        x = reshape(embed_rows(params.embedding, ids.reshape(-1)), (T, B, params.d_emb))
-    else:
-        distinct, inverse = np.unique(ids, return_inverse=True)
-        x, index = embed_rows(params.embedding, distinct), inverse.reshape(T, B)
-    layer1 = bilstm_sequence(x, lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"), index)
-    layer2 = bilstm_sequence(layer1, lengths, params.cell("lstm2.fwd"), params.cell("lstm2.bwd"))
-    hidden = reshape(layer2, (T * B, 2 * params.d_h))
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct), inverse.reshape(T, B),
+                             lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"))
+    hidden = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths,
+                             params.cell("lstm2.fwd"), params.cell("lstm2.bwd"))
     weights = params.tensors
     start_logits = add(matmul(hidden, weights["head.start.w"]), weights["head.start.b"])
     end_logits = add(matmul(hidden, weights["head.end.w"]), weights["head.end.b"])
@@ -187,9 +184,13 @@ def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_IN
     padded batch with no tape. The sequences may come in any order: the
     batch is sorted once, longest first (a stable sort), as the LSTM op
     requires. The first layer embeds and projects each distinct id of the
-    batch once (see _batch_logits); the logits are bit for bit those of
-    projecting every position. Returns (start_logits, end_logits) per
-    sequence, in input order, each as long as its sequence."""
+    batch once (see _batch_logits), as the taped forward does. Its
+    projection's rows may round differently with the number of distinct
+    ids, so a sequence's logits can depend on what else is in its batch:
+    with OpenBLAS 0.3.31 they do not at d_emb <= 24 or d_emb = 128, but
+    they can at 32-96 (the table in lstm.py). Returns (start_logits,
+    end_logits) per sequence, in input order, each as long as its
+    sequence."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         return []

@@ -10,6 +10,7 @@ window centered on the answer span.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +56,9 @@ class TrainConfig:
                        max_span_len=self.max_span_len, d_emb=self.d_emb, d_h=self.d_h,
                        clip_norm=self.clip_norm)
         for name, value in numeric.items():
-            if value <= 0:
-                raise InvalidOptionError(f"{name} must be positive, got {value}")
+            # NaN and inf fail this too: 0 < nan and inf < inf are False.
+            if not 0 < value < math.inf:
+                raise InvalidOptionError(f"{name} must be finite and positive, got {value}")
         if self.seed < 0:
             raise InvalidOptionError(f"seed must be non-negative, got {self.seed}")
         if self.max_span_len > self.max_input_len:

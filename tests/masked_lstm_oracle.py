@@ -1,11 +1,12 @@
 """Reference LSTM sequence op: every step runs over all B rows of the batch.
 
-This is the masked formulation the package's `lstm_sequence` replaced.
-Each step computes all rows, live or padded, and then multiplies h and c
-by a 0/1 step mask, so padded rows keep zero state and zero output. Its
-backward is the plain BPTT loop with the gate factors rebuilt per step.
-Tests compare the package's op against it: forward values bit for bit,
-gradients to within rounding.
+This is the masked single-direction formulation that the package's
+live-row LSTM replaced. Each step computes all rows, live or padded, and
+then multiplies h and c by a 0/1 step mask, so padded rows keep zero
+state and zero output. Its backward is the plain BPTT loop with the gate
+factors rebuilt per step. Tests compare each direction of the package's
+`bilstm_sequence` against it: forward values bit for bit, gradients to
+within rounding.
 """
 
 import numpy as np

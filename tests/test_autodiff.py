@@ -1,5 +1,6 @@
 """Tensor core: op values, backward rules, and the gradient checker,
-plus the span loss, the one loss op on the tape."""
+plus the span loss, the one loss op on the tape, and the join of a
+BiLSTM layer's two directions."""
 
 import math
 import pickle
@@ -13,7 +14,6 @@ from maskpolicy.autodiff import (
     add,
     backward,
     clip_grad_norm,
-    concat,
     embed_rows,
     grad_check,
     matmul,
@@ -29,6 +29,7 @@ from maskpolicy.errors import (
     ShapeMismatchError,
     SpanOutOfBoundsError,
 )
+from maskpolicy.lstm import LstmCellParams, bilstm_sequence
 from maskpolicy.training import span_loss
 
 
@@ -49,10 +50,6 @@ class TestOpValues:
         big = Tensor([1000.0, 0.0])
         assert span_loss(big, big, Span(0, 0)).data == pytest.approx(0.0, abs=1e-12)
         assert span_loss(big, big, Span(1, 1)).data == pytest.approx(2000.0, abs=1e-9)
-
-    def test_concat_joins_last_axis(self):
-        joined = concat([Tensor([[1.0, 2.0]]), Tensor([[3.0]])])
-        assert joined.data.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_embed_rows_gathers(self):
         table = param([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
@@ -230,7 +227,7 @@ class TestGradCheck:
         assert grad_check(lambda: sum_all(mul(theta, theta)), [theta]) < 1e-8
 
 
-OPS = ["add", "mul", "scale", "matmul_21", "concat", "embed_rows", "span_loss",
+OPS = ["add", "mul", "scale", "matmul_21", "bilstm_join", "embed_rows", "span_loss",
        "span_loss_shared_head", "broadcast"]
 
 
@@ -254,9 +251,13 @@ def build_op_loss(name, rng):
     if name == "matmul_21":
         a, b = param(v(2, 3)), param(v(3))
         return lambda: square_sum(matmul(a, b)), [a, b]
-    if name == "concat":
-        a, b = param(v(2)), param(v(3))
-        return lambda: square_sum(concat([a, b])), [a, b]
+    if name == "bilstm_join":
+        # Both directions' states joined per position, over 3 rows that a
+        # ragged (3, 2) index reads with repeats.
+        rows, index = param(v(3, 2)), rng.integers(0, 3, size=(3, 2))
+        cells = [LstmCellParams(param(v(4, 3)), param(v(4))) for _ in range(2)]
+        return (lambda: square_sum(bilstm_sequence(rows, index, [3, 2], *cells)),
+                [rows] + [t for c in cells for t in (c.W, c.b)])
     if name == "embed_rows":
         a = param(v(4, 2))
         return lambda: square_sum(embed_rows(a, [0, 2, 2, 3])), [a]

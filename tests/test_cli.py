@@ -87,6 +87,34 @@ class TestTrainPolicy:
         assert len(m["inputs"]) == 3
 
 
+class TestNonFiniteTrainingOptions:
+    """NaN and inf pass a `value <= 0` test; each must exit 2 before
+    training, naming the option."""
+
+    def _train(self, workspace, out, *extra):
+        return main(["train-policy", "--train", str(workspace / "train.jsonl"),
+                     "--valid", str(workspace / "valid.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--epochs", "1", "--d-emb", "4", "--d-h", "4",
+                     "--max-input-len", "24", "--max-span-len", "5", *extra,
+                     "--out", str(out)])
+
+    @pytest.mark.parametrize("flag", ["--clip-norm", "--learning-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_flag_exits_2_naming_the_option(self, workspace, tmp_path, capsys, flag, value):
+        assert self._train(workspace, tmp_path / "out", flag, value) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_config_nan_exits_2_naming_the_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"clip_norm": NaN}')
+        assert self._train(workspace, tmp_path / "out", "--config", str(cfg)) == 2
+        assert f"config file {cfg}: clip_norm must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestEvalAndCompare:
     def test_eval_learned_and_baseline_then_compare(self, workspace, trained):
         vocab = str(workspace / "vocab" / "vocab.txt")
@@ -115,6 +143,19 @@ class TestEvalAndCompare:
                      "--out", str(cmp_out)]) == 0
         payload = json.loads((cmp_out / "comparison.json").read_text())
         assert len(payload["policies"]) == 2
+
+    def test_window_beyond_trained_limit_fails(self, workspace, trained, capsys):
+        # the checkpoint was trained on 24-token windows; the default is 128
+        out = workspace / "eval_too_long"
+        code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--policy", "learned",
+                     "--checkpoint", str(trained / "checkpoint.json"),
+                     "--out", str(out)])
+        assert code == 2
+        assert ("input length 128 exceeds the policy's input limit of 24"
+                in capsys.readouterr().err)
+        assert not (out / "manifest.json").exists()
 
     def test_learned_without_checkpoint_is_usage_error(self, workspace):
         code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),

@@ -1,6 +1,6 @@
-"""LSTM sequence op against analytic cases, the scalar-loop oracle, the
+"""The BiLSTM layer op against analytic cases, the scalar-loop oracle, the
 masked all-rows op it replaced, and finite differences, on whole and
-ragged batches."""
+ragged batches, with rows read once or repeated through the index."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ import pytest
 import masked_lstm_oracle
 from scalar_oracle import lstm_direction
 
-from maskpolicy.autodiff import Tensor, backward, concat, grad_check, mul, no_grad, sum_all
-from maskpolicy.errors import MaskPolicyError, NonFiniteError, ShapeMismatchError
-from maskpolicy.lstm import LstmCellParams, bilstm_sequence, lstm_sequence
+from maskpolicy.autodiff import Tensor, backward, grad_check, mul, no_grad, sum_all
+from maskpolicy.errors import NonFiniteError, ShapeMismatchError
+from maskpolicy.lstm import LstmCellParams, bilstm_sequence
 from maskpolicy.policy import init_policy_params
 
 
@@ -29,14 +29,25 @@ def random_params(rng, input_size, hidden):
     )
 
 
-def seq(steps, requires_grad=False):
-    """A (T, 1, D) batch holding one sequence of T input vectors."""
-    return Tensor(np.asarray(steps, dtype=np.float64)[:, None, :], requires_grad=requires_grad)
+def as_rows(data, requires_grad=False):
+    """A dense (T, B, D) batch as the op's input: its T*B positions as
+    rows in time-major order, and the (T, B) index naming them."""
+    T, B, D = data.shape
+    return (Tensor(np.ascontiguousarray(data).reshape(T * B, D), requires_grad=requires_grad),
+            np.arange(T * B).reshape(T, B))
+
+
+def halves(out, index):
+    """The op's (T*B, 2H) output as its forward and reverse states, each
+    (T, B, H)."""
+    hid = out.shape[-1] // 2
+    out = out.reshape(*np.shape(index), 2 * hid)
+    return out[..., :hid], out[..., hid:]
 
 
 def longest_first(data, lengths):
     """A (T, B, D) batch's data columns and lengths, reordered together
-    longest first by a stable sort, the row order lstm_sequence takes."""
+    longest first by a stable sort, the row order bilstm_sequence takes."""
     lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     return data[:, order], lengths[order]
@@ -44,8 +55,9 @@ def longest_first(data, lengths):
 
 def run(xs, params, reverse=False):
     """Hidden states (T, H) of one direction over one whole sequence."""
-    x = seq(xs)
-    return lstm_sequence(x, [x.shape[0]], params, reverse=reverse).data[:, 0, :]
+    rows, index = as_rows(np.asarray(xs, dtype=np.float64)[:, None, :])
+    out = bilstm_sequence(rows, index, [len(xs)], params, params).data
+    return halves(out, index)[reverse][:, 0, :]
 
 
 class TestCellValues:
@@ -108,85 +120,99 @@ class TestCellShapes:
     def test_wrong_hidden_size(self):
         # bias sized for 3 hidden units, weights for 2
         params = LstmCellParams(W=Tensor(np.zeros((8, 4))), b=Tensor(np.zeros(12)))
+        rows, index = as_rows(np.ones((1, 1, 2)))
         with pytest.raises(ShapeMismatchError):
-            lstm_sequence(seq([[1.0, 2.0]]), [1], params)
+            bilstm_sequence(rows, index, [1], params, params)
+        # each direction well formed, but of different widths
+        with pytest.raises(ShapeMismatchError):
+            bilstm_sequence(rows, index, [1], zero_params(2, 2), zero_params(2, 3))
 
     def test_wrong_input_size(self):
         params = zero_params(2, 2)
+        rows, index = as_rows(np.ones((1, 1, 3)))
         with pytest.raises(ShapeMismatchError):
-            lstm_sequence(seq([[1.0, 2.0, 3.0]]), [1], params)
+            bilstm_sequence(rows, index, [1], params, params)
 
     def test_input_must_be_time_major_batch(self):
+        # a batch-major (B, T) index of 3 rows of 2 steps reads as T = 2,
+        # B = 3, which three lengths would have to describe
         params = zero_params(2, 2)
         with pytest.raises(ShapeMismatchError):
-            lstm_sequence(Tensor(np.zeros((3, 2))), [3], params)
+            bilstm_sequence(Tensor(np.zeros((6, 2))), np.arange(6).reshape(2, 3), [2, 2],
+                            params, params)
 
     @pytest.mark.parametrize("lengths", [[3], [1, 2, 3], [4, 1], [-1, 2], [2, 3]])
     def test_lengths_must_match_batch_and_fit(self, lengths):
         params = zero_params(2, 2)
+        rows, index = as_rows(np.zeros((3, 2, 2)))
         with pytest.raises(ShapeMismatchError):
-            lstm_sequence(Tensor(np.zeros((3, 2, 2))), lengths, params)
+            bilstm_sequence(rows, index, lengths, params, params)
 
     def test_non_finite_output_rejected(self):
         params = zero_params(1, 1)
         params.b.data[:] = np.nan
+        rows, index = as_rows(np.ones((1, 1, 1)))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            lstm_sequence(seq([[1.0]]), [1], params)
+            bilstm_sequence(rows, index, [1], params, params)
 
 
 def ragged_case(rng, max_t=4, max_b=3):
-    """Random small shapes, a ragged batch with zeroed padding, longest
-    first, and weights mixing the outputs into a scalar."""
-    hid = int(rng.integers(1, 4))
+    """Random small shapes and a ragged batch, longest first, that reads
+    fewer rows than it has positions, so most rows repeat; weights for
+    both directions, and a mix of the outputs into a scalar."""
+    hid = int(rng.integers(1, 3))
     n_in = int(rng.integers(1, 4))
     T = int(rng.integers(1, max_t + 1))
     B = int(rng.integers(1, max_b + 1))
     lengths = rng.integers(1, T + 1, size=B)
     lengths[0] = T
-    data = rng.uniform(-1, 1, size=(T, B, n_in))
-    data[np.arange(T)[:, None] >= lengths[None, :]] = 0.0
-    data, lengths = longest_first(data, lengths)
-    params = random_params(rng, n_in, hid)
-    x = Tensor(data, requires_grad=True)
-    mix = Tensor(rng.uniform(-1, 1, size=(T, B, hid)))
-    return params, x, lengths, mix
+    lengths = np.sort(lengths)[::-1].copy()
+    n_rows = int(rng.integers(1, T * B + 1))
+    rows = Tensor(rng.uniform(-1, 1, size=(n_rows, n_in)), requires_grad=True)
+    index = rng.integers(0, n_rows, size=(T, B))
+    mix = Tensor(rng.uniform(-1, 1, size=(T * B, 2 * hid)))
+    return random_params(rng, n_in, hid), random_params(rng, n_in, hid), rows, index, lengths, mix
 
 
 class TestCellGradients:
     def test_cell_gradient_matches_finite_differences(self):
-        # the op has a hand-derived backward; check every input leaf in
-        # both directions on ragged batches
+        # the op has a hand-derived backward; check every input leaf on
+        # ragged batches whose index repeats rows, so that the rows'
+        # gradient is a scatter-add over positions
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            params, x, lengths, mix = ragged_case(rng)
-            reverse = bool(seed % 2)
+            fwd, bwd, rows, index, lengths, mix = ragged_case(rng)
 
             def loss_fn():
-                return sum_all(mul(lstm_sequence(x, lengths, params, reverse), mix))
+                return sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix))
 
-            err = grad_check(loss_fn, [x, params.W, params.b])
+            err = grad_check(loss_fn, [rows, fwd.W, fwd.b, bwd.W, bwd.b])
             assert err < 1e-4, f"seed {seed}: rel err {err}"
 
     def test_unrolled_sequence_gradient(self):
         rng = np.random.default_rng(5)
-        params = random_params(rng, 2, 2)
-        x = seq(rng.uniform(-1, 1, size=(4, 2)), requires_grad=True)
+        fwd = random_params(rng, 2, 2)
+        bwd = random_params(rng, 2, 2)
+        rows, index = as_rows(rng.uniform(-1, 1, size=(4, 1, 2)), requires_grad=True)
 
         def loss_fn():
-            states = lstm_sequence(x, [4], params)
+            states = bilstm_sequence(rows, index, [4], fwd, bwd)
             return sum_all(mul(states, states))
 
-        assert grad_check(loss_fn, [params.W, params.b, x]) < 1e-4
+        assert grad_check(loss_fn, [fwd.W, fwd.b, bwd.W, bwd.b, rows]) < 1e-4
 
     def test_only_used_direction_gets_gradients(self):
+        # a loss that reads only the forward states leaves the reverse
+        # direction's weights a gradient of exactly zero
         rng = np.random.default_rng(6)
         fwd = random_params(rng, 2, 2)
         bwd = random_params(rng, 2, 2)
-        x = seq(rng.uniform(-1, 1, size=(3, 2)))
-        out = lstm_sequence(x, [3], fwd)
-        backward(sum_all(mul(out, out)))
-        assert fwd.W.grad is not None
-        assert bwd.W.grad is None
+        rows, index = as_rows(rng.uniform(-1, 1, size=(3, 1, 2)))
+        out = bilstm_sequence(rows, index, [3], fwd, bwd)
+        used = Tensor(np.repeat([[1.0, 1.0, 0.0, 0.0]], 3, axis=0))
+        backward(sum_all(mul(mul(out, out), used)))
+        assert fwd.W.grad.any() and fwd.b.grad.any()
+        assert not bwd.W.grad.any() and not bwd.b.grad.any()
 
 
 class TestRaggedBatch:
@@ -198,8 +224,10 @@ class TestRaggedBatch:
             for b, n in enumerate(lengths):
                 data[:n, b] = rng.uniform(-1, 1, size=(n, 3))
             data, lengths = longest_first(data, lengths)
+            rows, index = as_rows(data)
+            both = halves(bilstm_sequence(rows, index, lengths, params, params).data, index)
             for reverse in (False, True):
-                out = lstm_sequence(Tensor(data), lengths, params, reverse).data
+                out = both[reverse]
                 for b, n in enumerate(lengths):
                     if n:
                         alone = run(data[:n, b], params, reverse)
@@ -214,10 +242,9 @@ class TestRaggedBatch:
             noisy = data.copy()
             for b, n in enumerate(lengths):
                 noisy[n:, b] = 50.0
-            for reverse in (False, True):
-                clean = lstm_sequence(Tensor(data), lengths, params, reverse).data
-                dirty = lstm_sequence(Tensor(noisy), lengths, params, reverse).data
-                np.testing.assert_array_equal(dirty, clean)
+            clean = bilstm_sequence(*as_rows(data), lengths, params, params).data
+            dirty = bilstm_sequence(*as_rows(noisy), lengths, params, params).data
+            np.testing.assert_array_equal(dirty, clean)
 
     def test_permuting_rows_permutes_outputs(self):
         # rows of equal length may come in any order; swapping them swaps
@@ -226,49 +253,52 @@ class TestRaggedBatch:
         params = random_params(rng, 3, 4)
         lengths = np.array([6, 6, 6, 5, 3, 3, 2, 0, 0])
         data = rng.uniform(-1, 1, size=(6, 9, 3))
+        out = bilstm_sequence(*as_rows(data), lengths, params, params).data.reshape(6, 9, -1)
         for _ in range(3):
             perm = np.lexsort((rng.random(9), -lengths))  # shuffled within each length
-            for reverse in (False, True):
-                out = lstm_sequence(Tensor(data), lengths, params, reverse).data
-                moved = lstm_sequence(Tensor(data[:, perm]), lengths[perm], params, reverse).data
-                np.testing.assert_array_equal(moved, out[:, perm])
+            moved = bilstm_sequence(*as_rows(data[:, perm]), lengths[perm], params, params).data
+            np.testing.assert_array_equal(moved.reshape(6, 9, -1), out[:, perm])
 
     def test_ragged_bidirectional_gradient(self):
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
-            params, x, lengths, _ = ragged_case(rng, max_t=5, max_b=4)
-            bwd = random_params(rng, x.shape[2], params.hidden_size)
-            mix = Tensor(rng.uniform(-1, 1, size=x.shape[:2] + (2 * params.hidden_size,)))
+            hid, n_in = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            T, B = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            lengths = np.sort(rng.integers(1, T + 1, size=B))[::-1].copy()
+            rows, index = as_rows(rng.uniform(-1, 1, size=(T, B, n_in)), requires_grad=True)
+            fwd, bwd = random_params(rng, n_in, hid), random_params(rng, n_in, hid)
+            mix = Tensor(rng.uniform(-1, 1, size=(T * B, 2 * hid)))
 
             def loss_fn():
-                return sum_all(mul(bilstm_sequence(x, lengths, params, bwd), mix))
+                return sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix))
 
-            err = grad_check(loss_fn, [x, params.W, params.b, bwd.W, bwd.b])
+            err = grad_check(loss_fn, [rows, fwd.W, fwd.b, bwd.W, bwd.b])
             assert err < 1e-4, f"seed {seed}: rel err {err}"
 
     def test_no_grad_keeps_values(self):
         rng = np.random.default_rng(10)
-        params, x, lengths, _ = ragged_case(rng)
-        taped = lstm_sequence(x, lengths, params, reverse=True)
+        fwd, bwd, rows, index, lengths, _ = ragged_case(rng)
+        taped = bilstm_sequence(rows, index, lengths, fwd, bwd)
         with no_grad():
-            plain = lstm_sequence(x, lengths, params, reverse=True)
+            plain = bilstm_sequence(rows, index, lengths, fwd, bwd)
+        assert taped.requires_grad
         assert plain._backward is None and not plain.requires_grad
-        assert plain.data == pytest.approx(taped.data, abs=0)
+        np.testing.assert_array_equal(plain.data, taped.data)
 
 
 class TestBilstm:
     def test_output_concatenates_directions(self):
+        # each half of the joined rows is that direction run on its own
         rng = np.random.default_rng(7)
         fwd = random_params(rng, 2, 3)
         bwd = random_params(rng, 2, 3)
-        x = seq(rng.uniform(-1, 1, size=(4, 2)))
-        both = bilstm_sequence(x, [4], fwd, bwd)
-        hf = lstm_sequence(x, [4], fwd)
-        hb = lstm_sequence(x, [4], bwd, reverse=True)
-        assert both.shape == (4, 1, 6)
-        assert both.data == pytest.approx(concat([hf, hb]).data)
-        assert both.data[:, :, :3] == pytest.approx(hf.data)
-        assert both.data[:, :, 3:] == pytest.approx(hb.data)
+        rows, index = as_rows(rng.uniform(-1, 1, size=(4, 1, 2)))
+        both = bilstm_sequence(rows, index, [4], fwd, bwd).data
+        hf = halves(bilstm_sequence(rows, index, [4], fwd, fwd).data, index)[0]
+        hb = halves(bilstm_sequence(rows, index, [4], bwd, bwd).data, index)[1]
+        assert both.shape == (4, 6)
+        np.testing.assert_array_equal(both[:, :3], hf.reshape(4, 3))
+        np.testing.assert_array_equal(both[:, 3:], hb.reshape(4, 3))
 
     def test_init_shapes_and_zero_bias(self):
         model = init_policy_params(7, d_emb=5, d_h=3, seed=0)
@@ -309,31 +339,42 @@ class TestDistinctRows:
             if n_rows > T * B:
                 continue
             params, rows, index, lengths = self.case(n_rows, T, B)
+            want = bilstm_sequence(*as_rows(rows[index]), lengths, params, params).data
+            got = bilstm_sequence(Tensor(rows, requires_grad=True), index, lengths,
+                                  params, params)
+            np.testing.assert_array_equal(got.data, want)
             with no_grad():
-                for reverse in (False, True):
-                    want = lstm_sequence(Tensor(rows[index]), lengths, params, reverse).data
-                    got = lstm_sequence(Tensor(rows), lengths, params, reverse, index=index).data
-                    np.testing.assert_array_equal(got, want)
-                both = bilstm_sequence(Tensor(rows), lengths, params, params, index=index).data
-                np.testing.assert_array_equal(
-                    both, bilstm_sequence(Tensor(rows[index]), lengths, params, params).data)
+                plain = bilstm_sequence(Tensor(rows), index, lengths, params, params).data
+            np.testing.assert_array_equal(plain, want)
 
     @pytest.mark.parametrize("index", [[[0, 2]], [[-1, 0]], [0, 1], [[[0]]]])
     def test_index_must_name_rows_as_a_matrix(self, index):
         params = zero_params(2, 2)
-        with no_grad(), pytest.raises(ShapeMismatchError):
-            lstm_sequence(Tensor(np.zeros((2, 2))), [1, 1], params, index=index)
+        with pytest.raises(ShapeMismatchError):
+            bilstm_sequence(Tensor(np.zeros((2, 2))), index, [1, 1], params, params)
 
     def test_rows_must_be_a_matrix(self):
         params = zero_params(2, 2)
-        with no_grad(), pytest.raises(ShapeMismatchError):
-            lstm_sequence(Tensor(np.zeros((1, 2, 2))), [1, 1], params, index=[[0, 0]])
+        with pytest.raises(ShapeMismatchError):
+            bilstm_sequence(Tensor(np.zeros((1, 2, 2))), [[0, 0]], [1, 1], params, params)
 
-    def test_rejected_on_the_tape(self):
-        # the index form has no backward; a taped call must gather the rows
-        params = zero_params(2, 2)
-        with pytest.raises(MaskPolicyError):
-            lstm_sequence(Tensor(np.zeros((2, 2))), [1, 1], params, index=[[0, 1]])
+    def test_row_gradient_sums_its_positions(self):
+        # each row's gradient is the sum, in time-major position order, of
+        # the gradients of the positions that read it in the gathered batch
+        rng = np.random.default_rng(14)
+        fwd, bwd = random_params(rng, 3, 2), random_params(rng, 3, 2)
+        rows = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
+        index = np.array([[0, 1, 1], [3, 0, 1], [0, 3, 0], [1, 1, 3]])
+        lengths = [4, 3, 3]
+        mix = Tensor(rng.uniform(-1, 1, size=(12, 4)))
+        backward(sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix)))
+        gathered, flat = as_rows(rows.data[index], requires_grad=True)
+        backward(sum_all(mul(bilstm_sequence(gathered, flat, lengths, fwd, bwd), mix)))
+        want = np.zeros((4, 3))
+        for position, row in enumerate(index.reshape(-1)):
+            want[row] += gathered.grad[position]
+        assert rows.grad[2].tolist() == [0.0, 0.0, 0.0]  # read by no position
+        np.testing.assert_array_equal(rows.grad, want)
 
 
 def oracle_case(rng, max_h=8, max_d=8, max_t=12, max_b=9):
@@ -353,7 +394,8 @@ def assert_grads_close(got, want, rel=1e-12):
 
 
 class TestMaskedOracle:
-    """The live-row op against the masked all-rows op it replaced."""
+    """Each direction of the live-row layer op against the masked all-rows
+    single-direction op it replaced."""
 
     CASES = [("random", seed) for seed in range(40)] + [
         # deploy-sized: many full rows and a ragged tail, given unsorted
@@ -380,25 +422,40 @@ class TestMaskedOracle:
     @pytest.mark.parametrize("kind,spec", CASES)
     def test_forward_is_bit_identical(self, kind, spec):
         params, data, lengths = self.build(kind, spec)
+        rows, index = as_rows(data, requires_grad=True)
+        taped = halves(bilstm_sequence(rows, index, lengths, params, params).data, index)
+        with no_grad():
+            plain = halves(bilstm_sequence(rows, index, lengths, params, params).data, index)
         for reverse in (False, True):
             want = masked_lstm_oracle.lstm_sequence(Tensor(data), lengths, params, reverse).data
-            taped = lstm_sequence(Tensor(data, requires_grad=True), lengths, params, reverse)
-            with no_grad():
-                plain = lstm_sequence(Tensor(data), lengths, params, reverse)
-            np.testing.assert_array_equal(taped.data, want)
-            np.testing.assert_array_equal(plain.data, want)
+            np.testing.assert_array_equal(taped[reverse], want)
+            np.testing.assert_array_equal(plain[reverse], want)
 
     @pytest.mark.parametrize("kind,spec", CASES)
     def test_gradients_match(self, kind, spec):
+        # the loss reads one direction's states, so the layer's gradients
+        # are that direction's alone, and the other direction's are zero
         params, data, lengths = self.build(kind, spec)
-        mix = Tensor(np.random.default_rng(1).uniform(-1, 1, size=data.shape[:2] + (params.hidden_size,)))
+        T, B, n_in = data.shape
+        hid = params.hidden_size
+        other = random_params(np.random.default_rng(2), n_in, hid)
+        mix = np.random.default_rng(1).uniform(-1, 1, size=(T, B, hid))
         for reverse in (False, True):
-            grads = []
-            for op in (lstm_sequence, masked_lstm_oracle.lstm_sequence):
-                x = Tensor(data, requires_grad=True)
-                params.W.zero_grad()
-                params.b.zero_grad()
-                backward(sum_all(mul(op(x, lengths, params, reverse), mix)))
-                grads.append((x.grad, params.W.grad, params.b.grad))
-            assert_grads_close(*grads)
-            assert not grads[0][0][np.arange(data.shape[0])[:, None] >= lengths[None, :]].any()
+            x = Tensor(data, requires_grad=True)
+            backward(sum_all(mul(masked_lstm_oracle.lstm_sequence(x, lengths, params, reverse),
+                                 Tensor(mix))))
+            want = (x.grad, params.W.grad, params.b.grad)
+            for p in (params.W, params.b, other.W, other.b):
+                p.zero_grad()
+            rows, index = as_rows(data, requires_grad=True)
+            both = np.zeros((T, B, 2 * hid))
+            halves(both, index)[reverse][...] = mix
+            cells = (other, params) if reverse else (params, other)
+            out = bilstm_sequence(rows, index, lengths, *cells)
+            backward(sum_all(mul(out, Tensor(both.reshape(T * B, 2 * hid)))))
+            got = (rows.grad.reshape(T, B, n_in), params.W.grad, params.b.grad)
+            assert_grads_close(got, want)
+            assert not other.W.grad.any() and not other.b.grad.any()
+            assert not got[0][np.arange(T)[:, None] >= lengths[None, :]].any()
+            params.W.zero_grad()
+            params.b.zero_grad()

@@ -147,6 +147,11 @@ class TestValidation:
         with pytest.raises(InvalidOptionError):
             make_optimizer("adam", -1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(InvalidOptionError, match="learning_rate must be finite"):
+            make_optimizer("sgd", lr)
+
     def test_gradient_shape_mismatch(self):
         theta = param([1.0, 2.0])
         theta.grad = np.zeros(3)

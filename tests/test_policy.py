@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maskpolicy import corruption, evaluation, policy, training
-from maskpolicy.autodiff import Tensor
+from maskpolicy.autodiff import Tensor, embed_rows, no_grad
 from maskpolicy.errors import (
     EmptySequenceError,
     InvalidOptionError,
@@ -31,6 +31,7 @@ from maskpolicy.policy import (
     top_k_spans,
 )
 from maskpolicy.evaluation import span_hit_metrics
+from maskpolicy.lstm import bilstm_sequence
 from maskpolicy.training import prepare_example, span_loss, validation_loss
 
 from scalar_oracle import policy_forward, weights_from_params
@@ -107,6 +108,19 @@ class TestScorePositions:
         start, end = score_positions(params, ids)
         np.testing.assert_array_equal(start, start_t.data)
         np.testing.assert_array_equal(end, end_t.data)
+
+    @pytest.mark.parametrize("d", [8, 32, 128])
+    def test_taped_forward_equals_scoring_on_synth_windows(self, d):
+        # training's taped forward and every scoring call run one path, so
+        # their logits agree bit for bit, also at widths where a product's
+        # rows round by its height (d = 32)
+        params = init_policy_params(len(synth_vocab()), d, d, seed=d)
+        for ex in synth_examples(60, 3):
+            ids, _ = prepare_example(ex, 24)
+            start_t, end_t = forward(params, ids, 24)
+            start, end = score_positions(params, ids, 24)
+            np.testing.assert_array_equal(start, start_t.data)
+            np.testing.assert_array_equal(end, end_t.data)
 
     def test_returns_plain_arrays(self):
         start, end = score_positions(small_params(), [3, 4])
@@ -218,12 +232,23 @@ class TestScoreBatches:
 
 
 def gathered_logits(params, batch):
-    """score_batch's logits as the taped path computes them: it embeds
-    and projects every padded position instead of each distinct id once."""
+    """score_batch's logits with the first layer reading every padded
+    position's own embedding row instead of each distinct id's once."""
     order = np.argsort([-len(s) for s in batch], kind="stable")
-    start, end = policy._batch_logits(params, [batch[b] for b in order])
-    B = len(batch)
-    start, end = start.data.reshape(-1, B), end.data.reshape(-1, B)
+    lengths = np.array([len(batch[b]) for b in order])
+    T, B = int(lengths.max()), len(batch)
+    ids = np.zeros((T, B), dtype=np.intp)
+    for c, b in enumerate(order):
+        ids[:len(batch[b]), c] = batch[b]
+    positions = np.arange(T * B).reshape(T, B)
+    with no_grad():
+        hidden = embed_rows(params.embedding, ids.reshape(-1))
+        for layer in ("lstm1", "lstm2"):
+            hidden = bilstm_sequence(hidden, positions, lengths, params.cell(f"{layer}.fwd"),
+                                     params.cell(f"{layer}.bwd"))
+    w = params.tensors
+    start = (hidden.data @ w["head.start.w"].data + w["head.start.b"].data).reshape(T, B)
+    end = (hidden.data @ w["head.end.w"].data + w["head.end.b"].data).reshape(T, B)
     got = {b: (start[:len(batch[b]), c], end[:len(batch[b]), c]) for c, b in enumerate(order)}
     return [got[b] for b in range(B)]
 

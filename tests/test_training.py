@@ -35,6 +35,12 @@ class TestConfig:
             with pytest.raises(ValueError):
                 tiny_config(**{field: 0}).validate()
 
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(InvalidOptionError, match=f"{field} must be finite and positive"):
+            tiny_config(**{field: value}).validate()
+
     def test_rejects_span_longer_than_input(self):
         with pytest.raises(ValueError):
             tiny_config(max_input_len=4, max_span_len=5).validate()
