@@ -19,25 +19,30 @@ leftmost-longest within a kind:
 The tagger is table-driven. `_token_bits` evaluates every predicate the
 rules read (month, day, year, 2+-digit number, capitalized,
 contains-alphanumeric, sentence-ender) once per token and packs them
-into a small int of bits. It is memoised per token string by a bounded
-`functools.lru_cache` of `_TOKEN_BITS_CACHE_SIZE` entries, so a
-frequent word is classified once per process, not once per occurrence.
-`salient_spans` then reads only the bits: dates are matched only at
-positions that can start one, numbers come straight from their bit, and
-the sentence-initial flags and mid-sentence capitals are built in one
-pass. tests/salient_oracle.py keeps the rule-by-rule form as the
-reference the tests compare against.
+into a small int of bits. `vocab_token_bits(vocab)` holds those bits
+for every vocabulary token, indexed by id; it is built on first use and
+kept once per `Vocab` object, so a deployment (or each of its pool
+workers) classifies its vocabulary once. Given that table,
+`salient_spans` reads a known token's bits by id; an unknown token's
+bits come from its text, through a bounded `functools.lru_cache`.
+Without the table, every token goes through the cache, as evaluation
+and the tests call it. `salient_spans` then reads only the bits: dates
+are matched only at positions that can start one, numbers come straight
+from their bit, and the sentence-initial flags and mid-sentence
+capitals are built in one pass. tests/salient_oracle.py keeps the
+rule-by-rule form as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .corpus import Chunk, Span
+from .corpus import UNK_ID, Chunk, Span, Vocab
 from .errors import InvalidRateError
 from .policy import DEFAULT_MAX_SPAN_LEN, Proposer, span_band
 
@@ -76,7 +81,7 @@ def random_token_mask(chunk: Chunk, rate: float = RANDOM_MASK_RATE,
                       rng: np.random.Generator | None = None) -> MaskDecisions:
     """Each position masked independently with probability `rate`."""
     if not (0.0 <= rate <= 1.0):
-        raise InvalidRateError(f"rate must be in [0, 1], got {rate}")
+        raise InvalidRateError(f"rate must be in [0, 1], got {rate}", "rate")
     if rng is None:
         rng = np.random.default_rng(0)
     return MaskDecisions(rng.random(len(chunk)) < rate)
@@ -108,10 +113,13 @@ _ALNUM = 32  # some character alphanumeric: a word, not punctuation
 _ENDER = 64  # sentence-ending punctuation
 _DATE_START = _MONTH | _DAY | _YEAR
 
-# Distinct token strings whose bits are remembered. Zipfian text puts
-# most occurrences on a few thousand words (about 70% of lookups hit on
-# the benchmark's salient corpus); a miss only recomputes the bits, and
-# the bound keeps the cache under a megabyte.
+# Distinct token strings whose bits are remembered. A deployment reads a
+# known token's bits from `vocab_token_bits`, so the cache serves its
+# unknown tokens, which are mostly rare words: on the benchmark's salient
+# corpus only about 13% of those lookups hit. Evaluation and other calls
+# without the table look up every token, and there Zipfian text puts most
+# occurrences on a few thousand words (about 70% of lookups hit). A miss
+# only recomputes the bits, and the bound keeps the cache under a megabyte.
 _TOKEN_BITS_CACHE_SIZE = 1 << 12
 
 
@@ -136,13 +144,41 @@ def _token_bits(tok: str) -> int:
     return bits
 
 
-def salient_spans(chunk: Chunk) -> list[SalientTag]:
-    """Non-overlapping salient tags sorted by start position."""
+# One table per live Vocab object; it goes when the vocabulary does.
+_vocab_bits: "weakref.WeakKeyDictionary[Vocab, bytes]" = weakref.WeakKeyDictionary()
+
+
+def vocab_token_bits(vocab: Vocab) -> bytes:
+    """The `_token_bits` of every token of `vocab`, indexed by id (one byte
+    each), built on the first call for a Vocab object and kept with it."""
+    table = _vocab_bits.get(vocab)
+    if table is None:
+        # Uncached: the vocabulary would flush the unknown tokens' entries.
+        table = _vocab_bits[vocab] = bytes(map(_token_bits.__wrapped__, vocab.id_to_token))
+    return table
+
+
+def salient_spans(chunk: Chunk, token_bits: bytes | None = None) -> list[SalientTag]:
+    """Non-overlapping salient tags sorted by start position.
+
+    `token_bits` is `vocab_token_bits` of the vocabulary the chunk was
+    tokenized with; the tags are the same with it or without it."""
     texts = chunk.tokens.texts
     n = len(texts)
     # Three zero entries past the end stand for the "" the date rules
     # see beyond the chunk, so lookahead needs no bounds checks.
-    bits = [*map(_token_bits, texts), 0, 0, 0]
+    if token_bits is None:
+        bits = [*map(_token_bits, texts), 0, 0, 0]
+    else:
+        ids = chunk.tokens.ids
+        bits = [*map(token_bits.__getitem__, ids), 0, 0, 0]
+        i = -1
+        try:
+            while True:  # an unknown token's bits come from its text
+                i = ids.index(UNK_ID, i + 1)
+                bits[i] = _token_bits(texts[i])
+        except ValueError:
+            pass
     consumed = [False] * n
     tags: list[SalientTag] = []
 
@@ -222,17 +258,19 @@ def random_span_mask(chunk: Chunk, rng: np.random.Generator,
     return Span(int(starts[t]), int(ends[t]))
 
 
-def _eligible_salient(chunk: Chunk, max_span_len: int) -> list[SalientTag]:
+def _eligible_salient(chunk: Chunk, max_span_len: int,
+                      token_bits: bytes | None = None) -> list[SalientTag]:
     # Tags longer than the span cap are not maskable as a single span.
-    return [t for t in salient_spans(chunk) if len(t.span) <= max_span_len]
+    return [t for t in salient_spans(chunk, token_bits) if len(t.span) <= max_span_len]
 
 
 def salient_span_mask_with_fallback(chunk: Chunk, rng: np.random.Generator,
-                                    max_span_len: int = DEFAULT_MAX_SPAN_LEN
-                                    ) -> tuple[Span, bool]:
+                                    max_span_len: int = DEFAULT_MAX_SPAN_LEN,
+                                    token_bits: bytes | None = None) -> tuple[Span, bool]:
     """One uniformly chosen salient span, or a random span when none
-    exist; the flag says whether it fell back."""
-    tags = _eligible_salient(chunk, max_span_len)
+    exist; the flag says whether it fell back. `token_bits` is as for
+    `salient_spans`."""
+    tags = _eligible_salient(chunk, max_span_len, token_bits)
     if tags:
         return tags[int(rng.integers(0, len(tags)))].span, False
     return random_span_mask(chunk, rng, max_span_len), True

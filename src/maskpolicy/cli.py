@@ -31,7 +31,7 @@ from .corruption import (
     write_masked_jsonl,
     write_summary,
 )
-from .errors import MaskPolicyError
+from .errors import EmptyDatasetError, InvalidOptionError, MaskPolicyError
 from .evaluation import compare_policies, read_report, span_hit_metrics, write_report
 from .optim import OPTIMIZERS
 from .policy import DEFAULT_MAX_INPUT_LEN, DEFAULT_MAX_SPAN_LEN, MODE_TOP1, MODES
@@ -86,7 +86,8 @@ def _load_config(path, command: str) -> dict:
         return {}
     try:
         obj = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # json raises RecursionError on arrays or objects nested too deeply.
         raise MaskPolicyError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise MaskPolicyError(f"config file {path} must hold a JSON object")
@@ -107,16 +108,19 @@ def _load_config(path, command: str) -> dict:
     return obj
 
 
-def _options(args: argparse.Namespace) -> dict:
-    """The command's options: defaults < config file < explicit flags."""
+def _options(args: argparse.Namespace) -> tuple[dict, set[str]]:
+    """The command's options, defaults < config file < explicit flags, and
+    the keys whose values come from the config file."""
     defaults = _DEFAULTS[args.command]
     resolved = dict(defaults)
-    resolved.update(_load_config(args.config, args.command))
+    config = _load_config(args.config, args.command)
+    resolved.update(config)
     for key in defaults:
         flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
-    return resolved
+            config.pop(key, None)
+    return resolved, set(config)
 
 
 def _write_json(path, obj) -> None:
@@ -139,11 +143,10 @@ def _cmd_build_vocab(args, opts) -> _Run:
 def _cmd_train_policy(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
     cfg = TrainConfig(**opts)
+    cfg.validate()  # before the anchor files, whose loading reads max_input_len
 
-    train_ex, train_report = load_anchor_dataset(args.train, vocab)
-    valid_ex, valid_report = load_anchor_dataset(args.valid, vocab)
-    train_ex = _drop_unfittable(train_ex, cfg.max_input_len, "train")
-    valid_ex = _drop_unfittable(valid_ex, cfg.max_input_len, "valid")
+    train_ex, train_report = _load_anchor(args.train, vocab, cfg.max_input_len, "train")
+    valid_ex, valid_report = _load_anchor(args.valid, vocab, cfg.max_input_len, "valid")
     print(f"train: {len(train_ex)} examples ({train_report.skipped} unaligned), "
           f"valid: {len(valid_ex)} ({valid_report.skipped} unaligned)",
           file=sys.stderr)
@@ -159,13 +162,20 @@ def _cmd_train_policy(args, opts) -> _Run:
     })
 
 
-def _drop_unfittable(examples, max_input_len, name):
+def _load_anchor(path, vocab: Vocab, max_input_len: int, name: str):
+    """The anchor examples of `path` whose answers fit in max_input_len
+    tokens, and its load report; a file that leaves none is refused."""
+    examples, report = load_anchor_dataset(path, vocab)
     kept = [ex for ex in examples if len(ex.answer_span) <= max_input_len]
     dropped = len(examples) - len(kept)
     if dropped:
         print(f"{name}: dropped {dropped} examples whose answers exceed "
               f"{max_input_len} tokens", file=sys.stderr)
-    return kept
+    if not kept:
+        raise EmptyDatasetError(
+            f"{path} holds no usable {name} example ({report.skipped} unaligned, "
+            f"{dropped} with answers over {max_input_len} tokens)")
+    return kept, report
 
 
 def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
@@ -198,8 +208,7 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
 
 def _cmd_eval_policy(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
-    dev, report_load = load_anchor_dataset(args.dev, vocab)
-    dev = _drop_unfittable(dev, opts["max_input_len"], "dev")
+    dev, report_load = _load_anchor(args.dev, vocab, opts["max_input_len"], "dev")
     print(f"dev: {len(dev)} examples ({report_load.skipped} unaligned)",
           file=sys.stderr)
 
@@ -287,13 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     """Runs the command and publishes its artifacts, then its manifest."""
-    opts = _options(args)
+    opts, from_config = _options(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Until the new manifest is written, the directory must not look
     # like a finished run.
     (out / "manifest.json").unlink(missing_ok=True)
-    run = _COMMANDS[args.command][0](args, opts)
+    try:
+        run = _COMMANDS[args.command][0](args, opts)
+    except InvalidOptionError as e:
+        # A value out of range names the config file that set it.
+        if from_config.intersection(e.options):
+            raise MaskPolicyError(f"config file {args.config}: {e}") from None
+        raise
     for name, write in run.artifacts.items():
         with atomic_output(out / name) as tmp:
             write(tmp)

@@ -236,7 +236,7 @@ def chunk_document(tokens: TokenSequence, L: int = DEFAULT_CHUNK_LEN, doc_id: st
     """Consecutive windows of exactly L tokens; a final partial window is
     kept when its length is at least L/4, otherwise dropped."""
     if L < 2:
-        raise InvalidChunkLengthError(f"chunk length must be >= 2, got {L}")
+        raise InvalidChunkLengthError(f"chunk length must be >= 2, got {L}", "chunk_len")
     chunks: list[Chunk] = []
     n = len(tokens)
     pos = 0
@@ -298,6 +298,8 @@ def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadRe
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedRecordError(path, line_no, f"invalid JSON: {e.msg}") from e
+        except RecursionError:
+            raise MalformedRecordError(path, line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(record, dict):
             raise MalformedRecordError(path, line_no, "record is not an object")
         for field in ("context", "question", "answer"):

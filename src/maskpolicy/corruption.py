@@ -23,6 +23,7 @@ from .baselines import (
     random_token_mask,
     salient_proposer,
     salient_span_mask_with_fallback,
+    vocab_token_bits,
 )
 from .corpus import (
     MASK_ID,
@@ -175,11 +176,12 @@ class PolicySpec:
         if self.kind not in POLICIES:
             raise MaskPolicyError(f"unknown policy kind {self.kind!r}")
         if self.mode not in MODES:
-            raise MaskPolicyError(f"unknown selection mode {self.mode!r}")
+            raise InvalidOptionError(f"unknown selection mode {self.mode!r}", "mode")
         if not (0.0 <= self.rate <= 1.0):
-            raise InvalidRateError(f"rate must be in [0, 1], got {self.rate}")
+            raise InvalidRateError(f"rate must be in [0, 1], got {self.rate}", "rate")
         if self.max_span_len < 1:
-            raise InvalidOptionError(f"max_span_len must be >= 1, got {self.max_span_len}")
+            raise InvalidOptionError(f"max_span_len must be >= 1, got {self.max_span_len}",
+                                     "max_span_len")
         if self.kind == POLICY_LEARNED and self.params is None:
             raise MaskPolicyError("learned policy requires trained parameters")
 
@@ -209,13 +211,13 @@ class MaskSummary:
 
 
 def _mask_chunk(chunk: Chunk, spec: PolicySpec, global_seed: int,
-                logits: tuple[np.ndarray, np.ndarray] | None
+                logits: tuple[np.ndarray, np.ndarray] | None, vocab: Vocab
                 ) -> tuple[MaskedExample | None, bool]:
-    """Corrupt one chunk; `logits` are the learned policy's scores for it.
-    Returns (example or None when skipped, fallback?)."""
+    """Corrupt one chunk, tokenized with `vocab`; `logits` are the learned
+    policy's scores for it. Returns (example or None when skipped, fallback?)."""
     seed = derive_seed(global_seed, chunk.doc_id, chunk.chunk_index)
     rng = np.random.default_rng(seed)  # what derive_rng builds, without rehashing
-    decisions, fallback = POLICIES[spec.kind].select(chunk, spec, rng, logits)
+    decisions, fallback = POLICIES[spec.kind].select(chunk, spec, rng, logits, vocab)
     try:
         return corrupt(chunk, decisions, policy_tag=spec.tag, seed_used=seed), fallback
     except AllMaskedError:
@@ -225,7 +227,7 @@ def _mask_chunk(chunk: Chunk, spec: PolicySpec, global_seed: int,
 
 
 def _select_learned(chunk: Chunk, spec: PolicySpec, rng: np.random.Generator,
-                    logits: tuple[np.ndarray, np.ndarray]) -> tuple[Span, bool]:
+                    logits: tuple[np.ndarray, np.ndarray], vocab: Vocab) -> tuple[Span, bool]:
     start_logits, end_logits = logits
     pool = 1 if spec.mode == MODE_TOP1 else TOP5_POOL
     candidates = top_k_spans(start_logits, end_logits, pool, spec.max_span_len)
@@ -236,14 +238,15 @@ def _select_learned(chunk: Chunk, spec: PolicySpec, rng: np.random.Generator,
 class PolicyKind:
     """What a policy kind does when deployed and when evaluated.
 
-    `select(chunk, spec, rng, logits)` returns the chunk's mask decisions
-    and whether a fallback produced them; `logits` are the learned
-    policy's scores for the chunk, None for the others. `proposer(spec)`
+    `select(chunk, spec, rng, logits, vocab)` returns the chunk's mask
+    decisions and whether a fallback produced them; `logits` are the
+    learned policy's scores for the chunk, None for the others, and
+    `vocab` is the vocabulary the chunk was tokenized with. `proposer(spec)`
     gives what evaluation scores: a ranked-span proposer, or for the
     learned kind its parameters, which evaluation scores in batches. It
     is None for a kind that proposes no spans."""
 
-    select: Callable[[Chunk, PolicySpec, np.random.Generator, tuple | None],
+    select: Callable[[Chunk, PolicySpec, np.random.Generator, tuple | None, Vocab],
                      tuple[MaskDecisions | Span, bool]]
     proposer: Callable[[PolicySpec], Proposer | PolicyParams] | None = None
 
@@ -253,15 +256,15 @@ class PolicyKind:
 # counts as a fallback); evaluated, it gets no proposals.
 POLICIES: dict[str, PolicyKind] = {
     POLICY_RANDOM15: PolicyKind(
-        select=lambda chunk, spec, rng, logits: (
+        select=lambda chunk, spec, rng, logits, vocab: (
             random_token_mask(chunk, spec.rate, rng), False)),
     POLICY_RANDOM_SPAN: PolicyKind(
-        select=lambda chunk, spec, rng, logits: (
+        select=lambda chunk, spec, rng, logits, vocab: (
             random_span_mask(chunk, rng, spec.max_span_len), False),
         proposer=lambda spec: random_span_proposer(spec.max_span_len)),
     POLICY_SALIENT: PolicyKind(
-        select=lambda chunk, spec, rng, logits: salient_span_mask_with_fallback(
-            chunk, rng, spec.max_span_len),
+        select=lambda chunk, spec, rng, logits, vocab: salient_span_mask_with_fallback(
+            chunk, rng, spec.max_span_len, vocab_token_bits(vocab)),
         proposer=lambda spec: salient_proposer(spec.max_span_len)),
     POLICY_LEARNED: PolicyKind(
         select=_select_learned,
@@ -286,7 +289,7 @@ def _mask_job(job, vocab: Vocab, spec: PolicySpec, chunk_len: int, global_seed: 
     fallbacks = 0
     skipped = 0
     for chunk, chunk_logits in zip(chunks, logits):
-        example, fallback = _mask_chunk(chunk, spec, global_seed, chunk_logits)
+        example, fallback = _mask_chunk(chunk, spec, global_seed, chunk_logits, vocab)
         fallbacks += int(fallback)
         if example is None:
             skipped += 1
@@ -347,7 +350,7 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     would only keep their token objects alive longer."""
     spec.validate()
     if workers < 1:
-        raise MaskPolicyError(f"workers must be >= 1, got {workers}")
+        raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
     if spec.kind == POLICY_LEARNED and spec.vocab_hash is not None:
         if spec.vocab_hash != vocab.content_hash():
             raise VocabMismatchError(
@@ -389,10 +392,55 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     return examples, summary
 
 
+# Ints below this are written from a table of their decimal strings,
+# which grows to the largest one seen; larger ints go through json.dumps.
+# A 10k vocabulary fills about 10k entries (0.6 MB); the limit, 4.1 MB.
+DECIMAL_TABLE_LIMIT = 1 << 16
+
+
+class _JsonlFormatter:
+    """`json.dumps(ex.to_json_obj(), sort_keys=True)` for a MaskedExample,
+    joined from strings: the keys in sorted order, each id list from the
+    `decimal` table, and the two strings through json.dumps, so their
+    escaping is json's own. Formatting the ints was most of a line's cost."""
+
+    def __init__(self):
+        self.decimal: list[str] = []
+
+    def _ints(self, xs) -> str:
+        """json.dumps of an int list, without its brackets."""
+        if not xs:
+            return ""
+        table = self.decimal
+        try:
+            # The test comes first: a list reads a negative index from its end.
+            if min(xs) >= 0:
+                return ", ".join(map(table.__getitem__, xs))
+        except IndexError:
+            top = max(xs)
+            if top < DECIMAL_TABLE_LIMIT:
+                table += map(str, range(len(table), top + 1))
+                return ", ".join(map(table.__getitem__, xs))
+        return json.dumps(list(xs))[1:-1]
+
+    def __call__(self, ex: MaskedExample) -> str:
+        ints = self._ints
+        return (f'{{"chunk_index": {ex.chunk_index}, "doc_id": {json.dumps(ex.doc_id)}, '
+                f'"input_ids": [{ints(ex.input_ids)}], '
+                f'"masked_positions": [{ints(ex.masked_positions)}], '
+                f'"policy": {json.dumps(ex.policy_tag)}, "seed": {ex.seed_used}, '
+                f'"target_ids": [{ints(ex.target_ids)}]}}')
+
+
 def write_masked_jsonl(path, examples: list[MaskedExample]) -> None:
+    """One line per example, `json.dumps(ex.to_json_obj(), sort_keys=True)`
+    byte for byte, written as it is formatted. The ids and positions are
+    ints, as `corrupt` makes them; the table of their decimal strings
+    lives for one call."""
+    line = _JsonlFormatter()
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
-            fh.write(json.dumps(ex.to_json_obj(), sort_keys=True) + "\n")
+            fh.write(line(ex) + "\n")
 
 
 def read_masked_jsonl(path) -> list[MaskedExample]:

@@ -14,7 +14,13 @@ class MaskPolicyError(Exception):
 
 
 class InvalidOptionError(MaskPolicyError, ValueError):
-    """An option, hyperparameter or argument outside its valid range."""
+    """An option, hyperparameter or argument outside its valid range.
+    `options` names the options whose values it refused, by the name the
+    command line gives them, so the CLI can tell where a value came from."""
+
+    def __init__(self, message: str, *options: str):
+        super().__init__(message)
+        self.options = options
 
 
 # --- numeric core ---------------------------------------------------------
@@ -40,7 +46,7 @@ class EmptyCorpusError(MaskPolicyError):
     """No tokens found in any corpus file."""
 
 
-class InvalidChunkLengthError(MaskPolicyError):
+class InvalidChunkLengthError(InvalidOptionError):
     """Chunk length below the supported minimum."""
 
 
@@ -111,7 +117,7 @@ class NoCandidatesError(MaskPolicyError):
 
 # --- baselines / corruption ----------------------------------------------
 
-class InvalidRateError(MaskPolicyError):
+class InvalidRateError(InvalidOptionError):
     """Masking rate outside [0, 1]."""
 
 

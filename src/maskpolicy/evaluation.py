@@ -99,7 +99,8 @@ def span_hit_metrics(policy: PolicyParams | Proposer,
     if not dataset:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
     if max_span_len < 1:
-        raise InvalidOptionError(f"max_span_len must be >= 1, got {max_span_len}")
+        raise InvalidOptionError(f"max_span_len must be >= 1, got {max_span_len}",
+                                 "max_span_len")
     windows = [prepare_example(ex, max_input_len) for ex in dataset]
     if isinstance(policy, PolicyParams):
         ranked = _learned_candidates(policy, windows, max_span_len, max_input_len)

@@ -58,13 +58,15 @@ class TrainConfig:
         for name, value in numeric.items():
             # NaN and inf fail this too: 0 < nan and inf < inf are False.
             if not 0 < value < math.inf:
-                raise InvalidOptionError(f"{name} must be finite and positive, got {value}")
+                raise InvalidOptionError(f"{name} must be finite and positive, got {value}",
+                                         name)
         if self.seed < 0:
-            raise InvalidOptionError(f"seed must be non-negative, got {self.seed}")
+            raise InvalidOptionError(f"seed must be non-negative, got {self.seed}", "seed")
         if self.max_span_len > self.max_input_len:
-            raise InvalidOptionError("max_span_len cannot exceed max_input_len")
+            raise InvalidOptionError("max_span_len cannot exceed max_input_len",
+                                     "max_span_len", "max_input_len")
         if self.optimizer not in OPTIMIZERS:
-            raise InvalidOptionError(f"unknown optimizer: {self.optimizer!r}")
+            raise InvalidOptionError(f"unknown optimizer: {self.optimizer!r}", "optimizer")
 
     def hyperparameters(self) -> dict:
         return dataclasses.asdict(self)
@@ -234,9 +236,10 @@ def grad_check_suite(n_seeds: int = 100, max_len: int = 12,
     """Finite-difference check of the full policy loss gradient on many
     randomly drawn small models and inputs. Returns the worst relative
     error seen and whether it stayed under the threshold."""
-    if n_seeds < 1 or max_len < 2:
-        raise InvalidOptionError(
-            f"grad check needs seeds >= 1 and max_len >= 2, got {n_seeds} and {max_len}")
+    if n_seeds < 1:
+        raise InvalidOptionError(f"grad check needs seeds >= 1, got {n_seeds}", "seeds")
+    if max_len < 2:
+        raise InvalidOptionError(f"grad check needs max_len >= 2, got {max_len}", "max_len")
     worst = 0.0
     for s in range(n_seeds):
         rng = np.random.default_rng(1000 + s)

@@ -9,6 +9,7 @@ import salient_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskpolicy import baselines
 from maskpolicy.baselines import (
     RANDOM_MASK_RATE,
     SalientKind,
@@ -17,8 +18,10 @@ from maskpolicy.baselines import (
     random_token_mask,
     salient_span_mask_with_fallback,
     salient_spans,
+    vocab_token_bits,
 )
-from maskpolicy.corpus import Chunk, Span, token_offsets, tokenize
+from maskpolicy.corpus import UNK_ID, Chunk, Span, Vocab, token_offsets, tokenize
+from maskpolicy.corruption import PolicySpec, mask_corpus
 from maskpolicy.errors import InvalidRateError
 
 FIXTURES = Path(__file__).parent / "data" / "tagger_fixtures.jsonl"
@@ -274,3 +277,50 @@ class TestAgainstOracle:
         chunk = chunk_of(" ".join(tokens))
         got = [(t.kind.value, t.span.start, t.span.end) for t in salient_spans(chunk)]
         assert got == salient_oracle.salient_spans(chunk.tokens.texts)
+
+
+def _vocab_of(tokens):
+    return Vocab(["<pad>", "<unk>", "<mask>", *tokens])
+
+
+class TestTokenBitsTable:
+    """salient_spans reads a known token's bits from vocab_token_bits by
+    id, and gives the same tags as without the table."""
+
+    @given(st.lists(st.sampled_from(_ORACLE_POOL), max_size=40),
+           st.lists(st.sampled_from(_ORACLE_POOL), unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_tags_equal_without_the_table(self, tokens, known):
+        vocab = _vocab_of(known)
+        chunk = Chunk(tokenize(" ".join(tokens), vocab), "test:00000000", 0)
+        tags = salient_spans(chunk, vocab_token_bits(vocab))
+        assert tags == salient_spans(chunk)
+        if len(chunk):
+            assert (salient_span_mask_with_fallback(chunk, np.random.default_rng(0), 3,
+                                                    vocab_token_bits(vocab))
+                    == salient_span_mask_with_fallback(chunk, np.random.default_rng(0), 3))
+
+    def test_unknown_tokens_read_their_text(self):
+        vocab = _vocab_of(["met", "in"])
+        chunk = Chunk(tokenize("met Alice in 1991", vocab), "test:00000000", 0)
+        assert chunk.tokens.ids.count(UNK_ID) == 2
+        tags = salient_spans(chunk, vocab_token_bits(vocab))
+        assert [(t.kind, t.span) for t in tags] == [
+            (SalientKind.CAP_SEQUENCE, Span(1, 1)), (SalientKind.DATE, Span(3, 3))]
+
+    def test_one_table_per_vocab_object(self):
+        vocab = _vocab_of(["May", "the", "1946"])
+        table = vocab_token_bits(vocab)
+        assert vocab_token_bits(vocab) is table
+        assert len(table) == len(vocab)
+        assert vocab_token_bits(_vocab_of(["May", "the", "1946"])) is not table
+
+    def test_built_by_the_salient_deploy_not_by_load(self, tmp_path):
+        _vocab_of(["he", "met", "Alice"]).save(tmp_path / "vocab.txt")
+        (tmp_path / "corpus.txt").write_text("he met Alice in May\n", encoding="utf-8")
+        vocab = Vocab.load(tmp_path / "vocab.txt")
+        assert vocab not in baselines._vocab_bits
+        mask_corpus([tmp_path / "corpus.txt"], vocab, PolicySpec(kind="random15"), chunk_len=4)
+        assert vocab not in baselines._vocab_bits
+        mask_corpus([tmp_path / "corpus.txt"], vocab, PolicySpec(kind="salient"), chunk_len=4)
+        assert vocab in baselines._vocab_bits

@@ -383,6 +383,13 @@ class TestConfigHandling:
         assert code == 2
         assert "not valid for compare: seed" in capsys.readouterr().err
 
+    def test_config_nested_past_the_recursion_limit_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: config file {cfg} is not valid JSON" in capsys.readouterr().err
+
     def test_non_object_config_rejected(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -400,6 +407,43 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "chunk_len must be of type int, got 2.5" in capsys.readouterr().err
+
+    def _range_case(self, workspace, command):
+        vocab = str(workspace / "vocab" / "vocab.txt")
+        return {
+            "train-policy": (["--train", str(workspace / "train.jsonl"),
+                              "--valid", str(workspace / "valid.jsonl"), "--vocab", vocab,
+                              "--epochs", "1", "--d-emb", "4", "--d-h", "4",
+                              "--max-input-len", "24", "--max-span-len", "5"],
+                             "seed", -1, "seed must be non-negative, got -1"),
+            "mask-corpus": (["--corpus", str(workspace / "corpus.txt"), "--vocab", vocab,
+                             "--policy", "random15"],
+                            "workers", 0, "workers must be >= 1, got 0"),
+            "grad-check": ([], "seeds", 0, "grad check needs seeds >= 1, got 0"),
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train-policy", "mask-corpus", "grad-check"])
+    def test_config_value_out_of_range_names_the_file(self, workspace, tmp_path, capsys,
+                                                      command):
+        argv, key, value, message = self._range_case(workspace, command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, *argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: config file {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["train-policy", "mask-corpus", "grad-check"])
+    def test_flag_out_of_range_does_not_name_the_config(self, workspace, tmp_path, capsys,
+                                                        command):
+        argv, key, value, message = self._range_case(workspace, command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        flag = "--" + key.replace("_", "-")
+        code = main([command, *argv, flag, str(value), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 _POLICIES = ["random15", "randomspan", "salient", "learned"]

@@ -1,10 +1,14 @@
-"""The command line over bad `--config` files and damaged checkpoints.
+"""The command line over bad `--config` files, damaged checkpoints and
+messy anchor files.
 
-Config files hold values of the wrong type, NaN or +-Infinity, keys the
-command does not know, a top level that is not an object, or are cut
-short. Checkpoints are cut short or have one bit flipped, and are read
-by `eval-policy` and `mask-corpus`. A run exits 0 or 2 and never with a
-traceback; a refusal names the file."""
+Config files hold values of the wrong type, NaN or +-Infinity, values
+out of their option's range, keys the command does not know, a top level
+that is not an object, or are cut short. Checkpoints are cut short or
+have one bit flipped, and are read by `eval-policy` and `mask-corpus`.
+Anchor files mix good records with CRLF line ends, U+2028 and NUL in and
+between records, invalid UTF-8 and records of the wrong type, and are
+read by `train-policy` and `eval-policy`. A run exits 0 or 2 and never
+with a traceback; a refusal names the file."""
 
 import contextlib
 import io
@@ -32,6 +36,21 @@ _JUNK = {
     str: [None, True, 3, 2.5, [1], {"a": 1}, NAN],
 }
 
+# Per command and option, values of the right type that the command
+# refuses once they reach it (every option without an entry takes any
+# value of its type).
+_OUT_OF_RANGE = {
+    "train-policy": {"epochs": [0, -1], "learning_rate": [0.0, -0.5], "batch_size": [0],
+                     "max_input_len": [0], "max_span_len": [0, -3], "d_emb": [0],
+                     "d_h": [-1], "clip_norm": [0, -1.0], "seed": [-1],
+                     "optimizer": ["adagrad", ""]},
+    "eval-policy": {"max_span_len": [0, -1]},
+    "mask-corpus": {"workers": [0, -2], "chunk_len": [1, 0], "max_span_len": [0],
+                    "rate": [1.5, -0.1], "mode": ["top3"]},
+    "grad-check": {"seeds": [0, -1], "max_len": [1]},
+    "build-vocab": {},
+}
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -50,7 +69,8 @@ def workspace(tmp_path_factory):
 
 def _args(root):
     """Per command, its input paths and a flag for every option, so that a
-    config the command accepts still runs small: flags beat the config."""
+    config the command accepts still runs small: flags beat the config.
+    A test drops the flag of an option it wants the config to set."""
     vocab = ["--vocab", str(root / "vocab" / "vocab.txt")]
     return {
         "build-vocab": ["--corpus", str(root / "corpus.txt"), "--max-size", "100",
@@ -82,39 +102,62 @@ def _refusal(err):
     return err[at:] if at == 0 or err[at - 1:at] == "\n" else ""
 
 
+def _without_flags(argv, keys):
+    """`argv` without the flag and value of each option in `keys`."""
+    flags = {"--" + key.replace("_", "-") for key in keys}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags:
+            out.pop()
+        else:
+            out.append(arg)
+    return out
+
+
 @st.composite
 def configs(draw, command):
-    """A config file's text for `command`, and whether it must be refused:
-    the command's own keys set to their defaults or to junk, maybe an
-    unknown key, maybe cut short; or a JSON value that is not an object."""
+    """A config file's text for `command`, whether it must be refused, and
+    the options whose flags must go so that the config's value counts:
+    the command's own keys set to their defaults, to junk or out of range,
+    maybe an unknown key, maybe cut short; or a JSON value that is not an
+    object."""
     defaults = cli._DEFAULTS[command]
     if draw(st.booleans()) and draw(st.booleans()):
-        top = draw(st.sampled_from([[], [1, 2], "x", 3, None, NAN, -INF]))
-        return json.dumps(top), True
-    obj, bad = {}, False
+        top = draw(st.sampled_from([[], [1, 2], "x", 3, None, NAN, -INF, "deep"]))
+        # Nested past the decoder's recursion limit.
+        return ("[" * 100_000 + "]" * 100_000 if top == "deep" else json.dumps(top)), True, ()
+    obj, bad, unflag = {}, False, []
     for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=4)):
-        junk = draw(st.booleans())
-        obj[key] = draw(st.sampled_from(_JUNK[type(defaults[key])])) if junk else defaults[key]
-        bad |= junk
+        refused = _OUT_OF_RANGE[command].get(key, [])
+        kind = draw(st.sampled_from(["default", "junk"] + ["range"] * bool(refused)))
+        if kind == "junk":
+            obj[key] = draw(st.sampled_from(_JUNK[type(defaults[key])]))
+        elif kind == "range":
+            obj[key] = draw(st.sampled_from(refused))
+            unflag.append(key)
+        else:
+            obj[key] = defaults[key]
+        bad |= kind != "default"
     if draw(st.booleans()):
         obj[draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in defaults))] = 1
         bad = True
     text = json.dumps(obj)
     if draw(st.booleans()) and draw(st.booleans()):
         # No proper prefix of a JSON object is valid JSON.
-        return text[:draw(st.integers(0, len(text) - 1))], True
-    return text, bad
+        return text[:draw(st.integers(0, len(text) - 1))], True, unflag
+    return text, bad, unflag
 
 
 @given(st.sampled_from(["build-vocab", "train-policy", "eval-policy", "mask-corpus",
                         "grad-check"]).flatmap(lambda c: st.tuples(st.just(c), configs(c))))
 @settings(max_examples=40, deadline=None)
 def test_config_file(workspace, case):
-    command, (text, bad) = case
+    command, (text, bad, unflag) = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(text, encoding="utf-8")
-        code, err = _run([command, *_args(workspace)[command], "--config", str(cfg),
+        argv = _without_flags(_args(workspace)[command], unflag)
+        code, err = _run([command, *argv, "--config", str(cfg),
                           "--out", str(Path(tmp) / "out")])
         assert code == (2 if bad else 0), err
         if bad:
@@ -149,4 +192,71 @@ def test_damaged_checkpoint(workspace, checkpoint_bytes, data, command):
         assert code in (0, 2), err
         if code == 2:
             assert str(ckpt) in _refusal(err), err
+            assert not (Path(tmp) / "out" / "manifest.json").exists()
+
+
+# Lines that are not an anchor record: JSON of another type, a record
+# with a field missing or of the wrong type, nesting past the decoder's
+# recursion limit, blank lines.
+_NOT_RECORDS = [
+    "[1, 2]", '"x"', "3", "null", "true", "NaN", "{}", "[" * 100_000,
+    '{"context": 3, "question": "q", "answer": "a"}',
+    '{"context": "w01 a01", "question": "q"}',
+    '{"context": "w01 a01", "question": "q", "answer": ["a01"]}',
+    '{"context": "w01 a01", "question": null, "answer": "a01"}',
+    "", "   ",
+]
+
+
+@st.composite
+def anchor_files(draw, good_lines):
+    """An anchor JSONL file's bytes: good records, some changed, and lines
+    that are not records."""
+    out = b""
+    for _ in range(draw(st.integers(0, 10))):
+        line = draw(st.sampled_from(good_lines))
+        # Weighted towards lines a run accepts, so that some files load.
+        how = draw(st.sampled_from(["good"] * 3 + ["crlf", "u2028", "nul"] * 2
+                                   + ["raw", "badutf8", "notrecord", "noend"]))
+        end = "\r\n" if how == "crlf" else "\n"
+        if how in ("u2028", "nul"):
+            # Into the context, raw or escaped: both decode to the character.
+            char = draw(st.sampled_from(["\u2028", "\\u2028"] if how == "u2028"
+                                        else ["\\u0000"]))
+            line = line.replace(" ", char, draw(st.integers(1, 3)))
+        elif how == "raw":
+            # A raw U+2028, NUL, CR or form feed anywhere in the line.
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(["\u2028", "\x00", "\r", "\x0c"])) + line[at:]
+        elif how == "notrecord":
+            line = draw(st.sampled_from(_NOT_RECORDS))
+        elif how == "noend":
+            end = ""
+        data = (line + end).encode("utf-8")
+        if how == "badutf8":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x80", b"\xed\xa0\x80"])) + data[at:]
+        out += data
+    return out
+
+
+@pytest.fixture(scope="module")
+def good_lines(workspace):
+    return (workspace / "train.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+@given(st.data(), st.sampled_from([("train-policy", "train"), ("train-policy", "valid"),
+                                   ("eval-policy", "dev")]))
+@settings(max_examples=40, deadline=None)
+def test_messy_anchor_file(workspace, good_lines, data, case):
+    command, role = case
+    with tempfile.TemporaryDirectory() as tmp:
+        anchor = Path(tmp) / f"{role}.jsonl"
+        anchor.write_bytes(data.draw(anchor_files(good_lines)))
+        argv = _args(workspace)[command]
+        argv[argv.index(f"--{role}") + 1] = str(anchor)
+        code, err = _run([command, *argv, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2), err
+        if code == 2:
+            assert str(anchor) in _refusal(err), err
             assert not (Path(tmp) / "out" / "manifest.json").exists()

@@ -300,6 +300,13 @@ class TestDocumentsAndAnchors:
         with pytest.raises(MalformedRecordError):
             load_anchor_dataset(p, make_vocab("a"))
 
+    def test_record_nested_past_the_recursion_limit_aborts(self, tmp_path):
+        p = tmp_path / "anchors.jsonl"
+        p.write_text("\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as exc:
+            load_anchor_dataset(p, make_vocab("a"))
+        assert str(exc.value) == f"{p}:2: invalid JSON: nested too deeply"
+
 
 class TestTokenSequence:
     def test_slice_preserves_alignment(self):

@@ -1,6 +1,7 @@
 """Corruption of chunks into masked examples and corpus-scale deployment."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from maskpolicy.baselines import MaskDecisions
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import MASK_ID, Chunk, Span, TokenSequence, Vocab, tokenize
 from maskpolicy.corruption import (
+    DECIMAL_TABLE_LIMIT,
     POLICIES,
     MaskedExample,
+    _JsonlFormatter,
     PolicySpec,
     corrupt,
     mask_corpus,
@@ -308,8 +311,6 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_summary_json(self, small_corpus, vocab, tmp_path):
-        import json
-
         spec = PolicySpec(kind="randomspan")
         _, summary = mask_corpus([small_corpus], vocab, spec, chunk_len=4)
         out = tmp_path / "summary.json"
@@ -317,3 +318,65 @@ class TestSerialization:
         obj = json.loads(out.read_text())
         assert obj["chunks"] == summary.chunks
         assert all(isinstance(k, str) for k in obj["span_length_hist"])
+
+
+# Ids drawn near 0, around the end of the decimal table, far past it, and
+# below 0: the writer's table must agree with json.dumps on every int.
+_ids = st.one_of(
+    st.integers(0, 20),
+    st.integers(DECIMAL_TABLE_LIMIT - 3, DECIMAL_TABLE_LIMIT + 3),
+    st.integers(-(10 ** 20), 10 ** 20),
+)
+_id_lists = st.lists(_ids, max_size=12).map(tuple)
+
+
+@st.composite
+def masked_examples(draw):
+    return MaskedExample(
+        input_ids=draw(_id_lists), masked_positions=draw(_id_lists),
+        target_ids=draw(_id_lists),
+        doc_id=draw(st.one_of(st.sampled_from(['a"b\\c:0', "é \u0000\U0001f600", ""]),
+                              st.text(max_size=8))),
+        chunk_index=draw(st.integers(-3, 10 ** 12)),
+        policy_tag=draw(st.one_of(st.sampled_from(["random15", "learned-top1"]),
+                                  st.text(max_size=6))),
+        seed_used=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+class TestJsonlWriter:
+    """write_masked_jsonl formats lines from a table of decimal strings;
+    every line must be the json.dumps of the example's object."""
+
+    @given(st.lists(masked_examples(), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, examples):
+        out = tmp_path_factory.mktemp("jsonl") / "masked.jsonl"
+        write_masked_jsonl(out, examples)
+        expected = "".join(json.dumps(ex.to_json_obj(), sort_keys=True) + "\n"
+                           for ex in examples)
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_table_grows_to_the_largest_id_seen(self):
+        line = _JsonlFormatter()
+        ex = MaskedExample((5, 0, 37), (1,), (0,), "d:0", 0, "random15", 7)
+        assert line(ex) == json.dumps(ex.to_json_obj(), sort_keys=True)
+        assert len(line.decimal) == 38
+
+    def test_ids_past_the_limit_do_not_grow_the_table(self):
+        line = _JsonlFormatter()
+        line(MaskedExample((3,), (1,), (3,), "d:0", 0, "random15", 7))
+        assert len(line.decimal) == 4
+        # The limit itself first: should the guard fail, this grows the
+        # table by only 64k entries before the assertion stops the test.
+        ex = MaskedExample((3, DECIMAL_TABLE_LIMIT), (1,), (3,), "d:0", 0, "random15", 7)
+        assert line(ex) == json.dumps(ex.to_json_obj(), sort_keys=True)
+        assert len(line.decimal) == 4
+        ex = MaskedExample((3, 10 ** 9), (1,), (10 ** 9,), "d:0", 0, "random15", 7)
+        assert line(ex) == json.dumps(ex.to_json_obj(), sort_keys=True)
+        assert len(line.decimal) == 4
+
+    def test_negative_ids_are_not_read_from_the_table_end(self):
+        line = _JsonlFormatter()
+        line(MaskedExample((9,), (), (), "d:0", 0, "random15", 7))
+        ex = MaskedExample((-1, 2), (0,), (-10,), "d:0", 0, "random15", 7)
+        assert line(ex) == json.dumps(ex.to_json_obj(), sort_keys=True)
