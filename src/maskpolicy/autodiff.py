@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import NonFiniteError, NonScalarLossError, ShapeMismatchError
 
-_F64 = np.dtype(np.float64)
-
 _grad_enabled = True
 
 
@@ -50,24 +48,12 @@ class no_grad:
         return False
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # Finite sum implies all elements finite; a non-finite sum can be
-    # float overflow of finite values, so only then check elementwise.
-    # That overflow is expected here, so it must not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    return bool(np.isfinite(total)) or bool(np.isfinite(arr).all())
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if type(data) is np.ndarray and data.dtype == _F64:
-            arr = data
-        else:
-            arr = np.asarray(data, dtype=np.float64)
-        if not _all_finite(arr):
+        arr = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite value in tensor of shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -229,7 +215,7 @@ def backward(loss: Tensor) -> None:
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
-            if not _all_finite(g):
+            if not np.isfinite(g).all():
                 raise NonFiniteError("non-finite gradient in backward pass")
             p.grad = g if p.grad is None else p.grad + g
 

@@ -21,21 +21,19 @@ rules read (month, day, year, 2+-digit number, capitalized,
 contains-alphanumeric, sentence-ender) once per token and packs them
 into a small int of bits. `vocab_token_bits(vocab)` holds those bits
 for every vocabulary token, indexed by id; it is built on first use and
-kept once per `Vocab` object, so a deployment (or each of its pool
-workers) classifies its vocabulary once. Given that table,
-`salient_spans` reads a known token's bits by id; an unknown token's
-bits come from its text, through a bounded `functools.lru_cache`.
-Without the table, every token goes through the cache, as evaluation
-and the tests call it. `salient_spans` then reads only the bits: dates
-are matched only at positions that can start one, numbers come straight
-from their bit, and the sentence-initial flags and mid-sentence
-capitals are built in one pass. tests/salient_oracle.py keeps the
-rule-by-rule form as the reference the tests compare against.
+kept once per `Vocab` object, so a deployment or an evaluation (or each
+pool worker) classifies its vocabulary once. Given that table,
+`salient_spans` reads a known token's bits by id and computes an unknown
+token's bits from its text; called without it, it computes every
+token's bits. It then reads only the bits: dates are matched only at
+positions that can start one, numbers come straight from their bit, and
+the sentence-initial flags and mid-sentence capitals are built in one
+pass. tests/salient_oracle.py keeps the rule-by-rule form as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -113,17 +111,6 @@ _ALNUM = 32  # some character alphanumeric: a word, not punctuation
 _ENDER = 64  # sentence-ending punctuation
 _DATE_START = _MONTH | _DAY | _YEAR
 
-# Distinct token strings whose bits are remembered. A deployment reads a
-# known token's bits from `vocab_token_bits`, so the cache serves its
-# unknown tokens, which are mostly rare words: on the benchmark's salient
-# corpus only about 13% of those lookups hit. Evaluation and other calls
-# without the table look up every token, and there Zipfian text puts most
-# occurrences on a few thousand words (about 70% of lookups hit). A miss
-# only recomputes the bits, and the bound keeps the cache under a megabyte.
-_TOKEN_BITS_CACHE_SIZE = 1 << 12
-
-
-@functools.lru_cache(maxsize=_TOKEN_BITS_CACHE_SIZE)
 def _token_bits(tok: str) -> int:
     """Every tagger predicate of one token, as an int of the bits above."""
     bits = _ALNUM if tok.isalnum() or any(ch.isalnum() for ch in tok) else 0
@@ -153,8 +140,7 @@ def vocab_token_bits(vocab: Vocab) -> bytes:
     each), built on the first call for a Vocab object and kept with it."""
     table = _vocab_bits.get(vocab)
     if table is None:
-        # Uncached: the vocabulary would flush the unknown tokens' entries.
-        table = _vocab_bits[vocab] = bytes(map(_token_bits.__wrapped__, vocab.id_to_token))
+        table = _vocab_bits[vocab] = bytes(map(_token_bits, vocab.id_to_token))
     return table
 
 
@@ -285,13 +271,14 @@ def random_span_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
     return propose
 
 
-def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> Proposer:
+def salient_proposer(max_span_len: int = DEFAULT_MAX_SPAN_LEN,
+                     token_bits: bytes | None = None) -> Proposer:
     """Up to k salient spans, a uniform sample in chunk order when there
     are more. Unlike salient_span_mask_with_fallback, it has no
     random-span fallback: a chunk without salient spans gets no
-    proposals."""
+    proposals. `token_bits` is as for `salient_spans`."""
     def propose(chunk: Chunk, k: int, rng: np.random.Generator) -> list[Span]:
-        tags = [t.span for t in _eligible_salient(chunk, max_span_len)]
+        tags = [t.span for t in _eligible_salient(chunk, max_span_len, token_bits)]
         if len(tags) > k:
             picks = rng.choice(len(tags), size=k, replace=False)
             return [tags[int(t)] for t in sorted(picks)]

@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocab
-from .errors import MaskPolicyError, UndecodableTextError, VocabMismatchError
+from .corpus import Vocab, read_json
+from .errors import MaskPolicyError, VocabMismatchError
 from .policy import PolicyParams
 
 FORMAT_VERSION = 2
@@ -115,10 +115,8 @@ def _field(payload: dict, key: str, kind: type, default=None):
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dict, str]:
     """Returns (params, hyperparameters, vocab_hash); verifies the hash
     when a vocabulary is supplied. Every error names `path`."""
+    payload = read_json(path, "checkpoint")
     try:
-        payload = json.loads(Path(path).read_bytes())
-        if not isinstance(payload, dict):
-            raise MaskPolicyError("does not hold a JSON object")
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise MaskPolicyError(f"unsupported checkpoint format_version: {version!r}")
@@ -129,9 +127,7 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dic
         hyperparameters = _field(payload, "hyperparameters", dict, default={})
         raw = _field(payload, "parameters", dict)
         params = PolicyParams.from_arrays({name: _array(name, entry) for name, entry in raw.items()})
-    except UnicodeDecodeError:
-        raise UndecodableTextError.locate(path) from None
-    except (MaskPolicyError, json.JSONDecodeError) as e:
+    except MaskPolicyError as e:
         kind = VocabMismatchError if isinstance(e, VocabMismatchError) else MaskPolicyError
         raise kind(f"checkpoint {path}: {e}") from None
     return params, hyperparameters, vocab_hash

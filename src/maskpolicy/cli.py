@@ -8,8 +8,9 @@ command's input files and one writer per artifact; a single runner then
 publishes every command's output into --out: it removes any earlier
 manifest.json, renames each artifact into place once it is complete,
 and writes the new manifest last. Exit codes: 0 success, 1 usage error,
-2 bad input (a MaskPolicyError, an unreadable file or malformed JSON);
-any other exception is a bug and propagates with its traceback.
+2 bad input (a MaskPolicyError, which malformed input files raise, or
+an unreadable file); any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .checkpoint import atomic_output, load_checkpoint, write_checkpoint
-from .corpus import Vocab, build_vocab, load_anchor_dataset, read_text
+from .corpus import Vocab, build_vocab, load_anchor_dataset, read_json, write_json
 from .corruption import (
     POLICIES,
     POLICY_LEARNED,
@@ -84,13 +85,7 @@ def _sha256_file(path) -> str:
 def _load_config(path, command: str) -> dict:
     if path is None:
         return {}
-    try:
-        obj = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as e:
-        # json raises RecursionError on arrays or objects nested too deeply.
-        raise MaskPolicyError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise MaskPolicyError(f"config file {path} must hold a JSON object")
+    obj = read_json(path, "config file")
     defaults = _DEFAULTS[command]
     unknown = set(obj) - set(defaults)
     if unknown:
@@ -121,10 +116,6 @@ def _options(args: argparse.Namespace) -> tuple[dict, set[str]]:
             resolved[key] = flag_value
             config.pop(key, None)
     return resolved, set(config)
-
-
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(path, records) -> None:
@@ -215,8 +206,8 @@ def _cmd_eval_policy(args, opts) -> _Run:
     inputs = [args.dev, args.vocab]
     spec = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
                         max_input_len=opts["max_input_len"])
-    report = span_hit_metrics(POLICIES[spec.kind].proposer(spec), dev, policy_tag=args.policy,
-                              max_span_len=opts["max_span_len"],
+    report = span_hit_metrics(POLICIES[spec.kind].proposer(spec, vocab), dev,
+                              policy_tag=args.policy, max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],
                               seed=opts["seed"])
     print(f"{report.policy_tag}: em@1={report.em_at_1:.3f} "
@@ -245,7 +236,7 @@ def _cmd_mask_corpus(args, opts) -> _Run:
 def _cmd_compare(args, opts) -> _Run:
     table, payload = compare_policies([read_report(p) for p in args.reports])
     print(table)
-    return _Run(args.reports, {"comparison.json": lambda path: _write_json(path, payload)})
+    return _Run(args.reports, {"comparison.json": lambda path: write_json(path, payload)})
 
 
 def _cmd_grad_check(args, opts) -> _Run:
@@ -253,7 +244,7 @@ def _cmd_grad_check(args, opts) -> _Run:
     print(f"grad check over {result['seeds']} seeds: "
           f"max rel err {result['max_rel_err']:.3e} "
           f"({'pass' if result['pass'] else 'FAIL'})", file=sys.stderr)
-    return _Run([], {"gradcheck.json": lambda path: _write_json(path, result)},
+    return _Run([], {"gradcheck.json": lambda path: write_json(path, result)},
                 code=0 if result["pass"] else 2)
 
 
@@ -319,7 +310,7 @@ def _run(args: argparse.Namespace) -> int:
         "artifacts": {name: _sha256_file(out / name) for name in run.artifacts},
     }
     with atomic_output(out / "manifest.json") as tmp:
-        _write_json(tmp, manifest)
+        write_json(tmp, manifest)
     return run.code
 
 
@@ -330,7 +321,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (MaskPolicyError, OSError, json.JSONDecodeError) as e:
+    except (MaskPolicyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,7 @@ from .errors import (
     InvalidChunkLengthError,
     InvalidVocabError,
     MalformedRecordError,
+    MaskPolicyError,
     UndecodableTextError,
 )
 
@@ -216,6 +217,25 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise UndecodableTextError.locate(path) from None
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; JSON that does not parse, is
+    nested too deeply, or is not an object raises an error naming `what`
+    (say "checkpoint") and the file."""
+    try:
+        obj = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as e:
+        # json raises RecursionError on arrays or objects nested too deeply.
+        raise MaskPolicyError(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise MaskPolicyError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """`obj` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def build_vocab(corpus_paths, max_size: int = 50000, min_freq: int = 1) -> Vocab:

@@ -33,6 +33,7 @@ from .corpus import (
     chunk_document,
     iter_documents,
     tokenize,
+    write_json,
 )
 from .errors import (
     AllMaskedError,
@@ -241,14 +242,14 @@ class PolicyKind:
     `select(chunk, spec, rng, logits, vocab)` returns the chunk's mask
     decisions and whether a fallback produced them; `logits` are the
     learned policy's scores for the chunk, None for the others, and
-    `vocab` is the vocabulary the chunk was tokenized with. `proposer(spec)`
-    gives what evaluation scores: a ranked-span proposer, or for the
-    learned kind its parameters, which evaluation scores in batches. It
-    is None for a kind that proposes no spans."""
+    `vocab` is the vocabulary the chunk was tokenized with.
+    `proposer(spec, vocab)` gives what evaluation scores: a ranked-span
+    proposer, or for the learned kind its parameters, which evaluation
+    scores in batches. It is None for a kind that proposes no spans."""
 
     select: Callable[[Chunk, PolicySpec, np.random.Generator, tuple | None, Vocab],
                      tuple[MaskDecisions | Span, bool]]
-    proposer: Callable[[PolicySpec], Proposer | PolicyParams] | None = None
+    proposer: Callable[[PolicySpec, Vocab], Proposer | PolicyParams] | None = None
 
 
 # Every policy kind. Salient differs between the two roles on purpose:
@@ -261,14 +262,15 @@ POLICIES: dict[str, PolicyKind] = {
     POLICY_RANDOM_SPAN: PolicyKind(
         select=lambda chunk, spec, rng, logits, vocab: (
             random_span_mask(chunk, rng, spec.max_span_len), False),
-        proposer=lambda spec: random_span_proposer(spec.max_span_len)),
+        proposer=lambda spec, vocab: random_span_proposer(spec.max_span_len)),
     POLICY_SALIENT: PolicyKind(
         select=lambda chunk, spec, rng, logits, vocab: salient_span_mask_with_fallback(
             chunk, rng, spec.max_span_len, vocab_token_bits(vocab)),
-        proposer=lambda spec: salient_proposer(spec.max_span_len)),
+        proposer=lambda spec, vocab: salient_proposer(spec.max_span_len,
+                                                      vocab_token_bits(vocab))),
     POLICY_LEARNED: PolicyKind(
         select=_select_learned,
-        proposer=lambda spec: spec.params),
+        proposer=lambda spec, vocab: spec.params),
 }
 
 
@@ -452,6 +454,4 @@ def read_masked_jsonl(path) -> list[MaskedExample]:
 
 
 def write_summary(path, summary: MaskSummary) -> None:
-    Path(path).write_text(
-        json.dumps(summary.to_json_obj(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, summary.to_json_obj())

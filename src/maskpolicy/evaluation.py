@@ -10,17 +10,16 @@ and token-level F1 of the top candidate, are averaged over the dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import (
     AnchorExample,
     Chunk,
     Span,
     Vocab,
-    read_text,
+    read_json,
     tokenize,
+    write_json,
 )
 from .corruption import MaskedExample
 from .errors import (
@@ -65,15 +64,27 @@ class PolicyReport:
         }
 
 
+# Per report field, in PolicyReport's order, the JSON types its value may
+# take and their name; a bool is not a number here, though Python counts
+# it as an int.
+_REPORT_FIELDS = {
+    "policy": ((str,), "a string"),
+    "em_at_1": ((int, float), "a number"),
+    "em_at_5": ((int, float), "a number"),
+    "token_f1_at_1": ((int, float), "a number"),
+    "answer_coverage": ((int, float, type(None)), "a number or null"),
+    "n": ((int,), "an integer"),
+}
+
+
 def report_from_json_obj(obj: dict) -> PolicyReport:
-    return PolicyReport(
-        policy_tag=obj["policy"],
-        em_at_1=obj["em_at_1"],
-        em_at_5=obj["em_at_5"],
-        token_f1_at_1=obj["token_f1_at_1"],
-        answer_coverage=obj.get("answer_coverage"),
-        n_examples=obj["n"],
-    )
+    """The report `obj` holds; a field that is missing or of the wrong
+    type raises an error naming it. answer_coverage may be left out."""
+    for key, (kinds, name) in _REPORT_FIELDS.items():
+        value = obj.get(key)
+        if type(value) is bool or not isinstance(value, kinds):
+            raise MaskPolicyError(f"field {key!r} is missing or not {name}")
+    return PolicyReport(*(obj.get(key) for key in _REPORT_FIELDS))
 
 
 def token_f1(pred: Span, gold: Span) -> float:
@@ -225,13 +236,13 @@ def compare_policies(reports: list[PolicyReport]) -> tuple[str, dict]:
 
 
 def write_report(path, report: PolicyReport) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, report.to_json_obj())
 
 
 def read_report(path) -> PolicyReport:
+    """The report in the JSON file `path`; every error names the file."""
+    obj = read_json(path, "report")
     try:
-        return report_from_json_obj(json.loads(read_text(path)))
-    except (KeyError, TypeError) as e:
-        raise MaskPolicyError(f"report {path} lacks a field or has a bad one: {e}") from None
+        return report_from_json_obj(obj)
+    except MaskPolicyError as e:
+        raise MaskPolicyError(f"report {path}: {e}") from None

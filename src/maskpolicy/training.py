@@ -229,17 +229,15 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
 GRAD_CHECK_THRESHOLD = 1e-4
 
 
-def grad_check_suite(n_seeds: int = 100, max_len: int = 12,
-                     threshold: float = GRAD_CHECK_THRESHOLD,
-                     vocab_size: int = 12, d_emb: int = 3,
-                     d_h: int = 2) -> dict:
+def grad_check_suite(n_seeds: int = 100, max_len: int = 12) -> dict:
     """Finite-difference check of the full policy loss gradient on many
     randomly drawn small models and inputs. Returns the worst relative
-    error seen and whether it stayed under the threshold."""
+    error seen and whether it stayed under GRAD_CHECK_THRESHOLD."""
     if n_seeds < 1:
         raise InvalidOptionError(f"grad check needs seeds >= 1, got {n_seeds}", "seeds")
     if max_len < 2:
         raise InvalidOptionError(f"grad check needs max_len >= 2, got {max_len}", "max_len")
+    vocab_size, d_emb, d_h = 12, 3, 2
     worst = 0.0
     for s in range(n_seeds):
         rng = np.random.default_rng(1000 + s)
@@ -258,6 +256,6 @@ def grad_check_suite(n_seeds: int = 100, max_len: int = 12,
     return {
         "seeds": n_seeds,
         "max_rel_err": worst,
-        "threshold": threshold,
-        "pass": bool(worst < threshold),
+        "threshold": GRAD_CHECK_THRESHOLD,
+        "pass": bool(worst < GRAD_CHECK_THRESHOLD),
     }

@@ -104,13 +104,13 @@ class TestShapeAndFiniteness:
             Tensor([float("inf")])
 
     def test_finite_values_with_overflowing_sum_accepted(self):
-        # The fast finiteness check sums first; this hits its slow path.
+        # Every value is finite, though their sum overflows.
         t = Tensor([1e308, 1e308, -1e308])
         assert np.all(np.isfinite(t.data))
 
     def test_overflowing_sums_raise_no_warning(self):
-        # The overflow is the finiteness check's own; it must stay silent
-        # in Tensor creation and in backward's gradient check alike.
+        # The values' sums overflow; the finiteness checks must stay
+        # silent in Tensor creation and in backward's gradient check alike.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = Tensor([1e308, -1e308, 1e308, 1e308])

@@ -16,13 +16,23 @@ from maskpolicy.baselines import (
     SalientTag,
     random_span_mask,
     random_token_mask,
+    salient_proposer,
     salient_span_mask_with_fallback,
     salient_spans,
     vocab_token_bits,
 )
-from maskpolicy.corpus import UNK_ID, Chunk, Span, Vocab, token_offsets, tokenize
+from maskpolicy.corpus import (
+    UNK_ID,
+    AnchorExample,
+    Chunk,
+    Span,
+    Vocab,
+    token_offsets,
+    tokenize,
+)
 from maskpolicy.corruption import PolicySpec, mask_corpus
 from maskpolicy.errors import InvalidRateError
+from maskpolicy.evaluation import span_hit_metrics
 
 FIXTURES = Path(__file__).parent / "data" / "tagger_fixtures.jsonl"
 
@@ -299,6 +309,24 @@ class TestTokenBitsTable:
             assert (salient_span_mask_with_fallback(chunk, np.random.default_rng(0), 3,
                                                     vocab_token_bits(vocab))
                     == salient_span_mask_with_fallback(chunk, np.random.default_rng(0), 3))
+
+    @given(st.lists(st.lists(st.sampled_from(_ORACLE_POOL), min_size=1, max_size=40),
+                    min_size=1, max_size=8),
+           st.lists(st.sampled_from(_ORACLE_POOL), unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_span_hit_metrics_equal_without_the_table(self, contexts, known, data):
+        vocab = _vocab_of(known)
+        dataset = []
+        for words in contexts:
+            context = " ".join(words)
+            tokens = tokenize(context, vocab)
+            start = data.draw(st.integers(0, len(tokens) - 1))
+            gold = Span(start, data.draw(st.integers(start, min(start + 2, len(tokens) - 1))))
+            dataset.append(AnchorExample(context, "q", "a", tokens, gold))
+        kw = {"max_span_len": 3, "max_input_len": 16, "seed": 7}
+        assert (span_hit_metrics(salient_proposer(3, vocab_token_bits(vocab)), dataset,
+                                 "salient", **kw)
+                == span_hit_metrics(salient_proposer(3), dataset, "salient", **kw))
 
     def test_unknown_tokens_read_their_text(self):
         vocab = _vocab_of(["met", "in"])

@@ -699,9 +699,9 @@ class TestCrashSafeArtifacts:
                              "--policy", "randomspan", "--max-input-len", "24",
                              "--max-span-len", "5"],
                             "report.json", (cli, "write_report")),
-            "compare": (["--reports", *reports], "comparison.json", (cli, "_write_json")),
+            "compare": (["--reports", *reports], "comparison.json", (cli, "write_json")),
             "grad-check": (["--seeds", "1", "--max-len", "3"],
-                           "gradcheck.json", (cli, "_write_json")),
+                           "gradcheck.json", (cli, "write_json")),
         }[command]
         out = tmp_path / "out"
         run = lambda: main([command, *argv, "--out", str(out)])

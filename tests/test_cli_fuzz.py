@@ -1,14 +1,17 @@
-"""The command line over bad `--config` files, damaged checkpoints and
-messy anchor files.
+"""The command line over bad `--config` files, damaged checkpoints, bad
+reports and messy anchor files.
 
 Config files hold values of the wrong type, NaN or +-Infinity, values
 out of their option's range, keys the command does not know, a top level
-that is not an object, or are cut short. Checkpoints are cut short or
-have one bit flipped, and are read by `eval-policy` and `mask-corpus`.
-Anchor files mix good records with CRLF line ends, U+2028 and NUL in and
-between records, invalid UTF-8 and records of the wrong type, and are
-read by `train-policy` and `eval-policy`. A run exits 0 or 2 and never
-with a traceback; a refusal names the file."""
+that is not an object, or are cut short. Checkpoints are cut short, have
+one bit flipped or are nested past the JSON decoder's recursion limit,
+and are read by `eval-policy` and `mask-corpus`. Reports read by
+`compare` have fields of the wrong type or missing, a top level that is
+not an object, invalid JSON or UTF-8, or deep nesting. Anchor files mix
+good records with CRLF line ends, U+2028 and NUL in and between records,
+invalid UTF-8 and records of the wrong type, and are read by
+`train-policy` and `eval-policy`. A run exits 0 or 2 and never with a
+traceback; a refusal names the file."""
 
 import contextlib
 import io
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskpolicy import cli
@@ -27,6 +30,9 @@ from maskpolicy.cli import main
 from synth import synth_context, write_anchor_jsonl
 
 NAN, INF = float("nan"), float("inf")
+
+# JSON nested past the decoder's recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 # Per option type, config values that type must refuse: another JSON
 # type, or a number that is not finite.
@@ -124,8 +130,7 @@ def configs(draw, command):
     defaults = cli._DEFAULTS[command]
     if draw(st.booleans()) and draw(st.booleans()):
         top = draw(st.sampled_from([[], [1, 2], "x", 3, None, NAN, -INF, "deep"]))
-        # Nested past the decoder's recursion limit.
-        return ("[" * 100_000 + "]" * 100_000 if top == "deep" else json.dumps(top)), True, ()
+        return (_DEEP if top == "deep" else json.dumps(top)), True, ()
     obj, bad, unflag = {}, False, []
     for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=4)):
         refused = _OUT_OF_RANGE[command].get(key, [])
@@ -179,19 +184,109 @@ def checkpoint_bytes(workspace):
     return (workspace / "run" / "checkpoint.json").read_bytes()
 
 
+def _run_learned(root, command, ckpt, out):
+    """Exit code and stderr of `command` with the learned policy read from
+    the checkpoint `ckpt`."""
+    argv = [a if a not in ("randomspan", "random15") else "learned"
+            for a in _args(root)[command]]
+    return _run([command, *argv, "--checkpoint", str(ckpt), "--out", str(out)])
+
+
 @given(st.data(), st.sampled_from(["eval-policy", "mask-corpus"]))
 @settings(max_examples=40, deadline=None)
 def test_damaged_checkpoint(workspace, checkpoint_bytes, data, command):
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "checkpoint.json"
         ckpt.write_bytes(data.draw(damaged(checkpoint_bytes)))
-        argv = [a if a not in ("randomspan", "random15") else "learned"
-                for a in _args(workspace)[command]]
-        code, err = _run([command, *argv, "--checkpoint", str(ckpt),
-                          "--out", str(Path(tmp) / "out")])
+        code, err = _run_learned(workspace, command, ckpt, Path(tmp) / "out")
         assert code in (0, 2), err
         if code == 2:
             assert str(ckpt) in _refusal(err), err
+            assert not (Path(tmp) / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-policy", "mask-corpus"])
+def test_checkpoint_nested_past_the_recursion_limit(workspace, tmp_path, command):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text('{"format_version": 2, "parameters": ' + _DEEP + "}", encoding="utf-8")
+    code, err = _run_learned(workspace, command, ckpt, tmp_path / "out")
+    assert code == 2, err
+    assert f"checkpoint {ckpt} is not valid JSON" in _refusal(err), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+_GOOD_REPORT = {"policy": "salient", "em_at_1": 0.25, "em_at_5": 0.5,
+                "token_f1_at_1": 0.375, "answer_coverage": None, "n": 8}
+
+# Per report field, values of a JSON type it does not take. NaN is a
+# number, and answer_coverage may also be null or left out.
+_REPORT_JUNK = {
+    "policy": [None, True, 3, 2.5, [1], {"a": 1}],
+    "em_at_1": [None, True, "x", [1], {"a": 1}],
+    "em_at_5": [None, False, "x", "0.5", [1]],
+    "token_f1_at_1": [None, True, "x", [0.5], {}],
+    "answer_coverage": [True, "x", [1], {"a": 1}],
+    "n": [None, True, "4", 2.5, NAN, [1]],
+}
+
+
+_LEFT_OUT = object()  # as a field's value: the field is not written
+
+
+def _report_bytes(**fields):
+    """The good report with `fields` changed."""
+    obj = {**_GOOD_REPORT, **fields}
+    return json.dumps({k: v for k, v in obj.items() if v is not _LEFT_OUT}).encode("utf-8")
+
+
+@st.composite
+def report_files(draw):
+    """A report file's bytes, whether `compare` must refuse it, and the
+    fields one of which its refusal must name: fields of the wrong type or
+    missing, a top level that is not an object, JSON cut short or nested
+    past the decoder's recursion limit, or a byte that is not UTF-8."""
+    how = draw(st.sampled_from(["fields"] * 4 + ["top", "cut", "deep", "badutf8"]))
+    data = _report_bytes()
+    if how == "fields":
+        fields, named = {}, []
+        for key in draw(st.lists(st.sampled_from(sorted(_REPORT_JUNK)), unique=True,
+                                 max_size=3)):
+            fields[key] = draw(st.sampled_from([_LEFT_OUT, *_REPORT_JUNK[key]]))
+            if not (key == "answer_coverage" and fields[key] is _LEFT_OUT):
+                named.append(key)
+        return _report_bytes(**fields), bool(named), named
+    if how == "top":
+        data = json.dumps(draw(st.sampled_from([[], [1, 2], "x", 3, None]))).encode("utf-8")
+    elif how == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif how == "deep":
+        data = _DEEP.encode("utf-8")
+    else:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
+    return data, True, []
+
+
+@given(report_files())
+@example((_report_bytes(em_at_5="x"), True, ["em_at_5"]))
+@example((_report_bytes(n="4"), True, ["n"]))
+@example((_report_bytes(policy=[1]), True, ["policy"]))
+@example((_DEEP.encode("utf-8"), True, []))
+@example((b"{not json", True, []))
+@settings(max_examples=40, deadline=None)
+def test_report_file(case):
+    data, bad, named = case
+    with tempfile.TemporaryDirectory() as tmp:
+        good, report = Path(tmp) / "good.json", Path(tmp) / "report.json"
+        good.write_bytes(_report_bytes())
+        report.write_bytes(data)
+        code, err = _run(["compare", "--reports", str(good), str(report),
+                          "--out", str(Path(tmp) / "out")])
+        assert code == (2 if bad else 0), err
+        if bad:
+            refusal = _refusal(err)
+            assert str(report) in refusal, err
+            assert not named or any(repr(key) in refusal for key in named), err
             assert not (Path(tmp) / "out" / "manifest.json").exists()
 
 
