@@ -147,7 +147,7 @@ def _cmd_train_policy(args, opts) -> _Run:
     print(f"chosen epoch {chosen.epoch}: valid loss {chosen.valid_loss:.4f}",
           file=sys.stderr)
     return _Run([args.train, args.valid, args.vocab], {
-        "checkpoint.json": lambda path: write_checkpoint(
+        "checkpoint.safetensors": lambda path: write_checkpoint(
             path, params, vocab, hyperparameters=cfg.hyperparameters()),
         "training_log.jsonl": lambda path: _write_jsonl(path, log.jsonl_records()),
     })

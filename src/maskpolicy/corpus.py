@@ -222,7 +222,7 @@ def read_text(path) -> str:
 def read_json(path, what: str) -> dict:
     """The JSON object a UTF-8 file holds; JSON that does not parse, is
     nested too deeply, or is not an object raises an error naming `what`
-    (say "checkpoint") and the file."""
+    (say "report") and the file."""
     try:
         obj = json.loads(read_text(path))
     except (json.JSONDecodeError, RecursionError) as e:
@@ -287,16 +287,33 @@ def normalize_answer(s: str) -> str:
 def align_answer(offsets: Sequence[tuple[int, int]], context: str, answer: str) -> Span:
     """Earliest token span whose source text matches the answer under
     case-folding and outer punctuation stripping. `offsets` are the
-    context's `token_offsets`."""
+    context's `token_offsets`.
+
+    `str.casefold` folds one character at a time, so a span's normalized
+    text is a substring of `context.casefold()` and begins with the
+    casefold of the span's first alphanumeric character. An answer that
+    is not such a substring is refused at once, and a start token whose
+    first alphanumeric character at or after it cannot begin the answer
+    is skipped; both leave the result as the full search gives it."""
     target = normalize_answer(answer)
     if not target:
         raise AnswerNotFoundError(f"answer {answer!r} has no alignable content")
-    n = len(offsets)
+    if target not in context.casefold():
+        raise AnswerNotFoundError(f"answer {answer!r} not found in context")
+    n, text_len = len(offsets), len(context)
     # Outer stripping can only shorten, so spans much longer than the
     # answer cannot match; the slack covers stripped quotes and brackets.
     max_chars = len(answer) + 32
-    for start in range(n):
-        char_start = offsets[start][0]
+    first = -1  # the first alphanumeric character at or after the start token
+    for start, (char_start, _) in enumerate(offsets):
+        if first < char_start:
+            first = char_start
+            while first < text_len and not context[first].isalnum():
+                first += 1
+            if first == text_len:
+                break
+        if not target.startswith(context[first].casefold()):
+            continue
         for end in range(start, n):
             char_end = offsets[end][1]
             if char_end - char_start > max_chars:

@@ -72,7 +72,7 @@ class TestBuildVocab:
 
 class TestTrainPolicy:
     def test_artifacts(self, trained):
-        assert (trained / "checkpoint.json").exists()
+        assert (trained / "checkpoint.safetensors").exists()
         lines = (trained / "training_log.jsonl").read_text().splitlines()
         records = [json.loads(l) for l in lines]
         assert len(records) == 2
@@ -124,7 +124,7 @@ class TestEvalAndCompare:
 
         assert main(["eval-policy", "--dev", dev, "--vocab", vocab,
                      "--policy", "learned",
-                     "--checkpoint", str(trained / "checkpoint.json"),
+                     "--checkpoint", str(trained / "checkpoint.safetensors"),
                      "--max-input-len", "24", "--max-span-len", "5",
                      "--out", str(learned_out)]) == 0
         assert main(["eval-policy", "--dev", dev, "--vocab", vocab,
@@ -150,7 +150,7 @@ class TestEvalAndCompare:
         code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
                      "--vocab", str(workspace / "vocab" / "vocab.txt"),
                      "--policy", "learned",
-                     "--checkpoint", str(trained / "checkpoint.json"),
+                     "--checkpoint", str(trained / "checkpoint.safetensors"),
                      "--out", str(out)])
         assert code == 2
         assert ("input length 128 exceeds the policy's input limit of 24"
@@ -168,7 +168,7 @@ class TestEvalAndCompare:
         code = main(["eval-policy", "--dev", str(workspace / "dev.jsonl"),
                      "--vocab", str(workspace / "vocab" / "vocab.txt"),
                      "--policy", "randomspan",
-                     "--checkpoint", str(trained / "checkpoint.json"),
+                     "--checkpoint", str(trained / "checkpoint.safetensors"),
                      "--out", str(workspace / "bad_ckpt")])
         assert code == 1
         assert "--checkpoint is only read by --policy learned" in capsys.readouterr().err
@@ -223,7 +223,7 @@ class TestMaskCorpus:
     def test_learned_policy_masks(self, workspace, trained):
         out = workspace / "mask_learned"
         code = self._mask(workspace, out, "learned",
-                          ("--checkpoint", str(trained / "checkpoint.json"),
+                          ("--checkpoint", str(trained / "checkpoint.safetensors"),
                            "--max-span-len", "5"))
         assert code == 0
         lines = (out / "masked.jsonl").read_text().splitlines()
@@ -258,7 +258,7 @@ class TestMaskCorpus:
     def test_chunk_len_beyond_trained_limit_fails(self, workspace, trained):
         out = workspace / "mask_too_long"
         code = self._mask(workspace, out, "learned",
-                          ("--checkpoint", str(trained / "checkpoint.json"),
+                          ("--checkpoint", str(trained / "checkpoint.safetensors"),
                            "--chunk-len", "64"))
         assert code == 2
 
@@ -270,7 +270,7 @@ class TestMaskCorpus:
                                                        policy):
         out = workspace / f"ckpt_{policy}"
         code = self._mask(workspace, out, policy,
-                          ("--checkpoint", str(trained / "checkpoint.json")))
+                          ("--checkpoint", str(trained / "checkpoint.safetensors")))
         assert code == 1
         assert "--checkpoint is only read by --policy learned" in capsys.readouterr().err
         assert not (out / "masked.jsonl").exists()
@@ -747,16 +747,16 @@ class TestCheckpointPublishedOnce:
         out = tmp_path / "out"
         assert self._train(workspace, out) == 0
         assert sorted(dst for _, dst in renames) == [
-            "checkpoint.json", "manifest.json", "training_log.jsonl"]
+            "checkpoint.safetensors", "manifest.json", "training_log.jsonl"]
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
         vocab = Vocab.load(workspace / "vocab" / "vocab.txt")
-        params, hyper, _ = cli.load_checkpoint(out / "checkpoint.json", vocab)
+        params, hyper, _ = cli.load_checkpoint(out / "checkpoint.safetensors", vocab)
         assert (params.d_emb, hyper["d_h"]) == (4, 4)
 
     def test_failed_checkpoint_keeps_earlier_one(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert self._train(workspace, out) == 0
-        before = (out / "checkpoint.json").read_bytes()
+        before = (out / "checkpoint.safetensors").read_bytes()
         write = cli.write_checkpoint
 
         def fails_halfway(path, *args, **kwargs):
@@ -766,5 +766,5 @@ class TestCheckpointPublishedOnce:
 
         monkeypatch.setattr(cli, "write_checkpoint", fails_halfway)
         assert self._train(workspace, out) == 2
-        assert (out / "checkpoint.json").read_bytes() == before
+        assert (out / "checkpoint.safetensors").read_bytes() == before
         assert not (out / "manifest.json").exists()

@@ -4,8 +4,8 @@ reports and messy anchor files.
 Config files hold values of the wrong type, NaN or +-Infinity, values
 out of their option's range, keys the command does not know, a top level
 that is not an object, or are cut short. Checkpoints are cut short, have
-one bit flipped or are nested past the JSON decoder's recursion limit,
-and are read by `eval-policy` and `mask-corpus`. Reports read by
+one bit flipped or have a header nested past the JSON decoder's
+recursion limit, and are read by `eval-policy` and `mask-corpus`. Reports read by
 `compare` have fields of the wrong type or missing, a top level that is
 not an object, invalid JSON or UTF-8, or deep nesting. Anchor files mix
 good records with CRLF line ends, U+2028 and NUL in and between records,
@@ -181,7 +181,7 @@ def damaged(draw, data: bytes):
 
 @pytest.fixture(scope="module")
 def checkpoint_bytes(workspace):
-    return (workspace / "run" / "checkpoint.json").read_bytes()
+    return (workspace / "run" / "checkpoint.safetensors").read_bytes()
 
 
 def _run_learned(root, command, ckpt, out):
@@ -196,7 +196,7 @@ def _run_learned(root, command, ckpt, out):
 @settings(max_examples=40, deadline=None)
 def test_damaged_checkpoint(workspace, checkpoint_bytes, data, command):
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt = Path(tmp) / "checkpoint.json"
+        ckpt = Path(tmp) / "checkpoint.safetensors"
         ckpt.write_bytes(data.draw(damaged(checkpoint_bytes)))
         code, err = _run_learned(workspace, command, ckpt, Path(tmp) / "out")
         assert code in (0, 2), err
@@ -207,11 +207,12 @@ def test_damaged_checkpoint(workspace, checkpoint_bytes, data, command):
 
 @pytest.mark.parametrize("command", ["eval-policy", "mask-corpus"])
 def test_checkpoint_nested_past_the_recursion_limit(workspace, tmp_path, command):
-    ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_text('{"format_version": 2, "parameters": ' + _DEEP + "}", encoding="utf-8")
+    ckpt = tmp_path / "checkpoint.safetensors"
+    header = _DEEP.encode("ascii")
+    ckpt.write_bytes(len(header).to_bytes(8, "little") + header)
     code, err = _run_learned(workspace, command, ckpt, tmp_path / "out")
     assert code == 2, err
-    assert f"checkpoint {ckpt} is not valid JSON" in _refusal(err), err
+    assert f"checkpoint {ckpt}: header is not valid JSON" in _refusal(err), err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -22,6 +22,8 @@ from maskpolicy.corpus import (
     token_offsets,
     tokenize,
 )
+import align_oracle
+
 from maskpolicy.errors import (
     AnswerNotFoundError,
     EmptyCorpusError,
@@ -225,6 +227,32 @@ class TestAlignment:
         ctx = "a b c"
         with pytest.raises(AnswerNotFoundError):
             align_answer(token_offsets(ctx), ctx, "...")
+
+    # Letters whose casefold is longer than one character (sharp s, the
+    # fi ligature, dotted capital I, n with apostrophe, j with caron),
+    # both sigmas, a combining accent, an underscore and punctuation.
+    _TEXT = st.text(alphabet="sSaAbBfFiIjJnN5 .,'\"()-_\u00df\u1e9e\ufb01\u0130\u0131"
+                             "\u0149\u01f0\u03a3\u03c3\u03c2\u0301", max_size=40)
+
+    @given(_TEXT, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_search(self, ctx, data):
+        """The same earliest span as the reference that normalizes every
+        candidate span, or a refusal from both."""
+        answer = data.draw(st.one_of(
+            self._TEXT.map(lambda t: t[:8]),
+            st.tuples(st.integers(0, len(ctx)), st.integers(0, 12),
+                      st.sampled_from([str, str.upper, str.lower, str.casefold, str.swapcase]),
+                      st.sampled_from(["", "(", '"', "..."]))
+            .map(lambda d: d[3] + d[2](ctx[d[0]:d[0] + d[1]]) + d[3][::-1])))
+        offsets = token_offsets(ctx)
+        want = align_oracle.align_answer(offsets, ctx, answer)
+        try:
+            span = align_answer(offsets, ctx, answer)
+        except AnswerNotFoundError:
+            assert want is None
+        else:
+            assert (span.start, span.end) == want
 
 
 class TestUndecodableInput:
