@@ -199,13 +199,14 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
 
 def _cmd_eval_policy(args, opts) -> _Run:
     vocab = Vocab.load(args.vocab)
+    inputs = [args.dev, args.vocab]
+    # The checkpoint is loaded and checked before the dev pass, so a bad one
+    # is refused without reading the dev set.
+    spec = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
+                        max_input_len=opts["max_input_len"])
     dev, report_load = _load_anchor(args.dev, vocab, opts["max_input_len"], "dev")
     print(f"dev: {len(dev)} examples ({report_load.skipped} unaligned)",
           file=sys.stderr)
-
-    inputs = [args.dev, args.vocab]
-    spec = _policy_spec(args, vocab, inputs, max_span_len=opts["max_span_len"],
-                        max_input_len=opts["max_input_len"])
     report = span_hit_metrics(POLICIES[spec.kind].proposer(spec, vocab), dev,
                               policy_tag=args.policy, max_span_len=opts["max_span_len"],
                               max_input_len=opts["max_input_len"],

@@ -22,16 +22,15 @@ input projections x @ W_x^T + b are one GEMM over the U rows before the
 loop; each step gathers its live rows' pre-activations from that (U, 4H)
 table, and only h @ W_h^T and the gate math run per step.
 
-A GEMM's row can round differently with the number of rows in the
-product, so the table may depend on U. With OpenBLAS 0.3.31 (Haswell
-kernel), the rows of an (m, d) @ (d, 4d) product differ from the same
-rows of a taller product for these m:
-
-    d   8-24   32    48    64    96    128
-    m   1      1-9   1-6   1-4   1-3   1-2
-
-The rows are padded with a repeat to min(3, T*B), which makes the table
-independent of U at d <= 24 and d = 128, but not in between.
+A product's row can round differently with the number of rows in the
+product. With OpenBLAS 0.3.31 (Haswell kernel), a product against a
+transposed weight block stored contiguous, (m, k) @ (k, 4H), gives every
+row the same value for every m >= 2 at every width tried (H = 2-128,
+k = H and 2H); a lone row runs through gemv and rounds differently. Both
+forward products take that form, and neither runs a lone row: a single
+input row is padded with a repeat, and a step with one live row, B = 1
+included, runs it alongside a zero row. So a row's states do not depend
+on how many rows its batch has, or which.
 
 sigmoid(a) is computed as (1 + tanh(a/2))/2, which is bounded for every
 input. The halving is folded into the weights: the i, f and o rows of
@@ -53,9 +52,16 @@ added and scatter-added once onto the U rows. Every gate factor that
 does not depend on the carried dh and dc is computed for all steps at
 once before the reverse loop; the loop then updates dc, writes the
 pre-activation gradients dz_t of the live rows and carries
-dh = dz_t @ W_h. dW, db and dx are each one or two GEMMs or one sum over
-all T*B positions. Under no_grad, or when nothing needs a gradient, the
-op keeps no per-step state.
+dh = dz_t @ W_h. Products against W as stored round a row by the number
+of rows (at H = 128, dz @ W_h differs between 1, 2-15 and 16 or more
+rows), so the loop runs that product once per row, which equals a batch
+of one's one-row product. Each column's dx = dz @ W_x, dW and db are
+computed from contiguous copies of its own rows, and dW and db are added
+over the columns in a given order. A batch's dW and db are then bit for
+bit the sum, in that order, of its columns' own as batches of one, and
+so are its rows' gradients when no two columns read the same row.
+Under no_grad, or when nothing needs a gradient, the op keeps no
+per-step state.
 """
 
 from __future__ import annotations
@@ -97,32 +103,36 @@ def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _direction(rows: np.ndarray, index: np.ndarray, live: list[int], params: LstmCellParams,
-               reverse: bool, record: bool):
+def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: list[int],
+               params: LstmCellParams, reverse: bool, record: bool):
     """One direction of a layer in plain arrays: the hidden states (T, B, H)
-    and, when recording, backward(grad, x), which maps their gradient
-    (T, B, H) and the gathered input x (T*B, D) to (dx, dW, db), dx per
-    position (T*B, D)."""
+    and, when recording, backward(grad, order), which maps their gradient
+    (T, B, H) to (dx, dW, db): dx per position (T, B, D), and dW and db
+    each column's own, added over the columns in `order`."""
     (T, B), D = index.shape, rows.shape[1]
     hid = params.hidden_size
     W = params.W.data
     scale, offset = _sigmoid_fold(hid)
-    w_x = W[:, :D] * scale[:, None]
+    # Both weight blocks are stored transposed and contiguous: a product
+    # against them gives each row the same value for any count of two or
+    # more rows (see the module docstring).
+    w_x_t = np.ascontiguousarray(W[:, :D].T)
+    w_x_t *= scale
     w_h_t = np.ascontiguousarray(W[:, D:].T)
     w_h_t *= scale
 
-    # Pre-activations of each row, padded with a repeat to at least the
-    # min(3, T*B) rows a product over every position would have (see the
-    # module docstring).
-    short = min(3, T * B) - len(rows)
-    if short > 0:
-        rows = np.concatenate([rows, np.repeat(rows[:1], short, axis=0)])
-    table = rows @ w_x.T
+    # Pre-activations of each row. A lone row is padded with a repeat, since
+    # a one-row product rounds differently (see the module docstring).
+    if len(rows) == 1:
+        rows = np.concatenate([rows, rows])
+    table = rows @ w_x_t
     table += params.b.data * scale
     # Recording, each step's live rows keep their gate activations here, and
     # padded positions stay zero; otherwise it is one step's buffer.
     gates = np.zeros((T, B, 4 * hid)) if record else np.empty((B, 4 * hid))
-    out = np.zeros((T, B, hid))
+    # At least two columns, so that a lone live row rides in a two-row
+    # product with a zero state; columns past B stay zero.
+    out = np.zeros((T, max(B, 2), hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
     c_state = np.zeros((B, hid))
@@ -136,11 +146,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, live: list[int], params: Lst
         z = table.take(index[t, :n], axis=0, out=gates[t, :n] if record else gates[:n],
                        mode="clip")
         if prev is not None:
-            # numpy runs a one-row product through gemv, which rounds
-            # differently from gemm; a lone live row of a wider batch rides in
-            # a two-row gemm, so no row's values depend on how many are live.
-            m = 2 if n == 1 < B else n
-            z += (out[prev, :m] @ w_h_t)[:n]
+            z += (out[prev, :max(n, 2)] @ w_h_t)[:n]
         np.tanh(z, out=z)
         z *= scale
         z += offset
@@ -154,10 +160,11 @@ def _direction(rows: np.ndarray, index: np.ndarray, live: list[int], params: Lst
         tc = np.tanh(c, out=tanh_cells[t, :n]) if record else np.tanh(c)
         np.multiply(o_g, tc, out=out[t, :n])
         prev = t
+    out = out[:, :B]
     if not record:
         return out, None
 
-    def backward(grad, x):
+    def backward(grad, order):
         # Every factor that does not depend on the carried dh and dc, for
         # all steps at once: [g i(1-i), c_prev f(1-f), i(1-g^2)] as one
         # block over the contiguous i, f, g rows, then tc o(1-o) and o(1-tc^2).
@@ -197,28 +204,53 @@ def _direction(rows: np.ndarray, index: np.ndarray, live: list[int], params: Lst
             dc += dh * c_factor[t, :n]
             np.multiply(ifg[t, :n], dc[:, None, :], out=dz4[t, :n, :3])
             np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
-            np.matmul(d_gates[t, :n], w_h, out=dh)
+            # One product per row: the rows of a product of several round
+            # differently from a lone row's, by how many there are.
+            np.matmul(d_gates[t, :n, None, :], w_h, out=dh[:, None, :])
             dc *= f_g[t, :n]
-        # Each step's state input is the neighbouring step's output; the
-        # first step of a direction reads zero state and adds nothing to dW_h.
-        dz_h, h_in = (d_gates[:-1], out[1:]) if reverse else (d_gates[1:], out[:-1])
-        dz_rows = d_gates.reshape(T * B, 4 * hid)
-        d_w = np.concatenate([dz_rows.T @ x,
-                              dz_h.reshape(-1, 4 * hid).T @ h_in.reshape(-1, hid)], axis=1)
-        return dz_rows @ W[:, :D], d_w, dz_rows.sum(axis=0)
+
+        # dx, dW and db of each column alone, from contiguous copies of its
+        # rows, so that they are what the column would get as a batch of
+        # one; dW and db are added over the columns in `order`.
+        w_x = W[:, :D]
+        dx = np.zeros((T, B, D))
+        d_w = d_b = None
+        for b in order:
+            n = lengths[b]
+            if not n:
+                continue
+            dz = d_gates[:n, b].copy()
+            x = rows[index[:n, b]]
+            # Each step's state input is the neighbouring step's output; the
+            # first step of a direction reads zero state and adds nothing to dW_h.
+            dz_h, h_in = (dz[:-1], out[1:n, b]) if reverse else (dz[1:], out[:n - 1, b])
+            h_in = h_in.copy()
+            w = np.concatenate([dz.T @ x, dz_h.T @ h_in], axis=1)
+            db = dz.sum(axis=0)
+            dx[:n, b] = dz @ w_x
+            if d_w is None:
+                d_w, d_b = w, db
+            else:
+                d_w += w
+                d_b += db
+        if d_w is None:
+            d_w, d_b = np.zeros_like(W), np.zeros_like(params.b.data)
+        return dx, d_w, d_b
 
     return out, backward
 
 
-def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams,
-                    bwd: LstmCellParams) -> Tensor:
+def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: LstmCellParams,
+                    order=None) -> Tensor:
     """One bidirectional layer: U input rows (U, D) read through a (T, B)
     index -> (T*B, 2H) time-major rows, each the forward state followed by
     the reverse state.
 
     The batch's rows come longest first: lengths must not increase from
     one row to the next. Steps at or past lengths[b] are padding: they
-    neither read nor write row b's state, and their outputs are zero."""
+    neither read nor write row b's state, and their outputs are zero.
+    On the tape, each weight's gradient adds the columns' own gradients
+    in `order`, a permutation of the columns (by default left to right)."""
     hid = fwd.hidden_size
     for cell in (fwd, bwd):
         W, b = cell.W, cell.b
@@ -237,33 +269,37 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams,
         raise ShapeMismatchError(f"bilstm_sequence(lengths within [0, {T}])", lengths.shape, (T, B))
     if np.any(lengths[1:] > lengths[:-1]):
         raise ShapeMismatchError("bilstm_sequence(lengths longest first)", lengths.shape, (T, B))
+    order = list(range(B)) if order is None else [int(b) for b in order]
+    if sorted(order) != list(range(B)):
+        raise ShapeMismatchError("bilstm_sequence(order a permutation of the columns)",
+                                 (len(order),), (T, B))
     parents = (rows, fwd.W, fwd.b, bwd.W, bwd.b)
     record = grad_enabled() and any(p.requires_grad for p in parents)
 
     # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
-    live = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
-    out_f, back_f = _direction(rows.data, index, live, fwd, False, record)
-    out_b, back_b = _direction(rows.data, index, live, bwd, True, record)
+    is_live = lengths > np.arange(T)[:, None]
+    live = np.count_nonzero(is_live, axis=1).tolist()
+    lengths = lengths.tolist()
+    out_f, back_f = _direction(rows.data, index, lengths, live, fwd, False, record)
+    out_b, back_b = _direction(rows.data, index, lengths, live, bwd, True, record)
     out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)
     if not record:
         return Tensor(out)
 
     def backward(grad):
         grad = grad.reshape(T, B, 2 * hid)
-        flat = index.reshape(-1)
-        x = rows.data[flat]
-        dx, dw_f, db_f = back_f(grad[:, :, :hid], x)
-        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], x)
-        # The two directions are added per position before one scatter, so
-        # each row's gradient sums its positions in order, as a scatter of
-        # the gathered rows' gradients would.
+        dx, dw_f, db_f = back_f(grad[:, :, :hid], order)
+        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], order)
+        # The two directions are added per position before one scatter of
+        # the live positions, so each row's gradient sums its positions in
+        # time-major order, as a scatter of the gathered rows' gradients would.
         dx += dx_b
         # Scattered element by element onto the raveled rows: np.add.at on
         # the 2-D operand takes about 4x as long for the same sums.
         D = rows.shape[1]
         d_rows = np.zeros_like(rows.data)
-        np.add.at(d_rows.reshape(-1), (flat[:, None] * D + np.arange(D)).reshape(-1),
-                  dx.reshape(-1))
+        np.add.at(d_rows.reshape(-1), (index[is_live][:, None] * D + np.arange(D)).reshape(-1),
+                  dx[is_live].reshape(-1))
         return d_rows, dw_f, db_f, dw_b, db_b
 
     return _wrap(out, parents, backward)

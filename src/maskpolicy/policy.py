@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, add, embed_rows, matmul, no_grad
+from .autodiff import Tensor, _wrap, embed_rows, grad_enabled, no_grad
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
@@ -145,64 +145,111 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
     return ids
 
 
-def _batch_logits(params: PolicyParams, seqs: list[list[int]]) -> tuple[Tensor, Tensor]:
-    """Start and end logits of a padded batch, each flat (T*B,) in
-    time-major order. The sequences come longest first. Logits at padded
+def _head(hidden: Tensor, w: Tensor, b: Tensor, lengths: list[int], order: list[int]
+          ) -> Tensor:
+    """One head's logits hidden @ w + b, flat (T*B,) like the hidden rows.
+    A matrix-vector product rounds a row by its position in the product, so
+    on the tape each column's rows run as a product of their own, as in a
+    batch of one, and the gradients of w and b add the columns' own in
+    `order`. Off the tape it is one product over every row."""
+    if not grad_enabled():
+        return Tensor(hidden.data @ w.data + b.data)
+    B = len(lengths)
+    states = hidden.data.reshape(-1, B, hidden.shape[1])
+    logits = np.zeros(states.shape[:2])
+    for c in order:
+        logits[:lengths[c], c] = states[:lengths[c], c].copy() @ w.data + b.data
+
+    def backward(g):
+        g = g.reshape(-1, B)
+        d_w = d_b = None
+        for c in order:
+            n = lengths[c]
+            h, g_c = states[:n, c].copy(), g[:n, c].copy()
+            if d_w is None:
+                d_w, d_b = h.T @ g_c, np.sum(g_c)
+            else:
+                d_w += h.T @ g_c
+                d_b += np.sum(g_c)
+        return np.outer(g, w.data).reshape(hidden.shape), d_w, np.reshape(d_b, ())
+
+    return _wrap(logits.reshape(-1), (hidden, w, b), backward)
+
+
+def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
+                  ) -> tuple[Tensor, Tensor, list[int]]:
+    """Start and end logits of several id sequences as one padded batch,
+    plus each sequence's column in it. The batch is sorted once, longest
+    first (a stable sort), as the LSTM op requires; the logits are flat
+    (T*B,) in time-major order over the sorted batch, and those at padded
     positions are meaningless.
 
-    The first layer reads each distinct id of the padded batch once: it
-    gets those embedding rows plus the (T, B) index into them, so a token
-    repeated in the batch is embedded and projected once, and its
-    gradient is scattered back once. The second layer reads the first
-    layer's T*B output rows in order. The same path runs on the tape and
-    off it."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    T, B = int(lengths.max()), len(seqs)
-    ids = np.zeros((T, B), dtype=np.intp)
-    for b, seq in enumerate(seqs):
-        ids[:len(seq), b] = seq
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct), inverse.reshape(T, B),
-                             lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"))
+    On the tape, every parameter's gradient is the sum of the sequences'
+    own gradients, each computed as in a batch of that sequence alone and
+    added in input order, so a batch's gradients equal those of its
+    sequences' forwards one at a time, summed on the tape: the first layer
+    reads each sequence's own distinct ids, in input order, and the LSTM
+    op and the heads keep each column's weight gradients apart (see
+    bilstm_sequence and _head).
+
+    Off the tape, the first layer reads each distinct id of the padded
+    batch once, so a token repeated in the batch is embedded and projected
+    once, and each head is one product over every row."""
+    seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
+    if not seqs:
+        raise EmptySequenceError("policy forward on an empty batch")
+    order = np.argsort([-len(s) for s in seqs], kind="stable")
+    columns = np.argsort(order).tolist()  # sequence b is column columns[b]
+    lengths = [len(seqs[b]) for b in order]
+    T, B = lengths[0], len(seqs)
+    if grad_enabled():
+        parts = [np.unique(s, return_inverse=True) for s in seqs]
+        distinct = np.concatenate([unique for unique, _ in parts])
+        index = np.zeros((T, B), dtype=np.intp)
+        offset = 0
+        for (unique, inverse), c in zip(parts, columns):
+            index[:len(inverse), c] = offset + inverse
+            offset += len(unique)
+    else:
+        padded = np.zeros((T, B), dtype=np.intp)
+        for c, b in enumerate(order):
+            padded[:lengths[c], c] = seqs[b]
+        distinct, index = np.unique(padded, return_inverse=True)
+    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct), index.reshape(T, B),
+                             lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"), columns)
     hidden = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths,
-                             params.cell("lstm2.fwd"), params.cell("lstm2.bwd"))
+                             params.cell("lstm2.fwd"), params.cell("lstm2.bwd"), columns)
     weights = params.tensors
-    start_logits = add(matmul(hidden, weights["head.start.w"]), weights["head.start.b"])
-    end_logits = add(matmul(hidden, weights["head.end.w"]), weights["head.end.b"])
-    return start_logits, end_logits
+    start_logits, end_logits = (_head(hidden, weights[f"head.{h}.w"], weights[f"head.{h}.b"],
+                                      lengths, columns) for h in ("start", "end"))
+    return start_logits, end_logits, columns
 
 
 def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
             ) -> tuple[Tensor, Tensor]:
     """Per-position start and end logits for a token id sequence."""
-    return _batch_logits(params, [_checked_ids(params, ids, max_input_len)])
+    start_logits, end_logits, _ = forward_batch(params, [ids], max_input_len)
+    return start_logits, end_logits
 
 
 def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference-only forward over several id sequences at once, as one
-    padded batch with no tape. The sequences may come in any order: the
-    batch is sorted once, longest first (a stable sort), as the LSTM op
-    requires. The first layer embeds and projects each distinct id of the
-    batch once (see _batch_logits), as the taped forward does. Its
-    projection's rows may round differently with the number of distinct
-    ids, so a sequence's logits can depend on what else is in its batch:
-    with OpenBLAS 0.3.31 they do not at d_emb <= 24 or d_emb = 128, but
-    they can at 32-96 (the table in lstm.py). Returns (start_logits,
-    end_logits) per sequence, in input order, each as long as its
-    sequence."""
-    seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
+    padded batch with no tape (see forward_batch). The first layer's
+    projection of the batch's distinct ids gives each row the same value
+    for any number of two or more rows, so with OpenBLAS 0.3.31 a
+    sequence's logits do not depend on what else is in its batch, bar the
+    heads, whose products round a row by its position. Returns
+    (start_logits, end_logits) per sequence, in input order, each as long
+    as its sequence."""
+    seqs = [list(ids) for ids in batch]
     if not seqs:
         return []
-    order = np.argsort([-len(s) for s in seqs], kind="stable")
     with no_grad():
-        start_logits, end_logits = _batch_logits(params, [seqs[b] for b in order])
-    B = len(seqs)
-    start = start_logits.data.reshape(-1, B)
-    end = end_logits.data.reshape(-1, B)
-    column = np.argsort(order)  # input row b is column column[b] of the logits
-    return [(start[:len(s), c].copy(), end[:len(s), c].copy())
-            for s, c in zip(seqs, column.tolist())]
+        start_logits, end_logits, columns = forward_batch(params, seqs, max_input_len)
+    start = start_logits.data.reshape(-1, len(seqs))
+    end = end_logits.data.reshape(-1, len(seqs))
+    return [(start[:len(s), c].copy(), end[:len(s), c].copy()) for s, c in zip(seqs, columns)]
 
 
 def score_batches(items: Iterable) -> Iterator[list]:

@@ -1,21 +1,29 @@
 """Supervised training of the masking policy on (context, answer) pairs.
 
-Loss per example is the sum of two cross entropies, one tape node:
-negative log-softmax of the start logits at the gold start plus the
-same for the end. Checkpoint selection is by minimum mean validation
-loss across epochs. Long contexts are truncated to a deterministic
-window centered on the answer span.
+Loss per example is the sum of two cross entropies: negative
+log-softmax of the start logits at the gold start plus the same for the
+end. Each mini-batch runs as one padded forward (policy.forward_batch)
+and one backward through its mean loss, one tape node
+(mean_span_loss). The trained parameters are bit for bit those of one
+taped forward and span_loss per example, the losses added in batch
+order and scaled by 1/len(batch), which is how the per-example tape
+trains; forward_batch and the LSTM op keep each example's arithmetic
+apart where a product would round it by its batch. Checkpoint selection
+is by minimum mean validation loss across epochs. Long contexts are
+truncated to a deterministic window centered on the answer span.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, add, backward, clip_grad_norm, grad_check, scale
+from .autodiff import Tensor, _wrap, backward, clip_grad_norm, grad_check
 from .corpus import AnchorExample, Span
 from .errors import (
     EmptyDatasetError,
@@ -31,6 +39,7 @@ from .policy import (
     DEFAULT_MAX_SPAN_LEN,
     PolicyParams,
     forward,
+    forward_batch,
     init_policy_params,
     score_batch,
     score_batches,
@@ -51,6 +60,11 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size", "max_input_len", "max_span_len", "d_emb", "d_h",
+                     "seed"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise InvalidOptionError(f"{name} must be an integer, got {value!r}", name)
         numeric = dict(epochs=self.epochs, learning_rate=self.learning_rate,
                        batch_size=self.batch_size, max_input_len=self.max_input_len,
                        max_span_len=self.max_span_len, d_emb=self.d_emb, d_h=self.d_h,
@@ -113,6 +127,13 @@ def _span_nll(start_logits: np.ndarray, end_logits: np.ndarray, gold: Span
     return -lp_start[gold.start] - lp_end[gold.end], lp_start, lp_end
 
 
+def _nll_grad(lp: np.ndarray, gold: int, g) -> np.ndarray:
+    """Gradient of -lp[gold] with respect to the logits, times g."""
+    grad = np.exp(lp) * g
+    grad[gold] -= g
+    return grad
+
+
 def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
     """Cross entropy of the gold start plus cross entropy of the gold end
     (see _span_nll), as one tape node whose parents are the two logits
@@ -121,13 +142,36 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
     loss, lp_start, lp_end = _span_nll(start_logits.data, end_logits.data, gold)
 
     def backward(g):
-        g_start = np.exp(lp_start) * g
-        g_start[gold.start] -= g
-        g_end = np.exp(lp_end) * g
-        g_end[gold.end] -= g
-        return g_start, g_end
+        return _nll_grad(lp_start, gold.start, g), _nll_grad(lp_end, gold.end, g)
 
     return _wrap(loss, (start_logits, end_logits), backward)
+
+
+def mean_span_loss(start_logits: Tensor, end_logits: Tensor, columns: list[int],
+                   batch: list[tuple[tuple[int, ...], Span]]) -> Tensor:
+    """The mean span loss of a batch of prepared (ids, gold) windows whose
+    flat logits forward_batch returned, with sequence b in column
+    columns[b]: one tape node. The windows' losses are added in batch
+    order and the sum is scaled by 1/len(batch), so the value and the
+    gradients are those of span_loss per window, added with `add` and
+    scaled with `scale`."""
+    B = len(batch)
+    start = start_logits.data.reshape(-1, B)
+    end = end_logits.data.reshape(-1, B)
+    nll = [_span_nll(start[:len(ids), c].copy(), end[:len(ids), c].copy(), gold)
+           for c, (ids, gold) in zip(columns, batch)]
+    total = functools.reduce(operator.add, (loss for loss, _, _ in nll))
+    share = 1.0 / B
+
+    def backward(g):
+        g = g * share
+        g_start, g_end = np.zeros_like(start), np.zeros_like(end)
+        for c, (ids, gold), (_, lp_start, lp_end) in zip(columns, batch, nll):
+            g_start[:len(ids), c] = _nll_grad(lp_start, gold.start, g)
+            g_end[:len(ids), c] = _nll_grad(lp_end, gold.end, g)
+        return g_start.reshape(-1), g_end.reshape(-1)
+
+    return _wrap(total * share, (start_logits, end_logits), backward)
 
 
 def truncate_around_answer(n_tokens: int, gold: Span, max_len: int) -> tuple[int, int]:
@@ -201,12 +245,9 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
             params.zero_grads()
-            total: Tensor | None = None
-            for ids, gold in batch:
-                s, e = forward(params, ids, cfg.max_input_len)
-                loss = span_loss(s, e, gold)
-                total = loss if total is None else add(total, loss)
-            batch_loss = scale(total, 1.0 / len(batch))
+            start, end, columns = forward_batch(params, [ids for ids, _ in batch],
+                                                cfg.max_input_len)
+            batch_loss = mean_span_loss(start, end, columns, batch)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NonFiniteLossError(epoch, batch_no, value)

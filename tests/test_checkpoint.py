@@ -418,8 +418,9 @@ class TestMalformedCheckpointExitCode:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        # eval-policy reports its example count on stderr before the load.
-        refusal = err.splitlines()[-1]
+        # The refusal is all there is: no command reads its other inputs (for
+        # eval-policy, the dev set and its "dev:" count) before the checkpoint.
+        [refusal] = err.splitlines()
         assert refusal.startswith(f"error: checkpoint {path}: ") and named in refusal, err
         assert not (tmp_path / "out" / "manifest.json").exists()
 

@@ -148,6 +148,13 @@ class TestCellShapes:
         with pytest.raises(ShapeMismatchError):
             bilstm_sequence(rows, index, lengths, params, params)
 
+    @pytest.mark.parametrize("order", [[0], [0, 0], [1, 2], [2, 0, 1, 3]])
+    def test_order_must_permute_the_columns(self, order):
+        params = zero_params(2, 2)
+        rows, index = as_rows(np.zeros((3, 2, 2)))
+        with pytest.raises(ShapeMismatchError):
+            bilstm_sequence(rows, index, [3, 2], params, params, order)
+
     def test_non_finite_output_rejected(self):
         params = zero_params(1, 1)
         params.b.data[:] = np.nan
@@ -286,6 +293,86 @@ class TestRaggedBatch:
         np.testing.assert_array_equal(plain.data, taped.data)
 
 
+class TestColumnsAlone:
+    """On the tape, a batch's weight gradients are the sum, in the given
+    order, of each column's gradients as a batch of one, and each
+    position's input gradient is its column's alone, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_equals_its_columns_one_at_a_time(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        hid, n_in = [(2, 3), (8, 8), (16, 32), (32, 16), (128, 128), (128, 256)][seed % 6]
+        B = int(rng.integers(1, 6))
+        lengths = np.sort(rng.integers(1, 14, size=B))[::-1].copy()
+        T = int(lengths[0])
+        fwd, bwd = random_params(rng, n_in, hid), random_params(rng, n_in, hid)
+        data = rng.uniform(-1, 1, size=(T, B, n_in))
+        mix = rng.uniform(-1, 1, size=(T, B, 2 * hid))
+        order = rng.permutation(B)
+
+        rows, index = as_rows(data, requires_grad=True)
+        out = bilstm_sequence(rows, index, lengths, fwd, bwd, order)
+        backward(sum_all(mul(out, Tensor(mix.reshape(T * B, 2 * hid)))))
+        got = [p.grad for p in (fwd.W, fwd.b, bwd.W, bwd.b)]
+        got_rows = rows.grad.reshape(T, B, n_in)
+
+        want = None
+        for b in order:
+            n = int(lengths[b])
+            for p in (fwd.W, fwd.b, bwd.W, bwd.b):
+                p.zero_grad()
+            alone, one = as_rows(data[:n, b:b + 1], requires_grad=True)
+            states = bilstm_sequence(alone, one, [n], fwd, bwd)
+            np.testing.assert_array_equal(states.data, out.data.reshape(T, B, -1)[:n, b])
+            backward(sum_all(mul(states, Tensor(mix[:n, b]))))
+            grads = [p.grad for p in (fwd.W, fwd.b, bwd.W, bwd.b)]
+            want = grads if want is None else [w + g for w, g in zip(want, grads)]
+            np.testing.assert_array_equal(got_rows[:n, b], alone.grad)
+            assert not got_rows[n:, b].any()
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestBlasRowFacts:
+    """The OpenBLAS behaviour that batched training's exactness rests on.
+    Training adds each window's gradients as a batch of one would, and
+    forward values must not depend on the batch, so every product whose
+    rows are shared by a batch must give a row the same value whatever
+    the number of rows. A change of BLAS library or version that breaks
+    this fails here by name."""
+
+    WIDTHS = (2, 3, 8, 16, 24, 32, 48, 64, 96, 128)
+    HEIGHTS = (*range(2, 41), 64, 127, 128, 129, 512)
+
+    @pytest.mark.parametrize("hid", WIDTHS)
+    def test_forward_products_rows_equal_for_two_or_more_rows(self, hid):
+        # rows @ W^T with W^T stored contiguous: the recurrent product
+        # (width H) and the input projections of both layers (H and 2H)
+        rng = np.random.default_rng(hid)
+        for width in (hid, 2 * hid):
+            w_t = np.ascontiguousarray(rng.uniform(-1, 1, size=(4 * hid, width)).T)
+            a = rng.uniform(-1, 1, size=(max(self.HEIGHTS) + 3, width))
+            tall = a @ w_t
+            for m in self.HEIGHTS:
+                for at in (0, 3):
+                    np.testing.assert_array_equal(a[at:at + m] @ w_t, tall[at:at + m],
+                                                  err_msg=f"H={hid} width={width} m={m}")
+
+    @pytest.mark.parametrize("hid", WIDTHS)
+    def test_per_row_backward_products_equal_the_one_row_product(self, hid):
+        # dz @ W_h with W_h the h columns of W, a strided view, as the
+        # backward runs it: one product per row, stacked, against each row
+        # alone as a (1, 4H) product
+        rng = np.random.default_rng(1000 + hid)
+        for n_in in (hid, 2 * hid):
+            w_h = rng.uniform(-1, 1, size=(4 * hid, n_in + hid))[:, n_in:]
+            dz = rng.uniform(-1, 1, size=(33, 4 * hid))
+            out = np.empty((33, hid))
+            np.matmul(dz[:, None, :], w_h, out=out[:, None, :])
+            for r in range(33):
+                np.testing.assert_array_equal(out[r:r + 1], dz[r:r + 1] @ w_h)
+
+
 class TestBilstm:
     def test_output_concatenates_directions(self):
         # each half of the joined rows is that direction run on its own
@@ -315,10 +402,9 @@ class TestBilstm:
 class TestDistinctRows:
     """Distinct input rows plus a (T, B) index against the gathered batch.
 
-    At the deploy width (D = H = 128) a product of one or two rows rounds
-    differently from a wider one, so batches with fewer than three
-    distinct rows check that the op never projects them in a smaller
-    product than the gathered rows would run in."""
+    A product of one row rounds differently from a wider one, so batches
+    with one or two distinct rows check that the op never projects them
+    in a product whose rows round differently from the gathered rows'."""
 
     @staticmethod
     def case(n_rows, T, B):

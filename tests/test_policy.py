@@ -254,11 +254,11 @@ def gathered_logits(params, batch):
 
 
 class TestDistinctIds:
-    """score_batch projects each distinct id of a batch once. At the
-    deploy width a product of one or two rows rounds differently from a
-    wider one, so the batches with one or two distinct ids (the padding's
-    id 0 counts) pin that the first layer never runs such a product where
-    the gathered batch would not."""
+    """score_batch projects each distinct id of a batch once. A product of
+    one row rounds differently from a wider one, so the batches with one
+    or two distinct ids (the padding's id 0 counts) pin that the first
+    layer never runs a product whose rows round differently from the
+    gathered batch's."""
 
     @pytest.mark.parametrize("batch", [[[7]], [[7, 7]], [[7, 7, 7]], [[5, 6], [5]], "deploy"])
     def test_logits_equal_the_gathered_batch(self, batch):

@@ -1,17 +1,22 @@
 """Training loop: windowing, validation-based selection, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from maskpolicy import policy
-from maskpolicy.corpus import Span
+from maskpolicy.autodiff import add, backward, grad_check, scale
+from maskpolicy.checkpoint import save_checkpoint
+from maskpolicy.corpus import Span, Vocab
 from maskpolicy.errors import EmptyDatasetError, InvalidOptionError, SequenceTooLongError
-from maskpolicy.policy import forward, init_policy_params
+from maskpolicy.policy import forward, forward_batch, init_policy_params
 from maskpolicy.training import (
     EpochRecord,
     TrainConfig,
     TrainingLog,
     grad_check_suite,
+    mean_span_loss,
     prepare_example,
     span_loss,
     train_policy,
@@ -20,6 +25,7 @@ from maskpolicy.training import (
 )
 
 from synth import synth_examples, synth_vocab
+from train_oracle import ragged_examples, train_per_example
 
 
 def tiny_config(**kw):
@@ -54,6 +60,16 @@ class TestConfig:
                     dict(optimizer="lbfgs"), dict(seed=-1)):
             with pytest.raises(InvalidOptionError):
                 tiny_config(**bad).validate()
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "max_input_len", "max_span_len",
+                                       "d_emb", "d_h", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        # a float batch size used to pass and then fail in range() with a
+        # bare TypeError; a bool is an int to Python but not a count
+        with pytest.raises(InvalidOptionError, match=f"{field} must be an integer") as info:
+            tiny_config(**{field: value}).validate()
+        assert info.value.options == (field,)
 
     @pytest.mark.parametrize("n_seeds, max_len", [(0, 12), (2, 1)])
     def test_grad_check_suite_rejects_empty_runs(self, n_seeds, max_len):
@@ -226,3 +242,96 @@ class TestGradCheckSuite:
         assert result["pass"] is True
         assert result["max_rel_err"] < result["threshold"]
         assert result["seeds"] == 3
+
+
+def params_sha256(params):
+    h = hashlib.sha256()
+    for name, t in params.named_parameters():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def toy_vocab(size):
+    return Vocab(["<pad>", "<unk>", "<mask>"] + [f"t{i}" for i in range(3, size)])
+
+
+class TestBatchedTraining:
+    """train_policy runs one padded forward and backward per mini-batch.
+    It must train exactly what one taped forward per window, added on the
+    tape, trains (train_oracle.train_per_example): the same parameter
+    bytes, the same log and the same checkpoint bytes."""
+
+    CASES = {
+        # the benchmark's train shapes: 4 and 3 windows of 128 tokens, one batch
+        "d128-4x128-adam": dict(n=6, lengths=(129, 170), d=128, batch_size=32, optimizer="adam"),
+        "d16-3x128-adam": dict(n=5, lengths=(129, 170), d=16, batch_size=32, optimizer="adam"),
+        "d32-ragged-sgd": dict(n=11, lengths=(1, 40), d=32, batch_size=4, optimizer="sgd"),
+        # 7 windows in batches of 3, 3 and 1
+        "d128-ragged-partial": dict(n=9, lengths=(1, 20), d=128, batch_size=3,
+                                    optimizer="adam"),
+        "d48-short-partial": dict(n=10, lengths=(1, 4), d=48, batch_size=5, optimizer="sgd"),
+        "d3-ragged-partial": dict(n=12, lengths=(1, 12), d=3, batch_size=4, optimizer="adam"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_per_example_tape(self, case, tmp_path):
+        c = self.CASES[case]
+        vocab = toy_vocab(10_000 if c["d"] == 128 else 60)
+        examples = ragged_examples(np.random.default_rng(len(case)), c["n"], *c["lengths"],
+                                   len(vocab))
+        cfg = TrainConfig(epochs=2, batch_size=c["batch_size"], optimizer=c["optimizer"],
+                          max_input_len=128, max_span_len=3, seed=c["d"], d_emb=c["d"],
+                          d_h=c["d"])
+        runs = []
+        for name, run in (("batched", lambda: train_policy(examples[:-2], examples[-2:], cfg,
+                                                           len(vocab))),
+                          ("per-example", lambda: train_per_example(examples[:-2], examples[-2:],
+                                                                    cfg, len(vocab)))):
+            params, log = run()
+            save_checkpoint(tmp_path / name, params, vocab, cfg.hyperparameters())
+            runs.append((params_sha256(params), log.jsonl_records(),
+                         (tmp_path / name).read_bytes()))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][2] == runs[1][2]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_batch_gradients_equal_the_summed_tape(self, seed):
+        # one batch, its sequences in any length order: the loss and every
+        # parameter gradient bit for bit
+        rng = np.random.default_rng(3000 + seed)
+        d = int(rng.choice([2, 5, 8, 16, 32, 64, 128]))
+        params = init_policy_params(40, d, d, seed=seed)
+        batch = [(ex.context_tokens.ids, ex.answer_span)
+                 for ex in ragged_examples(rng, int(rng.integers(1, 7)), 1, 24, 40)]
+        named = params.named_parameters()
+
+        losses = [span_loss(*forward(params, ids, 24), gold) for ids, gold in batch]
+        total = losses[0]
+        for loss in losses[1:]:
+            total = add(total, loss)
+        total = scale(total, 1.0 / len(batch))
+        backward(total)
+        want = [p.grad for _, p in named]
+        params.zero_grads()
+
+        got = mean_span_loss(*forward_batch(params, [ids for ids, _ in batch], 24), batch)
+        backward(got)
+        assert got.item() == total.item()
+        for (name, p), w in zip(named, want):
+            np.testing.assert_array_equal(p.grad, w, err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ragged_batch_loss_gradient(self, seed):
+        # finite differences of the batch loss on 1-4 sequences of 1-12 tokens
+        rng = np.random.default_rng(4000 + seed)
+        params = init_policy_params(12, 3, 2, seed=seed)
+        batch = [(ex.context_tokens.ids, ex.answer_span)
+                 for ex in ragged_examples(rng, int(rng.integers(1, 5)), 1, 12, 12)]
+        ids = [ids for ids, _ in batch]
+
+        def loss_fn():
+            return mean_span_loss(*forward_batch(params, ids, 12), batch)
+
+        assert grad_check(loss_fn, [p for _, p in params.named_parameters()]) < 1e-4
