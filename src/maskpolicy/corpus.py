@@ -86,7 +86,10 @@ class Vocab:
         self.id_to_token: tuple[str, ...] = tuple(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(tokens):
-            raise InvalidVocabError("duplicate token in vocabulary")
+            first: dict[str, int] = {}
+            for i, t in enumerate(tokens):
+                if first.setdefault(t, i) != i:
+                    raise InvalidVocabError(f"duplicate token {t!r} in vocabulary", i)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -110,7 +113,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        return cls(read_text(path).splitlines())
+        text = read_text(path)
+        try:
+            return cls(text.splitlines())
+        except InvalidVocabError as e:
+            raise e.located(path, text) from None
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,24 @@ class InvalidChunkLengthError(InvalidOptionError):
 
 
 class InvalidVocabError(MaskPolicyError, ValueError):
-    """A vocabulary without the reserved specials first, or with a duplicate."""
+    """A vocabulary without the reserved specials first, or with a duplicate.
+    `entry` is the index of the duplicate token, if that is the fault."""
+
+    def __init__(self, reason: str, entry: int | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.entry = entry
+
+    def located(self, path, text: str) -> "InvalidVocabError":
+        """This error for the vocabulary file `path` holding `text`: it names
+        the file, and the line of the entry, if any, as a text-mode reader
+        counts lines (splitting the entries also splits at form feeds, U+2028
+        and the like, which end no line)."""
+        if self.entry is None:
+            return InvalidVocabError(f"{path}: {self.reason}")
+        before = text.splitlines(keepends=True)[:self.entry]
+        line_no = 1 + sum(piece.endswith("\n") for piece in before)
+        return InvalidVocabError(f"{path}:{line_no}: {self.reason}", self.entry)
 
 
 class AnswerNotFoundError(MaskPolicyError):

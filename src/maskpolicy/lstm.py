@@ -23,14 +23,23 @@ loop; each step gathers its live rows' pre-activations from that (U, 4H)
 table, and only h @ W_h^T and the gate math run per step.
 
 A product's row can round differently with the number of rows in the
-product. With OpenBLAS 0.3.31 (Haswell kernel), a product against a
-transposed weight block stored contiguous, (m, k) @ (k, 4H), gives every
-row the same value for every m >= 2 at every width tried (H = 2-128,
-k = H and 2H); a lone row runs through gemv and rounds differently. Both
-forward products take that form, and neither runs a lone row: a single
-input row is padded with a repeat, and a step with one live row, B = 1
-included, runs it alongside a zero row. So a row's states do not depend
-on how many rows its batch has, or which.
+product. With OpenBLAS 0.3.31 (Haswell kernel, float64), a plain product
+(m, k) @ (k, N) gives every row the same value for every m >= 2 only at
+some widths: against transposed weights it fails at every odd H >= 17,
+where 4H is not a multiple of 8, and against the weights as stored (the
+backward's dz @ W_h at H = 128) rows round alike only within the groups
+m = 1, 2-15 and 16 or more. So every product of a layer, forward and
+backward, runs through `_row_product` against weights `_prepare`d once
+per call: each block stored contiguous, the output width padded with
+zero columns to a multiple of 8, and any reduction longer than 256 cut
+into blocks of at most 256, whose products are added in order; a lone
+row runs beside a zero row. In that form each row gets the same value
+for every row count at every width tested (tests/test_lstm.py
+TestBlasRowFacts: the forward form at H = 2-130, the backward form at
+24 widths from 2 to 256, m = 1-40 and up to 512). So a row's states and
+gradients do not depend on how many rows its batch has, or which. At
+H = 128 the forward products are plain products (4H = 512, reductions of
+128 and 256), so the padding changes no forward value there.
 
 sigmoid(a) is computed as (1 + tanh(a/2))/2, which is bounded for every
 input. The halving is folded into the weights: the i, f and o rows of
@@ -52,16 +61,14 @@ added and scatter-added once onto the U rows. Every gate factor that
 does not depend on the carried dh and dc is computed for all steps at
 once before the reverse loop; the loop then updates dc, writes the
 pre-activation gradients dz_t of the live rows and carries
-dh = dz_t @ W_h. Products against W as stored round a row by the number
-of rows (at H = 128, dz @ W_h differs between 1, 2-15 and 16 or more
-rows), so the loop runs that product once per row, which equals a batch
-of one's one-row product. Each column's dx = dz @ W_x, dW and db are
-computed from contiguous copies of its own rows, and dW and db are added
-over the columns in a given order. A batch's dW and db are then bit for
-bit the sum, in that order, of its columns' own as batches of one, and
-so are its rows' gradients when no two columns read the same row.
-Under no_grad, or when nothing needs a gradient, the op keeps no
-per-step state.
+dh = dz_t @ W_h as one row-invariant product per step. After the loop,
+dx = dz @ W_x is one row-invariant product over every live position.
+Each column's dW and db are computed from contiguous copies of its own
+rows and added over the columns in a given order. A batch's dW and db
+are then bit for bit the sum, in that order, of its columns' own as
+batches of one, and so are its rows' gradients when no two columns read
+the same row. Under no_grad, or when nothing needs a gradient, the op
+keeps no per-step state.
 """
 
 from __future__ import annotations
@@ -103,29 +110,65 @@ def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: list[int],
+# The row-invariant product form (see the module docstring): output widths
+# padded with zero columns to a multiple of _COLUMNS, and reductions cut
+# into blocks of at most _DEPTH, added in order.
+_COLUMNS = 8
+_DEPTH = 256
+
+
+def _prepare(w: np.ndarray) -> list[np.ndarray]:
+    """The right operand w (K, N) of `_row_product`: its rows cut into
+    blocks of at most _DEPTH, each stored contiguous, with zero columns
+    padding N to a multiple of _COLUMNS."""
+    k, n = w.shape
+    pad = -n % _COLUMNS
+    blocks = []
+    for lo in range(0, k, _DEPTH):
+        block = w[lo:lo + _DEPTH]
+        if pad:
+            block = np.concatenate([block, np.zeros((len(block), pad))], axis=1)
+        blocks.append(np.ascontiguousarray(block))
+    return blocks
+
+
+def _row_product(x: np.ndarray, prepared: list[np.ndarray], n_out: int) -> np.ndarray:
+    """x (m, K) @ w (K, n_out), w as `_prepare`d: one product per block,
+    added in order. Each row's value is the same for every m, since a lone
+    row runs beside a zero row."""
+    if len(x) == 1:
+        return _row_product(np.concatenate([x, np.zeros_like(x)]), prepared, n_out)[:1]
+    out, lo = None, 0
+    for block in prepared:
+        part = x[:, lo:lo + len(block)] @ block
+        lo += len(block)
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out[:, :n_out]
+
+
+def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live: np.ndarray,
                params: LstmCellParams, reverse: bool, record: bool):
     """One direction of a layer in plain arrays: the hidden states (T, B, H)
     and, when recording, backward(grad, order), which maps their gradient
-    (T, B, H) to (dx, dW, db): dx per position (T, B, D), and dW and db
-    each column's own, added over the columns in `order`."""
+    (T, B, H) to (dx, dW, db): dx (P, D) of the P positions where the (T, B)
+    mask `is_live` holds, in time-major order, and dW and db each column's
+    own, added over the columns in `order`."""
     (T, B), D = index.shape, rows.shape[1]
+    # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
+    live = np.count_nonzero(is_live, axis=1).tolist()
     hid = params.hidden_size
     W = params.W.data
     scale, offset = _sigmoid_fold(hid)
-    # Both weight blocks are stored transposed and contiguous: a product
-    # against them gives each row the same value for any count of two or
-    # more rows (see the module docstring).
-    w_x_t = np.ascontiguousarray(W[:, :D].T)
-    w_x_t *= scale
-    w_h_t = np.ascontiguousarray(W[:, D:].T)
-    w_h_t *= scale
+    # Both forward products run through the row-invariant form (see the
+    # module docstring), against the transposed weight blocks with the
+    # sigmoid halving folded in.
+    w_x_t = _prepare(np.multiply(W[:, :D].T, scale, order="C"))
+    w_h_t = _prepare(np.multiply(W[:, D:].T, scale, order="C"))
 
-    # Pre-activations of each row. A lone row is padded with a repeat, since
-    # a one-row product rounds differently (see the module docstring).
-    if len(rows) == 1:
-        rows = np.concatenate([rows, rows])
-    table = rows @ w_x_t
+    table = _row_product(rows, w_x_t, 4 * hid)
     table += params.b.data * scale
     # Recording, each step's live rows keep their gate activations here, and
     # padded positions stay zero; otherwise it is one step's buffer.
@@ -146,7 +189,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: li
         z = table.take(index[t, :n], axis=0, out=gates[t, :n] if record else gates[:n],
                        mode="clip")
         if prev is not None:
-            z += (out[prev, :max(n, 2)] @ w_h_t)[:n]
+            z += _row_product(out[prev, :max(n, 2)], w_h_t, 4 * hid)[:n]
         np.tanh(z, out=z)
         z *= scale
         z += offset
@@ -190,9 +233,11 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: li
         np.subtract(1.0, c_factor, out=c_factor)
         c_factor *= o_g
 
-        d_gates = np.zeros((T, B, 4 * hid))
-        dz4 = d_gates.reshape(T, B, 4, hid)
-        w_h = W[:, D:]
+        # At least two columns, so that a lone live row's dz_t rides in a
+        # two-row product with a zero row; columns past B stay zero.
+        d_gates = np.zeros((T, max(B, 2), 4 * hid))
+        dz4 = d_gates.reshape(T, max(B, 2), 4, hid)
+        w_h = _prepare(W[:, D:])
         dh_state = np.zeros((B, hid))
         dc_state = np.zeros((B, hid))
         for t in range(T) if reverse else range(T - 1, -1, -1):
@@ -204,16 +249,15 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: li
             dc += dh * c_factor[t, :n]
             np.multiply(ifg[t, :n], dc[:, None, :], out=dz4[t, :n, :3])
             np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
-            # One product per row: the rows of a product of several round
-            # differently from a lone row's, by how many there are.
-            np.matmul(d_gates[t, :n, None, :], w_h, out=dh[:, None, :])
+            dh[:] = _row_product(d_gates[t, :max(n, 2)], w_h, hid)[:n]
             dc *= f_g[t, :n]
+        d_gates = d_gates[:, :B]
 
-        # dx, dW and db of each column alone, from contiguous copies of its
-        # rows, so that they are what the column would get as a batch of
-        # one; dW and db are added over the columns in `order`.
-        w_x = W[:, :D]
-        dx = np.zeros((T, B, D))
+        # dx of every live position, time-major, as one product; dW and db
+        # of each column alone, from contiguous copies of its rows, so that
+        # they are what the column would get as a batch of one, added over
+        # the columns in `order`.
+        dx = _row_product(d_gates[is_live], _prepare(W[:, :D]), D)
         d_w = d_b = None
         for b in order:
             n = lengths[b]
@@ -227,7 +271,6 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], live: li
             h_in = h_in.copy()
             w = np.concatenate([dz.T @ x, dz_h.T @ h_in], axis=1)
             db = dz.sum(axis=0)
-            dx[:n, b] = dz @ w_x
             if d_w is None:
                 d_w, d_b = w, db
             else:
@@ -276,12 +319,10 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
     parents = (rows, fwd.W, fwd.b, bwd.W, bwd.b)
     record = grad_enabled() and any(p.requires_grad for p in parents)
 
-    # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
     is_live = lengths > np.arange(T)[:, None]
-    live = np.count_nonzero(is_live, axis=1).tolist()
     lengths = lengths.tolist()
-    out_f, back_f = _direction(rows.data, index, lengths, live, fwd, False, record)
-    out_b, back_b = _direction(rows.data, index, lengths, live, bwd, True, record)
+    out_f, back_f = _direction(rows.data, index, lengths, is_live, fwd, False, record)
+    out_b, back_b = _direction(rows.data, index, lengths, is_live, bwd, True, record)
     out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)
     if not record:
         return Tensor(out)
@@ -299,7 +340,7 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
         D = rows.shape[1]
         d_rows = np.zeros_like(rows.data)
         np.add.at(d_rows.reshape(-1), (index[is_live][:, None] * D + np.arange(D)).reshape(-1),
-                  dx[is_live].reshape(-1))
+                  dx.reshape(-1))
         return d_rows, dw_f, db_f, dw_b, db_b
 
     return _wrap(out, parents, backward)

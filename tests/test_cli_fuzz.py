@@ -10,8 +10,10 @@ recursion limit, and are read by `eval-policy` and `mask-corpus`. Reports read b
 not an object, invalid JSON or UTF-8, or deep nesting. Anchor files mix
 good records with CRLF line ends, U+2028 and NUL in and between records,
 invalid UTF-8 and records of the wrong type, and are read by
-`train-policy` and `eval-policy`. A run exits 0 or 2 and never with a
-traceback; a refusal names the file."""
+`train-policy` and `eval-policy`. Vocabulary files are cut short, have
+one bit flipped, repeat a line or move a reserved token from the head,
+and are read by `mask-corpus`, `train-policy` and `eval-policy`. A run
+exits 0 or 2 and never with a traceback; a refusal names the file."""
 
 import contextlib
 import io
@@ -355,4 +357,41 @@ def test_messy_anchor_file(workspace, good_lines, data, case):
         assert code in (0, 2), err
         if code == 2:
             assert str(anchor) in _refusal(err), err
+            assert not (Path(tmp) / "out" / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def vocab_bytes(workspace):
+    return (workspace / "vocab" / "vocab.txt").read_bytes()
+
+
+@st.composite
+def vocab_files(draw, data: bytes):
+    """A vocabulary file's bytes and whether every run must refuse it:
+    `data` cut short or with one bit flipped, with one of its lines
+    repeated elsewhere, or with a reserved token moved from the head."""
+    how = draw(st.sampled_from(["damaged", "repeat", "header"]))
+    if how == "damaged":
+        return draw(damaged(data)), False
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    if how == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    else:
+        lines.insert(draw(st.integers(3, len(lines) - 1)), lines.pop(draw(st.integers(0, 2))))
+    return "".join(lines).encode("utf-8"), True
+
+
+@given(st.data(), st.sampled_from(["mask-corpus", "train-policy", "eval-policy"]))
+@settings(max_examples=24, deadline=None)
+def test_damaged_vocab_file(workspace, vocab_bytes, data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab = Path(tmp) / "vocab.txt"
+        text, bad = data.draw(vocab_files(vocab_bytes))
+        vocab.write_bytes(text)
+        argv = _args(workspace)[command]
+        argv[argv.index("--vocab") + 1] = str(vocab)
+        code, err = _run([command, *argv, "--out", str(Path(tmp) / "out")])
+        assert code in ((2,) if bad else (0, 2)), err
+        if code == 2:
+            assert str(vocab) in _refusal(err), err
             assert not (Path(tmp) / "out" / "manifest.json").exists()

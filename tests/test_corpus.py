@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary, chunking, alignment, and anchor loading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,23 @@ class TestVocab:
             Vocab(["a", "b", "c"])
         with pytest.raises(InvalidVocabError):
             Vocab(["<pad>", "<unk>", "<mask>", "a", "a"])
+
+    def test_load_refusals_name_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\n<mask>\n<unk>\na\n")
+        with pytest.raises(InvalidVocabError,
+                           match=f"^{re.escape(str(path))}: vocabulary must start with"):
+            Vocab.load(path)
+
+    def test_load_names_a_duplicate_and_its_line(self, tmp_path):
+        # lines as a text-mode reader counts them: CRLF ends one line, and a
+        # form feed inside a line splits the entries but ends no line
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\r\n<unk>\n<mask>\na\x0cb\nc\nb\n")
+        with pytest.raises(InvalidVocabError) as info:
+            Vocab.load(path)
+        assert str(info.value) == f"{path}:6: duplicate token 'b' in vocabulary"
+        assert info.value.entry == 6
 
     def _write(self, text):
         import tempfile

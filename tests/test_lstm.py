@@ -10,7 +10,7 @@ from scalar_oracle import lstm_direction
 
 from maskpolicy.autodiff import Tensor, backward, grad_check, mul, no_grad, sum_all
 from maskpolicy.errors import NonFiniteError, ShapeMismatchError
-from maskpolicy.lstm import LstmCellParams, bilstm_sequence
+from maskpolicy.lstm import LstmCellParams, _prepare, _row_product, bilstm_sequence
 from maskpolicy.policy import init_policy_params
 
 
@@ -333,44 +333,63 @@ class TestColumnsAlone:
             np.testing.assert_array_equal(g, w)
 
 
+def blas_build():
+    """The BLAS numpy was built against, as a failure message names it:
+    with a DYNAMIC_ARCH build the kernel is picked by CPU at load time, so
+    a row fact can hold on one host and fail on another."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration')})")
+
+
 class TestBlasRowFacts:
     """The OpenBLAS behaviour that batched training's exactness rests on.
     Training adds each window's gradients as a batch of one would, and
     forward values must not depend on the batch, so every product whose
     rows are shared by a batch must give a row the same value whatever
-    the number of rows. A change of BLAS library or version that breaks
-    this fails here by name."""
+    the number of rows. Every such product runs through `_row_product`,
+    whose padded and blocked form holds this where a plain product does
+    not (at every odd H >= 17 in the forward form, and at H = 128 in the
+    backward form). A change of BLAS library or version that breaks this
+    fails here by name, and the message names the build."""
 
-    WIDTHS = (2, 3, 8, 16, 24, 32, 48, 64, 96, 128)
-    HEIGHTS = (*range(2, 41), 64, 127, 128, 129, 512)
+    HEIGHTS = (*range(2, 41), 64, 100, 127, 128, 129, 300, 512)
+    # every width the forward form is checked at; the backward form is
+    # checked at a stratified set: small, odd >= 17, around 4H = 256
+    # (where the reduction starts to be cut into blocks) and large
+    FORWARD_WIDTHS = tuple(range(2, 131))
+    BACKWARD_WIDTHS = (2, 3, 5, 8, 16, 17, 21, 24, 32, 33, 39, 47, 48, 63, 64, 65, 96, 127,
+                       128, 129, 130, 160, 192, 256)
 
-    @pytest.mark.parametrize("hid", WIDTHS)
+    def _check(self, a, prepared, n_out, label):
+        tall = _row_product(a, prepared, n_out)
+        build = blas_build()
+        for m in (1, *self.HEIGHTS):
+            for at in (0, 3):
+                np.testing.assert_array_equal(
+                    _row_product(a[at:at + m], prepared, n_out), tall[at:at + m],
+                    err_msg=f"{label} m={m}; {build}")
+
+    @pytest.mark.parametrize("hid", FORWARD_WIDTHS)
     def test_forward_products_rows_equal_for_two_or_more_rows(self, hid):
-        # rows @ W^T with W^T stored contiguous: the recurrent product
-        # (width H) and the input projections of both layers (H and 2H)
+        # rows @ W^T: the recurrent product (width H) and the input
+        # projections of both layers (H and 2H)
         rng = np.random.default_rng(hid)
         for width in (hid, 2 * hid):
-            w_t = np.ascontiguousarray(rng.uniform(-1, 1, size=(4 * hid, width)).T)
+            w_t = _prepare(rng.uniform(-1, 1, size=(4 * hid, width)).T)
             a = rng.uniform(-1, 1, size=(max(self.HEIGHTS) + 3, width))
-            tall = a @ w_t
-            for m in self.HEIGHTS:
-                for at in (0, 3):
-                    np.testing.assert_array_equal(a[at:at + m] @ w_t, tall[at:at + m],
-                                                  err_msg=f"H={hid} width={width} m={m}")
+            self._check(a, w_t, 4 * hid, f"forward H={hid} width={width}")
 
-    @pytest.mark.parametrize("hid", WIDTHS)
-    def test_per_row_backward_products_equal_the_one_row_product(self, hid):
-        # dz @ W_h with W_h the h columns of W, a strided view, as the
-        # backward runs it: one product per row, stacked, against each row
-        # alone as a (1, 4H) product
+    @pytest.mark.parametrize("hid", BACKWARD_WIDTHS)
+    def test_backward_products_rows_equal_for_every_row_count(self, hid):
+        # dz @ W_h (4H, H), the recurrent backward, and dz @ W_x (4H, H) and
+        # (4H, 2H), the input gradient of both layers, each a column block
+        # of W as stored
         rng = np.random.default_rng(1000 + hid)
-        for n_in in (hid, 2 * hid):
-            w_h = rng.uniform(-1, 1, size=(4 * hid, n_in + hid))[:, n_in:]
-            dz = rng.uniform(-1, 1, size=(33, 4 * hid))
-            out = np.empty((33, hid))
-            np.matmul(dz[:, None, :], w_h, out=out[:, None, :])
-            for r in range(33):
-                np.testing.assert_array_equal(out[r:r + 1], dz[r:r + 1] @ w_h)
+        a = rng.uniform(-1, 1, size=(max(self.HEIGHTS) + 3, 4 * hid))
+        for width in (hid, 2 * hid):
+            w = rng.uniform(-1, 1, size=(4 * hid, hid + width))[:, hid:]
+            self._check(a, _prepare(w), width, f"backward H={hid} width={width}")
 
 
 class TestBilstm:

@@ -273,6 +273,49 @@ class TestDistinctIds:
             np.testing.assert_array_equal(end, want_end)
 
 
+def batch_hidden_states(monkeypatch, params, batch):
+    """The second layer's hidden states (len(ids), 2H) of each sequence as
+    score_batch computes them for `batch`, read as the heads get them."""
+    seen = []
+    head = policy._head
+
+    def recording_head(hidden, *args):
+        seen.append(hidden.data)
+        return head(hidden, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(policy, "_head", recording_head)
+        score_batch(params, batch)
+    hidden = seen[0].reshape(-1, len(batch), seen[0].shape[1])
+    columns = np.argsort(np.argsort([-len(ids) for ids in batch], kind="stable"))
+    return [hidden[:len(ids), c] for ids, c in zip(batch, columns)]
+
+
+class TestOddWidthHiddenStates:
+    """At an odd width >= 17, 4H is not a multiple of 8; a plain product's
+    rows there round by the number of rows. Through the padded products a
+    sequence's hidden states are the same alone, in any batch and at any
+    column, bit for bit."""
+
+    @pytest.mark.parametrize("d", [17, 33, 65])
+    def test_bit_identical_alone_and_in_batches(self, monkeypatch, d):
+        params = init_policy_params(60, d, d, seed=d)
+        rng = np.random.default_rng(d)
+        lengths = [1, 40, 7, 40, 2, 23, 13]
+        seqs = [[int(t) for t in rng.integers(0, 60, size=n)] for n in lengths]
+        alone = [batch_hidden_states(monkeypatch, params, [ids])[0] for ids in seqs]
+        for size in (2, 3, 7):
+            for lo in range(0, len(seqs), size):
+                batch = seqs[lo:lo + size]
+                for got, want in zip(batch_hidden_states(monkeypatch, params, batch),
+                                     alone[lo:lo + size]):
+                    np.testing.assert_array_equal(got, want, err_msg=f"batch of {size}")
+        perm = rng.permutation(len(seqs))
+        for got, b in zip(batch_hidden_states(monkeypatch, params, [seqs[b] for b in perm]),
+                          perm):
+            np.testing.assert_array_equal(got, alone[b], err_msg="permuted")
+
+
 class TestTopKSpans:
     def test_frozen_ranking(self):
         start = np.array([2.0, 0.0, 1.0])

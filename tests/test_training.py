@@ -272,6 +272,9 @@ class TestBatchedTraining:
                                     optimizer="adam"),
         "d48-short-partial": dict(n=10, lengths=(1, 4), d=48, batch_size=5, optimizer="sgd"),
         "d3-ragged-partial": dict(n=12, lengths=(1, 12), d=3, batch_size=4, optimizer="adam"),
+        # an odd width >= 17, where 4H is not a multiple of 8: 10 windows in
+        # batches of 4, 4 and 2
+        "d33-ragged-partial": dict(n=12, lengths=(1, 40), d=33, batch_size=4, optimizer="adam"),
     }
 
     @pytest.mark.parametrize("case", CASES)
