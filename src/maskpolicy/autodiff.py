@@ -11,10 +11,6 @@ Everything is float64. Op outputs are checked finite on creation, so a
 NaN or Inf surfaces at the op that produced it instead of poisoning the
 rest of the pass. Inference code should run under no_grad() to skip tape
 construction entirely.
-
-Broadcasting is deliberately limited to "same shape, or one side is a
-single element": that is all the model needs, and it keeps every
-backward rule exact and obvious.
 """
 
 from __future__ import annotations
@@ -103,37 +99,16 @@ def _wrap(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tenso
     return out
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Collapse a broadcast gradient back onto a single-element operand.
-    if grad.shape == shape:
-        return grad
-    return np.sum(grad).reshape(shape)
-
-
 # --- elementwise ----------------------------------------------------------
 
-def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
-    return a.shape == b.shape or a.size == 1 or b.size == 1
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _binary_shapes_ok(a, b):
+    if a.shape != b.shape:
         raise ShapeMismatchError("add", a.shape, b.shape)
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
     return _wrap(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _binary_shapes_ok(a, b):
-        raise ShapeMismatchError("mul", a.shape, b.shape)
-
-    def backward(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
-
-    return _wrap(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -141,20 +116,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _wrap(a.data * s, (a,), backward)
-
-
-# --- linear algebra -------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix times vector: (m, n) @ (n,) -> (m,)."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 1 or ad.shape[1] != bd.shape[0]:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-
-    def backward(g):
-        return np.outer(g, bd), ad.T @ g
-
-    return _wrap(ad @ bd, (a, b), backward)
 
 
 # --- gathers ---------------------------------------------------------------
@@ -173,15 +134,6 @@ def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         return (full,)
 
     return _wrap(table.data[idx], (table,), backward)
-
-
-# --- reductions -----------------------------------------------------------
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        return (np.full(a.shape, float(g)),)
-
-    return _wrap(np.sum(a.data), (a,), backward)
 
 
 # --- backward pass ----------------------------------------------------------

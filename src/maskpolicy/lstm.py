@@ -32,8 +32,9 @@ m = 1, 2-15 and 16 or more. So every product of a layer, forward and
 backward, runs through `_row_product` against weights `_prepare`d once
 per call: each block stored contiguous, the output width padded with
 zero columns to a multiple of 8, and any reduction longer than 256 cut
-into blocks of at most 256, whose products are added in order; a lone
-row runs beside a zero row. In that form each row gets the same value
+into blocks of at most 256, whose products are added in order. A lone
+row runs beside a zero row inside `_row_product`, so a caller passes
+only its live rows, however few. In that form each row gets the same value
 for every row count at every width tested (tests/test_lstm.py
 TestBlasRowFacts: the forward form at H = 2-130, the backward form at
 24 widths from 2 to 256, m = 1-40 and up to 512). So a row's states and
@@ -134,8 +135,8 @@ def _prepare(w: np.ndarray) -> list[np.ndarray]:
 
 def _row_product(x: np.ndarray, prepared: list[np.ndarray], n_out: int) -> np.ndarray:
     """x (m, K) @ w (K, n_out), w as `_prepare`d: one product per block,
-    added in order. Each row's value is the same for every m, since a lone
-    row runs beside a zero row."""
+    added in order, a lone row beside a zero row. Each row's value is the
+    same for every m."""
     if len(x) == 1:
         return _row_product(np.concatenate([x, np.zeros_like(x)]), prepared, n_out)[:1]
     out, lo = None, 0
@@ -173,9 +174,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
     # Recording, each step's live rows keep their gate activations here, and
     # padded positions stay zero; otherwise it is one step's buffer.
     gates = np.zeros((T, B, 4 * hid)) if record else np.empty((B, 4 * hid))
-    # At least two columns, so that a lone live row rides in a two-row
-    # product with a zero state; columns past B stay zero.
-    out = np.zeros((T, max(B, 2), hid))
+    out = np.zeros((T, B, hid))
     cells = np.zeros((T, B, hid)) if record else None
     tanh_cells = np.zeros((T, B, hid)) if record else None
     c_state = np.zeros((B, hid))
@@ -189,7 +188,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
         z = table.take(index[t, :n], axis=0, out=gates[t, :n] if record else gates[:n],
                        mode="clip")
         if prev is not None:
-            z += _row_product(out[prev, :max(n, 2)], w_h_t, 4 * hid)[:n]
+            z += _row_product(out[prev, :n], w_h_t, 4 * hid)
         np.tanh(z, out=z)
         z *= scale
         z += offset
@@ -203,7 +202,6 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
         tc = np.tanh(c, out=tanh_cells[t, :n]) if record else np.tanh(c)
         np.multiply(o_g, tc, out=out[t, :n])
         prev = t
-    out = out[:, :B]
     if not record:
         return out, None
 
@@ -233,10 +231,8 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
         np.subtract(1.0, c_factor, out=c_factor)
         c_factor *= o_g
 
-        # At least two columns, so that a lone live row's dz_t rides in a
-        # two-row product with a zero row; columns past B stay zero.
-        d_gates = np.zeros((T, max(B, 2), 4 * hid))
-        dz4 = d_gates.reshape(T, max(B, 2), 4, hid)
+        d_gates = np.zeros((T, B, 4 * hid))
+        dz4 = d_gates.reshape(T, B, 4, hid)
         w_h = _prepare(W[:, D:])
         dh_state = np.zeros((B, hid))
         dc_state = np.zeros((B, hid))
@@ -249,9 +245,8 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
             dc += dh * c_factor[t, :n]
             np.multiply(ifg[t, :n], dc[:, None, :], out=dz4[t, :n, :3])
             np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
-            dh[:] = _row_product(d_gates[t, :max(n, 2)], w_h, hid)[:n]
+            dh[:] = _row_product(d_gates[t, :n], w_h, hid)
             dc *= f_g[t, :n]
-        d_gates = d_gates[:, :B]
 
         # dx of every live position, time-major, as one product; dW and db
         # of each column alone, from contiguous copies of its rows, so that

@@ -28,6 +28,7 @@ from .corpus import AnchorExample, Span
 from .errors import (
     EmptyDatasetError,
     InvalidOptionError,
+    NonFiniteError,
     NonFiniteLossError,
     SequenceTooLongError,
     ShapeMismatchError,
@@ -116,9 +117,6 @@ def _span_nll(start_logits: np.ndarray, end_logits: np.ndarray, gold: Span
     """The span loss -lp_start[gold.start] - lp_end[gold.end] of one
     sequence's logits, where lp = log_softmax(logits) for each head,
     returned with lp_start and lp_end."""
-    if (start_logits.ndim != 1 or start_logits.size == 0
-            or end_logits.shape != start_logits.shape):
-        raise ShapeMismatchError("span_loss", start_logits.shape, end_logits.shape)
     n = start_logits.size
     if gold.start >= n or gold.end >= n:
         raise SpanOutOfBoundsError(f"gold span ({gold.start}, {gold.end}) outside length {n}")
@@ -134,19 +132,6 @@ def _nll_grad(lp: np.ndarray, gold: int, g) -> np.ndarray:
     return grad
 
 
-def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
-    """Cross entropy of the gold start plus cross entropy of the gold end
-    (see _span_nll), as one tape node whose parents are the two logits
-    tensors. Given the upstream gradient g, each head's gradient is
-    exp(lp) * g, minus g at its gold index."""
-    loss, lp_start, lp_end = _span_nll(start_logits.data, end_logits.data, gold)
-
-    def backward(g):
-        return _nll_grad(lp_start, gold.start, g), _nll_grad(lp_end, gold.end, g)
-
-    return _wrap(loss, (start_logits, end_logits), backward)
-
-
 def mean_span_loss(start_logits: Tensor, end_logits: Tensor, columns: list[int],
                    batch: list[tuple[tuple[int, ...], Span]]) -> Tensor:
     """The mean span loss of a batch of prepared (ids, gold) windows whose
@@ -154,7 +139,9 @@ def mean_span_loss(start_logits: Tensor, end_logits: Tensor, columns: list[int],
     columns[b]: one tape node. The windows' losses are added in batch
     order and the sum is scaled by 1/len(batch), so the value and the
     gradients are those of span_loss per window, added with `add` and
-    scaled with `scale`."""
+    scaled with `scale`. Given the upstream gradient g, each head's
+    gradient in a window is exp(lp) * g/len(batch), minus g/len(batch) at
+    its gold index."""
     B = len(batch)
     start = start_logits.data.reshape(-1, B)
     end = end_logits.data.reshape(-1, B)
@@ -172,6 +159,16 @@ def mean_span_loss(start_logits: Tensor, end_logits: Tensor, columns: list[int],
         return g_start.reshape(-1), g_end.reshape(-1)
 
     return _wrap(total * share, (start_logits, end_logits), backward)
+
+
+def span_loss(start_logits: Tensor, end_logits: Tensor, gold: Span) -> Tensor:
+    """Cross entropy of the gold start plus cross entropy of the gold end
+    (see _span_nll) of one sequence's logits: the mean span loss of a batch
+    of that one window. Its scale, 1/1, is exact."""
+    if (start_logits.ndim != 1 or start_logits.size == 0
+            or end_logits.shape != start_logits.shape):
+        raise ShapeMismatchError("span_loss", start_logits.shape, end_logits.shape)
+    return mean_span_loss(start_logits, end_logits, [0], [(range(start_logits.size), gold)])
 
 
 def truncate_around_answer(n_tokens: int, gold: Span, max_len: int) -> tuple[int, int]:
@@ -245,12 +242,15 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
             params.zero_grads()
-            start, end, columns = forward_batch(params, [ids for ids, _ in batch],
-                                                cfg.max_input_len)
-            batch_loss = mean_span_loss(start, end, columns, batch)
+            # A diverging run overflows in the forward or in the loss, and
+            # the tensor that would hold the value refuses it.
+            try:
+                start, end, columns = forward_batch(params, [ids for ids, _ in batch],
+                                                    cfg.max_input_len)
+                batch_loss = mean_span_loss(start, end, columns, batch)
+            except NonFiniteError as e:
+                raise NonFiniteLossError(epoch, batch_no, math.nan) from e
             value = batch_loss.item()
-            if not np.isfinite(value):
-                raise NonFiniteLossError(epoch, batch_no, value)
             backward(batch_loss)
             grads = [p.grad for _, p in named if p.grad is not None]
             clip_grad_norm(grads, cfg.clip_norm)

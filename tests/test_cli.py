@@ -1,6 +1,7 @@
 """End-to-end command line runs against a synthetic workspace."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,15 @@ class TestNonFiniteTrainingOptions:
         cfg.write_text('{"clip_norm": NaN}')
         assert self._train(workspace, tmp_path / "out", "--config", str(cfg)) == 2
         assert f"config file {cfg}: clip_norm must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_diverging_run_exits_2_naming_epoch_and_batch(self, workspace, tmp_path, capsys):
+        # A finite learning rate so large that training overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = self._train(workspace, tmp_path / "out", "--learning-rate", "1e307",
+                               "--epochs", "4", "--batch-size", "8")
+        assert code == 2
+        assert re.search(r"non-finite loss .* at epoch \d+, batch \d+", capsys.readouterr().err)
         assert not (tmp_path / "out" / "manifest.json").exists()
 
 

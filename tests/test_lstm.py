@@ -8,7 +8,7 @@ import pytest
 import masked_lstm_oracle
 from scalar_oracle import lstm_direction
 
-from maskpolicy.autodiff import Tensor, backward, grad_check, mul, no_grad, sum_all
+from maskpolicy.autodiff import Tensor, _wrap, backward, grad_check, no_grad
 from maskpolicy.errors import NonFiniteError, ShapeMismatchError
 from maskpolicy.lstm import LstmCellParams, _prepare, _row_product, bilstm_sequence
 from maskpolicy.policy import init_policy_params
@@ -51,6 +51,17 @@ def longest_first(data, lengths):
     lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     return data[:, order], lengths[order]
+
+
+def project(out, mix):
+    """The scalar sum(out * mix) for a constant array mix, as one tape node:
+    the loss the gradient tests read a layer's outputs through."""
+    mix = np.asarray(mix, dtype=np.float64)
+
+    def backward(g):
+        return (g * mix,)
+
+    return _wrap(np.sum(out.data * mix), (out,), backward)
 
 
 def run(xs, params, reverse=False):
@@ -177,7 +188,7 @@ def ragged_case(rng, max_t=4, max_b=3):
     n_rows = int(rng.integers(1, T * B + 1))
     rows = Tensor(rng.uniform(-1, 1, size=(n_rows, n_in)), requires_grad=True)
     index = rng.integers(0, n_rows, size=(T, B))
-    mix = Tensor(rng.uniform(-1, 1, size=(T * B, 2 * hid)))
+    mix = rng.uniform(-1, 1, size=(T * B, 2 * hid))
     return random_params(rng, n_in, hid), random_params(rng, n_in, hid), rows, index, lengths, mix
 
 
@@ -191,7 +202,7 @@ class TestCellGradients:
             fwd, bwd, rows, index, lengths, mix = ragged_case(rng)
 
             def loss_fn():
-                return sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix))
+                return project(bilstm_sequence(rows, index, lengths, fwd, bwd), mix)
 
             err = grad_check(loss_fn, [rows, fwd.W, fwd.b, bwd.W, bwd.b])
             assert err < 1e-4, f"seed {seed}: rel err {err}"
@@ -201,10 +212,10 @@ class TestCellGradients:
         fwd = random_params(rng, 2, 2)
         bwd = random_params(rng, 2, 2)
         rows, index = as_rows(rng.uniform(-1, 1, size=(4, 1, 2)), requires_grad=True)
+        mix = rng.uniform(-1, 1, size=(4, 4))
 
         def loss_fn():
-            states = bilstm_sequence(rows, index, [4], fwd, bwd)
-            return sum_all(mul(states, states))
+            return project(bilstm_sequence(rows, index, [4], fwd, bwd), mix)
 
         assert grad_check(loss_fn, [fwd.W, fwd.b, bwd.W, bwd.b, rows]) < 1e-4
 
@@ -216,8 +227,7 @@ class TestCellGradients:
         bwd = random_params(rng, 2, 2)
         rows, index = as_rows(rng.uniform(-1, 1, size=(3, 1, 2)))
         out = bilstm_sequence(rows, index, [3], fwd, bwd)
-        used = Tensor(np.repeat([[1.0, 1.0, 0.0, 0.0]], 3, axis=0))
-        backward(sum_all(mul(mul(out, out), used)))
+        backward(project(out, np.repeat([[1.0, 1.0, 0.0, 0.0]], 3, axis=0)))
         assert fwd.W.grad.any() and fwd.b.grad.any()
         assert not bwd.W.grad.any() and not bwd.b.grad.any()
 
@@ -274,10 +284,10 @@ class TestRaggedBatch:
             lengths = np.sort(rng.integers(1, T + 1, size=B))[::-1].copy()
             rows, index = as_rows(rng.uniform(-1, 1, size=(T, B, n_in)), requires_grad=True)
             fwd, bwd = random_params(rng, n_in, hid), random_params(rng, n_in, hid)
-            mix = Tensor(rng.uniform(-1, 1, size=(T * B, 2 * hid)))
+            mix = rng.uniform(-1, 1, size=(T * B, 2 * hid))
 
             def loss_fn():
-                return sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix))
+                return project(bilstm_sequence(rows, index, lengths, fwd, bwd), mix)
 
             err = grad_check(loss_fn, [rows, fwd.W, fwd.b, bwd.W, bwd.b])
             assert err < 1e-4, f"seed {seed}: rel err {err}"
@@ -312,7 +322,7 @@ class TestColumnsAlone:
 
         rows, index = as_rows(data, requires_grad=True)
         out = bilstm_sequence(rows, index, lengths, fwd, bwd, order)
-        backward(sum_all(mul(out, Tensor(mix.reshape(T * B, 2 * hid)))))
+        backward(project(out, mix.reshape(T * B, 2 * hid)))
         got = [p.grad for p in (fwd.W, fwd.b, bwd.W, bwd.b)]
         got_rows = rows.grad.reshape(T, B, n_in)
 
@@ -324,7 +334,7 @@ class TestColumnsAlone:
             alone, one = as_rows(data[:n, b:b + 1], requires_grad=True)
             states = bilstm_sequence(alone, one, [n], fwd, bwd)
             np.testing.assert_array_equal(states.data, out.data.reshape(T, B, -1)[:n, b])
-            backward(sum_all(mul(states, Tensor(mix[:n, b]))))
+            backward(project(states, mix[:n, b]))
             grads = [p.grad for p in (fwd.W, fwd.b, bwd.W, bwd.b)]
             want = grads if want is None else [w + g for w, g in zip(want, grads)]
             np.testing.assert_array_equal(got_rows[:n, b], alone.grad)
@@ -471,10 +481,10 @@ class TestDistinctRows:
         rows = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
         index = np.array([[0, 1, 1], [3, 0, 1], [0, 3, 0], [1, 1, 3]])
         lengths = [4, 3, 3]
-        mix = Tensor(rng.uniform(-1, 1, size=(12, 4)))
-        backward(sum_all(mul(bilstm_sequence(rows, index, lengths, fwd, bwd), mix)))
+        mix = rng.uniform(-1, 1, size=(12, 4))
+        backward(project(bilstm_sequence(rows, index, lengths, fwd, bwd), mix))
         gathered, flat = as_rows(rows.data[index], requires_grad=True)
-        backward(sum_all(mul(bilstm_sequence(gathered, flat, lengths, fwd, bwd), mix)))
+        backward(project(bilstm_sequence(gathered, flat, lengths, fwd, bwd), mix))
         want = np.zeros((4, 3))
         for position, row in enumerate(index.reshape(-1)):
             want[row] += gathered.grad[position]
@@ -547,8 +557,8 @@ class TestMaskedOracle:
         mix = np.random.default_rng(1).uniform(-1, 1, size=(T, B, hid))
         for reverse in (False, True):
             x = Tensor(data, requires_grad=True)
-            backward(sum_all(mul(masked_lstm_oracle.lstm_sequence(x, lengths, params, reverse),
-                                 Tensor(mix))))
+            states = masked_lstm_oracle.lstm_sequence(x, lengths, params, reverse)
+            backward(project(states, mix))
             want = (x.grad, params.W.grad, params.b.grad)
             for p in (params.W, params.b, other.W, other.b):
                 p.zero_grad()
@@ -557,7 +567,7 @@ class TestMaskedOracle:
             halves(both, index)[reverse][...] = mix
             cells = (other, params) if reverse else (params, other)
             out = bilstm_sequence(rows, index, lengths, *cells)
-            backward(sum_all(mul(out, Tensor(both.reshape(T * B, 2 * hid)))))
+            backward(project(out, both.reshape(T * B, 2 * hid)))
             got = (rows.grad.reshape(T, B, n_in), params.W.grad, params.b.grad)
             assert_grads_close(got, want)
             assert not other.W.grad.any() and not other.b.grad.any()

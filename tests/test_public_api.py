@@ -1,14 +1,18 @@
 """The package's public names, and every name the benchmark imports from
 it, still exist: a deletion that would break `perfbench` fails here at
-once rather than as an import error partway through a benchmark run."""
+once rather than as an import error partway through a benchmark run.
+And every public function of the autodiff core has a caller in the
+package or the benchmark."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import maskpolicy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_all_names_resolve_once():
@@ -45,3 +49,32 @@ def test_benchmark_imports_exist():
             except ModuleNotFoundError:
                 missing.append(f"{where}: {module}.{name}")
     assert missing == []
+
+
+def _autodiff_calls():
+    """Names of `maskpolicy.autodiff` functions called by name in another
+    module of src/ or perfbench/ that imports them."""
+    called = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff")
+            for alias in node.names
+        }
+        called.update(imported[node.func.id] for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in imported)
+    return called
+
+
+def test_every_autodiff_function_has_a_caller():
+    # An op that only tests call is dead weight on the tape: delete it.
+    autodiff = importlib.import_module("maskpolicy.autodiff")
+    public = {name for name, value in vars(autodiff).items()
+              if inspect.isfunction(value) and value.__module__ == autodiff.__name__
+              and not name.startswith("_")}
+    assert sorted(public - _autodiff_calls()) == []

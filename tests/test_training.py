@@ -9,7 +9,13 @@ from maskpolicy import policy
 from maskpolicy.autodiff import add, backward, grad_check, scale
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import Span, Vocab
-from maskpolicy.errors import EmptyDatasetError, InvalidOptionError, SequenceTooLongError
+from maskpolicy.errors import (
+    EmptyDatasetError,
+    InvalidOptionError,
+    NonFiniteError,
+    NonFiniteLossError,
+    SequenceTooLongError,
+)
 from maskpolicy.policy import forward, forward_batch, init_policy_params
 from maskpolicy.training import (
     EpochRecord,
@@ -234,6 +240,20 @@ class TestTraining:
         data = synth_examples(8, seed=0)
         params, _ = train_policy(data[:6], data[6:], tiny_config(), vocab_size=200)
         assert params.embedding.data.shape[0] == 200
+
+    @pytest.mark.parametrize("learning_rate", [1e307, 1e308])
+    def test_diverging_run_names_epoch_and_batch(self, learning_rate):
+        # Adam's first steps overflow the weights: at 1e307 the loss is the
+        # first value that is not finite, at 1e308 a layer's output.
+        data = synth_examples(40, seed=3)
+        cfg = TrainConfig(epochs=4, learning_rate=learning_rate, batch_size=8, d_emb=8, d_h=8)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteLossError) as caught:
+            train_policy(data[:30], data[30:], cfg)
+        err = caught.value
+        assert 1 <= err.epoch <= cfg.epochs and 0 <= err.batch < 4
+        assert f"at epoch {err.epoch}, batch {err.batch}" in str(err)
+        assert isinstance(err.__cause__, NonFiniteError)
 
 
 class TestGradCheckSuite:
