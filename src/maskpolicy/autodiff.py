@@ -105,8 +105,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatchError("add", a.shape, b.shape)
 
+    # one array per parent, as each may become a .grad scaled in place
     def backward(g):
-        return g, g
+        return g, g.copy()
 
     return _wrap(a.data + b.data, (a, b), backward)
 

@@ -188,7 +188,7 @@ def answer_coverage(examples: list[MaskedExample], answers: list[str],
     for ex in examples:
         ids = ex.original_ids()
         for tid in ids:
-            if tid >= len(vocab.id_to_token):
+            if not 0 <= tid < len(vocab.id_to_token):
                 raise VocabMismatchError(
                     f"token id {tid} outside vocabulary of size "
                     f"{len(vocab.id_to_token)}")

@@ -148,17 +148,12 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
 def _head(hidden: Tensor, w: Tensor, b: Tensor, lengths: list[int], order: list[int]
           ) -> Tensor:
     """One head's logits hidden @ w + b, flat (T*B,) like the hidden rows.
-    A matrix-vector product rounds a row by its position in the product, so
-    on the tape each column's rows run as a product of their own, as in a
-    batch of one, and the gradients of w and b add the columns' own in
-    `order`. Off the tape it is one product over every row."""
-    if not grad_enabled():
-        return Tensor(hidden.data @ w.data + b.data)
+    np.vecdot runs one dot product per row, so a row's logit does not
+    depend on the other rows, on the tape or off it (a padded row's zero
+    state gives b, which no loss reads). The gradients of w and b add the
+    columns' own in `order`, each as in a batch of one."""
     B = len(lengths)
     states = hidden.data.reshape(-1, B, hidden.shape[1])
-    logits = np.zeros(states.shape[:2])
-    for c in order:
-        logits[:lengths[c], c] = states[:lengths[c], c].copy() @ w.data + b.data
 
     def backward(g):
         g = g.reshape(-1, B)
@@ -173,7 +168,7 @@ def _head(hidden: Tensor, w: Tensor, b: Tensor, lengths: list[int], order: list[
                 d_b += np.sum(g_c)
         return np.outer(g, w.data).reshape(hidden.shape), d_w, np.reshape(d_b, ())
 
-    return _wrap(logits.reshape(-1), (hidden, w, b), backward)
+    return _wrap(np.vecdot(hidden.data, w.data) + b.data, (hidden, w, b), backward)
 
 
 def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
@@ -194,7 +189,7 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
 
     Off the tape, the first layer reads each distinct id of the padded
     batch once, so a token repeated in the batch is embedded and projected
-    once, and each head is one product over every row."""
+    once."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         raise EmptySequenceError("policy forward on an empty batch")
@@ -235,11 +230,10 @@ def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LE
 def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference-only forward over several id sequences at once, as one
-    padded batch with no tape (see forward_batch). The first layer's
-    projection of the batch's distinct ids gives each row the same value
-    for any number of two or more rows, so with OpenBLAS 0.3.31 a
-    sequence's logits do not depend on what else is in its batch, bar the
-    heads, whose products round a row by its position. Returns
+    padded batch with no tape (see forward_batch). Every product of the
+    BiLSTM gives a row the same value for any number of rows, and each
+    head is one dot product per row, so with OpenBLAS 0.3.31 a sequence's
+    logits do not depend on what else is in its batch, or where. Returns
     (start_logits, end_logits) per sequence, in input order, each as long
     as its sequence."""
     seqs = [list(ids) for ids in batch]

@@ -61,11 +61,13 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "max_input_len", "max_span_len", "d_emb", "d_h",
-                     "seed"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, int):
-                raise InvalidOptionError(f"{name} must be an integer, got {value!r}", name)
+        counts = ("epochs", "batch_size", "max_input_len", "max_span_len", "d_emb", "d_h", "seed")
+        for names, kinds, kind in ((counts, int, "an integer"),
+                                   (("learning_rate", "clip_norm"), (int, float), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if type(value) is bool or not isinstance(value, kinds):
+                    raise InvalidOptionError(f"{name} must be {kind}, got {value!r}", name)
         numeric = dict(epochs=self.epochs, learning_rate=self.learning_rate,
                        batch_size=self.batch_size, max_input_len=self.max_input_len,
                        max_span_len=self.max_span_len, d_emb=self.d_emb, d_h=self.d_h,

@@ -282,6 +282,15 @@ def test_op_gradients_match_finite_differences(op_name):
 
 
 class TestClipGradNorm:
+    def test_clips_the_gradients_of_added_leaves_once(self):
+        # add's backward must give each parent its own array, or clipping
+        # scales a shared one twice
+        a, b = param([3.0]), param([4.0])
+        backward(add(a, b))
+        assert a.grad is not b.grad
+        clip_grad_norm([a.grad, b.grad], 0.5)
+        assert np.hypot(a.grad[0], b.grad[0]) == pytest.approx(0.5)
+
     def test_long_gradient_scaled_to_max(self):
         g = np.array([3.0, 4.0])
         norm = clip_grad_norm([g], 1.0)

@@ -1,5 +1,7 @@
 """Span-prediction metrics, answer coverage, and policy comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,14 @@ class TestAnswerCoverage:
         small = Vocab(["<pad>", "<unk>", "<mask>", "the"])
         with pytest.raises(VocabMismatchError):
             answer_coverage([ex], ["the"], small)
+
+    def test_negative_id_rejected(self, vocab):
+        # a negative id would read from the end of the vocabulary: here it
+        # turns "blue" into "Paris", present and covered
+        ex = dataclasses.replace(self._masked("the sky is blue", Span(3, 3), vocab),
+                                 target_ids=(-1,))
+        with pytest.raises(VocabMismatchError, match="token id -1"):
+            answer_coverage([ex], ["Paris"], vocab)
 
 
 def report(tag, em5, em1=0.0):

@@ -360,8 +360,10 @@ class TestBlasRowFacts:
     the number of rows. Every such product runs through `_row_product`,
     whose padded and blocked form holds this where a plain product does
     not (at every odd H >= 17 in the forward form, and at H = 128 in the
-    backward form). A change of BLAS library or version that breaks this
-    fails here by name, and the message names the build."""
+    backward form). Every row of the policy heads is one dot product
+    (np.vecdot), where a matrix-vector product rounds a row by its
+    position. A change of BLAS library or version that breaks this fails
+    here by name, and the message names the build."""
 
     HEIGHTS = (*range(2, 41), 64, 100, 127, 128, 129, 300, 512)
     # every width the forward form is checked at; the backward form is
@@ -370,6 +372,9 @@ class TestBlasRowFacts:
     FORWARD_WIDTHS = tuple(range(2, 131))
     BACKWARD_WIDTHS = (2, 3, 5, 8, 16, 17, 21, 24, 32, 33, 39, 47, 48, 63, 64, 65, 96, 127,
                        128, 129, 130, 160, 192, 256)
+    # the heads' reduction, 2H: every width 2-130, and around the forward
+    # form's block size of 256 and beyond it
+    HEAD_WIDTHS = (*range(2, 131), 160, 192, 256, 258, 512)
 
     def _check(self, a, prepared, n_out, label):
         tall = _row_product(a, prepared, n_out)
@@ -400,6 +405,20 @@ class TestBlasRowFacts:
         for width in (hid, 2 * hid):
             w = rng.uniform(-1, 1, size=(4 * hid, hid + width))[:, hid:]
             self._check(a, _prepare(w), width, f"backward H={hid} width={width}")
+
+    @pytest.mark.parametrize("k", HEAD_WIDTHS)
+    def test_head_dot_products_rows_equal_for_every_row_count(self, k):
+        # np.vecdot(hidden, w), the policy heads, one dot product per row;
+        # a plain matrix-vector product rounds a row by its position
+        rng = np.random.default_rng(2000 + k)
+        w = rng.uniform(-1, 1, size=k)
+        a = rng.uniform(-1, 1, size=(max(self.HEIGHTS) + 3, k))
+        tall = np.vecdot(a, w)
+        build = blas_build()
+        for m in (1, *self.HEIGHTS):
+            for at in (0, 3):
+                np.testing.assert_array_equal(np.vecdot(a[at:at + m], w), tall[at:at + m],
+                                              err_msg=f"head k={k} m={m}; {build}")
 
 
 class TestBilstm:

@@ -247,8 +247,8 @@ def gathered_logits(params, batch):
             hidden = bilstm_sequence(hidden, positions, lengths, params.cell(f"{layer}.fwd"),
                                      params.cell(f"{layer}.bwd"))
     w = params.tensors
-    start = (hidden.data @ w["head.start.w"].data + w["head.start.b"].data).reshape(T, B)
-    end = (hidden.data @ w["head.end.w"].data + w["head.end.b"].data).reshape(T, B)
+    start, end = ((np.vecdot(hidden.data, w[f"head.{h}.w"].data) + w[f"head.{h}.b"].data)
+                  .reshape(T, B) for h in ("start", "end"))
     got = {b: (start[:len(batch[b]), c], end[:len(batch[b]), c]) for c, b in enumerate(order)}
     return [got[b] for b in range(B)]
 
@@ -314,6 +314,29 @@ class TestOddWidthHiddenStates:
         for got, b in zip(batch_hidden_states(monkeypatch, params, [seqs[b] for b in perm]),
                           perm):
             np.testing.assert_array_equal(got, alone[b], err_msg="permuted")
+
+
+class TestBatchInvariantLogits:
+    """A sequence's start and end logits are the same bit for bit scored
+    alone, in batches of any size and at any column: every BiLSTM product
+    gives a row the same value for any number of rows, and each head is
+    one dot product per row."""
+
+    @pytest.mark.parametrize("d", [128, 33])
+    def test_logits_do_not_depend_on_the_batch(self, d):
+        params = init_policy_params(300, d, d, seed=d)
+        rng = np.random.default_rng(100 + d)
+        lengths = rng.permutation([1, 2, 3, 127, 128, *rng.integers(1, 129, size=43)])
+        seqs = [[int(t) for t in rng.integers(0, 300, size=n)] for n in lengths]
+        alone = [score_batch(params, [ids])[0] for ids in seqs]
+        perm = rng.permutation(32)
+        ways = [(f"batch of {size}", list(range(lo, min(lo + size, len(seqs)))))
+                for size in (2, 3, 7, 32) for lo in range(0, len(seqs), size)]
+        ways.append(("permuted", perm.tolist()))
+        for label, members in ways:
+            for b, (start, end) in zip(members, score_batch(params, [seqs[b] for b in members])):
+                np.testing.assert_array_equal(start, alone[b][0], err_msg=f"{label}, start")
+                np.testing.assert_array_equal(end, alone[b][1], err_msg=f"{label}, end")
 
 
 class TestTopKSpans:

@@ -77,6 +77,19 @@ class TestConfig:
             tiny_config(**{field: value}).validate()
         assert info.value.options == (field,)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+    def test_rejects_non_number_rates(self, field, value):
+        # True used to pass as 1.0, and a string failed the range check
+        # with a bare TypeError
+        with pytest.raises(InvalidOptionError, match=f"{field} must be a number") as info:
+            tiny_config(**{field: value}).validate()
+        assert info.value.options == (field,)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    def test_accepts_an_integer_rate(self, field):
+        tiny_config(**{field: 1}).validate()
+
     @pytest.mark.parametrize("n_seeds, max_len", [(0, 12), (2, 1)])
     def test_grad_check_suite_rejects_empty_runs(self, n_seeds, max_len):
         with pytest.raises(InvalidOptionError):
