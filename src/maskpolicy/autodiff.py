@@ -4,8 +4,12 @@ A Tensor wraps a numpy array plus an optional gradient. Each operation
 records its input nodes and a backward rule on its output node, so a
 forward pass builds an implicit acyclic tape. backward() linearizes the
 tape in topological order and accumulates gradients into every node that
-requires them. The tape is rebuilt on every forward pass, which keeps
-recurrent unrolling correct without retained-graph bookkeeping.
+requires them. backward() consumes the tape as it goes: once a node's
+rule has run, the node drops its rule, its parents and, unless it is a
+leaf, its gradient, so the memory each rule holds is freed as soon as
+it is spent. One backward per forward, then: a second backward over a
+consumed node raises a ConsumedTapeError instead of silently returning
+no gradients, and a training step holds one step's tape at a time.
 
 Everything is float64. Op outputs are checked finite on creation, so a
 NaN or Inf surfaces at the op that produced it instead of poisoning the
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NonScalarLossError, ShapeMismatchError
+from .errors import ConsumedTapeError, NonFiniteError, NonScalarLossError, ShapeMismatchError
 
 _grad_enabled = True
 
@@ -171,6 +175,14 @@ def backward(loss: Tensor) -> None:
             if not np.isfinite(g).all():
                 raise NonFiniteError("non-finite gradient in backward pass")
             p.grad = g if p.grad is None else p.grad + g
+        # The rule has run: drop what it holds and the gradient it passed on.
+        node._backward, node._parents, node.grad = _consumed, (), None
+
+
+def _consumed(g):
+    """The rule of a node whose rule an earlier backward already ran."""
+    raise ConsumedTapeError("backward through a tape that an earlier backward consumed; "
+                            "run the forward again")
 
 
 # --- gradient checking --------------------------------------------------------

@@ -330,11 +330,9 @@ def align_answer(offsets: Sequence[tuple[int, int]], context: str, answer: str) 
     raise AnswerNotFoundError(f"answer {answer!r} not found in context")
 
 
-def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadReport]:
-    """Read (context, question, answer) JSONL. Records whose answer cannot
-    be aligned are skipped and counted; structurally bad records abort."""
-    examples: list[AnchorExample] = []
-    report = LoadReport()
+def read_json_records(path):
+    """(line number, object) of each non-blank line of a JSONL file. A line
+    that is not a JSON object raises MalformedRecordError naming it."""
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
@@ -346,6 +344,15 @@ def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadRe
             raise MalformedRecordError(path, line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(record, dict):
             raise MalformedRecordError(path, line_no, "record is not an object")
+        yield line_no, record
+
+
+def load_anchor_dataset(path, vocab: Vocab) -> tuple[list[AnchorExample], LoadReport]:
+    """Read (context, question, answer) JSONL. Records whose answer cannot
+    be aligned are skipped and counted; structurally bad records abort."""
+    examples: list[AnchorExample] = []
+    report = LoadReport()
+    for line_no, record in read_json_records(path):
         for field in ("context", "question", "answer"):
             if field not in record:
                 raise MalformedRecordError(path, line_no, f"missing field {field!r}")

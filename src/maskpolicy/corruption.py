@@ -32,13 +32,16 @@ from .corpus import (
     Vocab,
     chunk_document,
     iter_documents,
+    read_json_records,
     tokenize,
     write_json,
 )
 from .errors import (
     AllMaskedError,
+    InvalidMaskedRecordError,
     InvalidOptionError,
     InvalidRateError,
+    MalformedRecordError,
     MaskPolicyError,
     SpanOutOfBoundsError,
     VocabMismatchError,
@@ -109,7 +112,48 @@ class MaskedExample:
         return tuple(ids)
 
 
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON's integers, and not its booleans
+
+
+def _is_int_list(value) -> bool:
+    return type(value) is list and all(map(_is_int, value))
+
+
+# The fields of a masked-example record, each with its type's test and name.
+_RECORD_FIELDS = {
+    "doc_id": (_is_str, "a string"),
+    "chunk_index": (_is_int, "an integer"),
+    "input_ids": (_is_int_list, "a list of integers"),
+    "masked_positions": (_is_int_list, "a list of integers"),
+    "target_ids": (_is_int_list, "a list of integers"),
+    "policy": (_is_str, "a string"),
+    "seed": (_is_int, "an integer"),
+}
+
+
 def masked_example_from_json_obj(obj: dict) -> MaskedExample:
+    """The example a record of `to_json_obj` describes. A record whose
+    masked positions are not strictly increasing indices into its input
+    ids, each with one target id, raises InvalidMaskedRecordError, as
+    does a missing or mistyped field."""
+    for name, (valid, kind) in _RECORD_FIELDS.items():
+        if name not in obj:
+            raise InvalidMaskedRecordError(f"missing field {name!r}")
+        if not valid(obj[name]):
+            raise InvalidMaskedRecordError(f"field {name!r} is not {kind}")
+    positions, n = obj["masked_positions"], len(obj["input_ids"])
+    if any(not 0 <= p < n for p in positions):
+        raise InvalidMaskedRecordError(f"masked position outside [0, {n})")
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise InvalidMaskedRecordError("masked positions not strictly increasing")
+    if len(obj["target_ids"]) != len(positions):
+        raise InvalidMaskedRecordError(f"{len(obj['target_ids'])} target ids for "
+                                       f"{len(positions)} masked positions")
     return MaskedExample(
         input_ids=tuple(obj["input_ids"]),
         masked_positions=tuple(obj["masked_positions"]),
@@ -446,10 +490,14 @@ def write_masked_jsonl(path, examples: list[MaskedExample]) -> None:
 
 
 def read_masked_jsonl(path) -> list[MaskedExample]:
+    """The examples of a masked JSONL file; a bad record raises
+    MalformedRecordError naming its line."""
     examples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            examples.append(masked_example_from_json_obj(json.loads(line)))
+    for line_no, record in read_json_records(path):
+        try:
+            examples.append(masked_example_from_json_obj(record))
+        except InvalidMaskedRecordError as e:
+            raise MalformedRecordError(path, line_no, str(e)) from None
     return examples
 
 

@@ -40,6 +40,10 @@ class NonScalarLossError(MaskPolicyError):
     """backward() was called on a node that is not a scalar."""
 
 
+class ConsumedTapeError(MaskPolicyError):
+    """backward() reached a node whose rule an earlier backward ran."""
+
+
 # --- corpus ---------------------------------------------------------------
 
 class EmptyCorpusError(MaskPolicyError):
@@ -140,6 +144,12 @@ class InvalidRateError(InvalidOptionError):
 
 class AllMaskedError(MaskPolicyError):
     """Corruption would mask every token, leaving no context."""
+
+
+class InvalidMaskedRecordError(MaskPolicyError, ValueError):
+    """A masked-example record whose fields do not describe a corrupted
+    chunk: a missing or mistyped field, or masked positions outside the
+    ids, out of order or not matched one to one by target ids."""
 
 
 class VocabMismatchError(MaskPolicyError):

@@ -70,6 +70,13 @@ are then bit for bit the sum, in that order, of its columns' own as
 batches of one, and so are its rows' gradients when no two columns read
 the same row. Under no_grad, or when nothing needs a gradient, the op
 keeps no per-step state.
+
+The backward runs once per forward (see autodiff) and frees the state
+it records as it spends it. A direction records its gates, cells and
+tanh(cells), but no copy of its hidden states: dW_h reads each step's
+state input from the layer's output rows. The cells and tanh(cells) are
+dropped once the gate factors are computed, and the gates and the
+factors once the direction's BPTT has run.
 """
 
 from __future__ import annotations
@@ -153,10 +160,12 @@ def _row_product(x: np.ndarray, prepared: list[np.ndarray], n_out: int) -> np.nd
 def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live: np.ndarray,
                params: LstmCellParams, reverse: bool, record: bool):
     """One direction of a layer in plain arrays: the hidden states (T, B, H)
-    and, when recording, backward(grad, order), which maps their gradient
-    (T, B, H) to (dx, dW, db): dx (P, D) of the P positions where the (T, B)
-    mask `is_live` holds, in time-major order, and dW and db each column's
-    own, added over the columns in `order`."""
+    and, when recording, backward(grad, order, states), which maps their
+    gradient (T, B, H) to (dx, dW, db): dx (P, D) of the P positions where
+    the (T, B) mask `is_live` holds, in time-major order, and dW and db each
+    column's own, added over the columns in `order`. It reads each step's
+    state input from `states`, a (T, B, H) view of the same hidden states,
+    and runs once: it drops the recorded gates and cells as it spends them."""
     (T, B), D = index.shape, rows.shape[1]
     # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
     live = np.count_nonzero(is_live, axis=1).tolist()
@@ -205,7 +214,8 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
     if not record:
         return out, None
 
-    def backward(grad, order):
+    def backward(grad, order, states):
+        nonlocal gates, cells, tanh_cells
         # Every factor that does not depend on the carried dh and dc, for
         # all steps at once: [g i(1-i), c_prev f(1-f), i(1-g^2)] as one
         # block over the contiguous i, f, g rows, then tc o(1-o) and o(1-tc^2).
@@ -230,6 +240,8 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
         c_factor = np.square(tanh_cells)
         np.subtract(1.0, c_factor, out=c_factor)
         c_factor *= o_g
+        # The loop reads the factors and the forget gates, not the cells.
+        cells = tanh_cells = None
 
         d_gates = np.zeros((T, B, 4 * hid))
         dz4 = d_gates.reshape(T, B, 4, hid)
@@ -247,6 +259,9 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
             np.multiply(o_factor[t, :n], dh, out=dz4[t, :n, 3])
             dh[:] = _row_product(d_gates[t, :n], w_h, hid)
             dc *= f_g[t, :n]
+        # BPTT has run: drop the factors, and the gates with every view of them.
+        del g4, i_g, f_g, g_c, o_g, ifg, o_factor, c_factor
+        gates = None
 
         # dx of every live position, time-major, as one product; dW and db
         # of each column alone, from contiguous copies of its rows, so that
@@ -262,7 +277,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
             x = rows[index[:n, b]]
             # Each step's state input is the neighbouring step's output; the
             # first step of a direction reads zero state and adds nothing to dW_h.
-            dz_h, h_in = (dz[:-1], out[1:n, b]) if reverse else (dz[1:], out[:n - 1, b])
+            dz_h, h_in = (dz[:-1], states[1:n, b]) if reverse else (dz[1:], states[:n - 1, b])
             h_in = h_in.copy()
             w = np.concatenate([dz.T @ x, dz_h.T @ h_in], axis=1)
             db = dz.sum(axis=0)
@@ -324,8 +339,9 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
 
     def backward(grad):
         grad = grad.reshape(T, B, 2 * hid)
-        dx, dw_f, db_f = back_f(grad[:, :, :hid], order)
-        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], order)
+        states = out.reshape(T, B, 2 * hid)
+        dx, dw_f, db_f = back_f(grad[:, :, :hid], order, states[:, :, :hid])
+        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], order, states[:, :, hid:])
         # The two directions are added per position before one scatter of
         # the live positions, so each row's gradient sums its positions in
         # time-major order, as a scatter of the gathered rows' gradients would.

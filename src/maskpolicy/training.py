@@ -209,6 +209,26 @@ def validation_loss(params: PolicyParams, prepared: list[tuple[tuple[int, ...], 
     return total / len(prepared)
 
 
+def _train_step(params: PolicyParams, opt, batch: list[tuple[tuple[int, ...], Span]],
+                cfg: TrainConfig, epoch: int, batch_no: int) -> float:
+    """One optimizer step on a batch of prepared windows; returns its mean
+    loss. Its backward consumes its tape, and its gradients are dropped
+    after the update, so nothing of the step outlives the call."""
+    # A diverging run overflows in the forward or in the loss, and the
+    # tensor that would hold the value refuses it.
+    try:
+        start, end, columns = forward_batch(params, [ids for ids, _ in batch], cfg.max_input_len)
+        batch_loss = mean_span_loss(start, end, columns, batch)
+    except NonFiniteError as e:
+        raise NonFiniteLossError(epoch, batch_no, math.nan) from e
+    backward(batch_loss)
+    named = params.named_parameters()
+    clip_grad_norm([p.grad for _, p in named if p.grad is not None], cfg.clip_norm)
+    optimizer_step(opt, named)
+    params.zero_grads()
+    return batch_loss.item()
+
+
 def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
                  cfg: TrainConfig,
                  vocab_size: int | None = None) -> tuple[PolicyParams, TrainingLog]:
@@ -230,7 +250,6 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
         vocab_size = 1 + max(max(ids) for ids, _ in train_prep + valid_prep)
 
     params = init_policy_params(vocab_size, cfg.d_emb, cfg.d_h, seed=cfg.seed)
-    named = params.named_parameters()
     opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed + 1)  # shuffle stream, separate from init
 
@@ -243,21 +262,7 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
         epoch_loss = 0.0
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
-            params.zero_grads()
-            # A diverging run overflows in the forward or in the loss, and
-            # the tensor that would hold the value refuses it.
-            try:
-                start, end, columns = forward_batch(params, [ids for ids, _ in batch],
-                                                    cfg.max_input_len)
-                batch_loss = mean_span_loss(start, end, columns, batch)
-            except NonFiniteError as e:
-                raise NonFiniteLossError(epoch, batch_no, math.nan) from e
-            value = batch_loss.item()
-            backward(batch_loss)
-            grads = [p.grad for _, p in named if p.grad is not None]
-            clip_grad_norm(grads, cfg.clip_norm)
-            optimizer_step(opt, named)
-            epoch_loss += value * len(batch)
+            epoch_loss += _train_step(params, opt, batch, cfg, epoch, batch_no) * len(batch)
         train_loss = epoch_loss / len(train_prep)
         valid_loss = validation_loss(params, valid_prep, cfg.max_input_len)
         log.records.append(EpochRecord(epoch, train_loss, valid_loss))

@@ -11,6 +11,7 @@ import pytest
 
 from maskpolicy.autodiff import (
     Tensor,
+    _consumed,
     _wrap,
     add,
     backward,
@@ -22,6 +23,8 @@ from maskpolicy.autodiff import (
 )
 from maskpolicy.corpus import Span
 from maskpolicy.errors import (
+    ConsumedTapeError,
+    MaskPolicyError,
     NonFiniteError,
     NonScalarLossError,
     ShapeMismatchError,
@@ -203,6 +206,76 @@ class TestBackward:
             backward(loss)
             assert np.all(np.isfinite(x.grad))
             assert np.all(np.isfinite(y.grad))
+
+
+def tape_nodes(loss):
+    """Every node of loss's tape that has a rule, loss included."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+class TestConsumedTape:
+    def build(self):
+        # a parameter read by several ops, one of them twice, and a BiLSTM layer
+        rng = np.random.default_rng(5)
+        w = param([0.3, -1.2, 2.0])
+        mid = add(w, scale(w, -1.5))
+        rows, index = param(rng.uniform(-1, 1, size=(3, 2))), [[0, 1], [2, 2], [1, 0]]
+        cells = [LstmCellParams(param(rng.uniform(-1, 1, size=(4, 3))), param(np.zeros(4)))
+                 for _ in range(2)]
+        states = bilstm_sequence(rows, index, [3, 2], *cells)
+        loss = add(add(dot(w, w), span_loss(mid, mid, Span(1, 2))), dot(states, states))
+        return loss, [w, rows] + [t for c in cells for t in (c.W, c.b)]
+
+    def test_backward_drops_every_rule_parent_and_inner_gradient(self):
+        loss, leaves = self.build()
+        nodes = tape_nodes(loss)
+        assert len(nodes) == 8
+        backward(loss)
+        for node in nodes:
+            assert node._backward is _consumed
+            assert node._parents == ()
+            assert node.grad is None
+        for leaf in leaves:
+            assert leaf._backward is None and leaf.grad is not None
+
+    def test_leaf_gradients_are_those_of_a_kept_tape(self):
+        # d(w.w + 2 (w - 1.5 w).u)/dw, on values where every sum is exact,
+        # in whatever order the tape adds them
+        w = param([0.5, -1.25, 2.0])
+        u = Tensor([1.0, -2.0, 0.5])
+        mid = add(w, scale(w, -1.5))
+        backward(add(dot(w, w), add(dot(mid, u), dot(mid, u))))
+        assert w.grad.tolist() == [0.0, -0.5, 3.5]
+
+    def test_second_backward_raises_and_leaves_gradients_alone(self):
+        loss, leaves = self.build()
+        backward(loss)
+        before = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(ConsumedTapeError) as info:
+            backward(loss)
+        assert isinstance(info.value, MaskPolicyError)
+        for leaf, want in zip(leaves, before):
+            np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_new_loss_over_a_consumed_node_raises(self):
+        w = param([1.0, 2.0])
+        mid = scale(w, 3.0)
+        backward(dot(mid, mid))
+        with pytest.raises(ConsumedTapeError):
+            backward(dot(mid, w))
+
+    def test_forward_again_trains_again(self):
+        w = param([1.5])
+        for _ in range(2):
+            w.zero_grad()
+            backward(dot(scale(w, 2.0), w))
+            assert w.grad.tolist() == [6.0]
 
 
 class TestGradCheck:

@@ -3,7 +3,6 @@
 import base64
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,29 +183,20 @@ class TestBenchmarkSizedPolicy:
         assert self._digests(loaded) == self._digests(params)
         assert hyper == {"max_input_len": 128, "d_emb": 128, "d_h": 128}
 
-    def test_load_peaks_near_the_tensor_bytes(self, saved):
+    def test_load_peaks_near_the_tensor_bytes(self, saved, traced_peak):
         vocab, params, path = saved
         vocab.content_hash()
         tensor_bytes = sum(t.data.nbytes for _, t in params.named_parameters())
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path, vocab)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(lambda: load_checkpoint(path, vocab))
         assert loaded is not None
         assert peak <= 1.2 * tensor_bytes, (peak, tensor_bytes)
 
-    def test_save_holds_no_copy_of_the_file(self, saved, tmp_path):
+    def test_save_holds_no_copy_of_the_file(self, saved, tmp_path, traced_peak):
         vocab, params, path = saved
         vocab.content_hash()
-        tracemalloc.start()
-        try:
-            save_checkpoint(tmp_path / "again.safetensors", params, vocab,
-                            {"max_input_len": 128, "d_emb": 128, "d_h": 128})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_checkpoint(
+            tmp_path / "again.safetensors", params, vocab,
+            {"max_input_len": 128, "d_emb": 128, "d_h": 128}))
         assert (tmp_path / "again.safetensors").read_bytes() == path.read_bytes()
         assert peak < 0.05 * path.stat().st_size, peak
 

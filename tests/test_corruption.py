@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from maskpolicy.corruption import (
 )
 from maskpolicy.errors import (
     AllMaskedError,
+    InvalidMaskedRecordError,
     InvalidRateError,
+    MalformedRecordError,
     MaskPolicyError,
     SpanOutOfBoundsError,
     VocabMismatchError,
@@ -301,6 +304,71 @@ class TestSerialization:
         out = tmp_path / "masked.jsonl"
         write_masked_jsonl(out, examples)
         assert read_masked_jsonl(out) == examples
+
+    def test_out_of_range_position_names_its_line(self, tmp_path):
+        # "the sky is blue" with "Paris" as the target of position -1 would
+        # reconstruct as "the sky is Paris"
+        vocab = Vocab(["<pad>", "<unk>", "<mask>", "the", "sky", "is", "blue", "Paris"])
+        good = corrupt(chunk_of("the sky is blue", vocab), Span(1, 1)).to_json_obj()
+        bad = dict(good, masked_positions=[-1], target_ids=[7])
+        p = tmp_path / "masked.jsonl"
+        p.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            read_masked_jsonl(p)
+        assert (info.value.line_no, info.value.reason) == (3, "masked position outside [0, 4)")
+
+    RECORD = {"doc_id": "d:00000000", "chunk_index": 0, "input_ids": [3, 2, 2, 6],
+              "masked_positions": [1, 2], "target_ids": [4, 5], "policy": "p", "seed": 1}
+
+    @pytest.mark.parametrize("change, reason", [
+        (dict(masked_positions=[4], target_ids=[4]), "masked position outside [0, 4)"),
+        (dict(masked_positions=[-1], target_ids=[4]), "masked position outside [0, 4)"),
+        (dict(masked_positions=[2, 1]), "masked positions not strictly increasing"),
+        (dict(masked_positions=[1, 1]), "masked positions not strictly increasing"),
+        (dict(target_ids=[4]), "1 target ids for 2 masked positions"),
+        (dict(target_ids=[4, 5, 6]), "3 target ids for 2 masked positions"),
+        (dict(masked_positions=[1, True]), "field 'masked_positions' is not a list of integers"),
+        (dict(input_ids="3226"), "field 'input_ids' is not a list of integers"),
+        (dict(seed=1.0), "field 'seed' is not an integer"),
+        (dict(doc_id=None), "field 'doc_id' is not a string"),
+        (dict(seed=None, policy=None), "field 'policy' is not a string"),
+    ])
+    def test_malformed_record_refused(self, tmp_path, change, reason):
+        record = dict(self.RECORD, **change)
+        with pytest.raises(InvalidMaskedRecordError, match=re.escape(reason)):
+            masked_example_from_json_obj(record)
+        p = tmp_path / "masked.jsonl"
+        p.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            read_masked_jsonl(p)
+        assert (info.value.line_no, info.value.reason) == (1, reason)
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"doc_id": "d"', "invalid JSON: Expecting ',' delimiter"),
+        ("[1, 2]", "record is not an object"),
+        (json.dumps({k: v for k, v in RECORD.items() if k != "seed"}), "missing field 'seed'"),
+    ])
+    def test_unreadable_record_names_its_line(self, tmp_path, line, reason):
+        p = tmp_path / "masked.jsonl"
+        p.write_text(json.dumps(self.RECORD) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            read_masked_jsonl(p)
+        assert (info.value.line_no, info.value.reason) == (2, reason)
+
+    def test_undecodable_file_names_its_line(self, tmp_path):
+        p = tmp_path / "masked.jsonl"
+        p.write_bytes(json.dumps(self.RECORD).encode() + b"\n\xff\n")
+        with pytest.raises(MalformedRecordError) as info:
+            read_masked_jsonl(p)
+        assert info.value.line_no == 2
+
+    def test_record_edges_accepted(self):
+        # the first and the last position, and no position at all
+        for positions in ([0, 3], []):
+            record = dict(self.RECORD, masked_positions=positions,
+                          target_ids=[7] * len(positions))
+            ex = masked_example_from_json_obj(record)
+            assert ex.masked_positions == tuple(positions)
 
     def test_jsonl_bytes_stable(self, small_corpus, vocab, tmp_path):
         spec = PolicySpec(kind="random15")
