@@ -223,6 +223,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
 
 def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= max_norm.
+    Every gradient must be an array: when the clip fires, a non-array
+    gradient raises TypeError instead of counting in the norm unscaled.
 
     Returns the pre-clip norm.
     """
@@ -233,5 +235,5 @@ def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for g in grads:
-            g *= factor
+            np.multiply(g, factor, out=g)
     return norm

@@ -1,19 +1,21 @@
 """Raw-bytes checkpoints for trained policies.
 
-A checkpoint (format version 3) follows the safetensors layout
+A checkpoint (format version 4) follows the safetensors layout
 (https://github.com/huggingface/safetensors): an 8-byte little-endian
 header size N, then N bytes of JSON header padded with spaces to a
 multiple of 8, then every tensor's little-endian float64 bytes in C
 order, back to back. The header maps each tensor name, in param_shapes
 order, to `{"dtype": "F64", "shape": [...], "data_offsets": [begin,
 end]}`, offsets counted from the first byte after the header. Its
-`"__metadata__"` entry holds only strings: `format_version` ("3"), the
+`"__metadata__"` entry holds only strings: `format_version` ("4"), the
 `vocab_hash` of the vocabulary the policy was trained against, and the
 `hyperparameters` as a JSON string. The bytes are written and read as
 they are, so a round trip is bit-exact. `train-policy` names the file
 `checkpoint.safetensors`; reading it with the `safetensors` package
 itself is unverified, as that package is not a dependency. JSON
-checkpoints (format versions 1 and 2) no longer load.
+checkpoints (format versions 1 and 2) no longer load, nor do format-3
+files, which also held a scalar bias per head (see README.md to carry
+one over).
 
 write_checkpoint writes the header and then each tensor straight from
 its array, so a save holds no copy of the file. save_checkpoint writes
@@ -49,7 +51,7 @@ from .corpus import Vocab
 from .errors import MaskPolicyError, VocabMismatchError
 from .policy import PolicyParams
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _DTYPE = np.dtype("<f8")
 _DTYPE_NAME = "F64"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -50,8 +51,10 @@ TOP5_POOL = 5
 
 def param_shapes(vocab_size: int, d_emb: int, d_h: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every learned tensor, in named_parameters and
-    checkpoint order. Without the biases, this is also the order in which
-    init_policy_params draws from its RNG."""
+    checkpoint order. Without the LSTM biases, this is also the order in
+    which init_policy_params draws from its RNG. The heads carry no bias:
+    a constant added to every logit of a head changes neither its
+    log-softmax loss nor the ranking of spans by start[i] + end[j]."""
     shapes = {"embedding": (vocab_size, d_emb)}
     for layer, d_in in (("lstm1", d_emb), ("lstm2", 2 * d_h)):
         for direction in ("fwd", "bwd"):
@@ -59,7 +62,6 @@ def param_shapes(vocab_size: int, d_emb: int, d_h: int) -> dict[str, tuple[int, 
             shapes[f"{layer}.{direction}.b"] = (4 * d_h,)
     for head in ("start", "end"):
         shapes[f"head.{head}.w"] = (2 * d_h,)
-        shapes[f"head.{head}.b"] = ()
     return shapes
 
 
@@ -122,7 +124,7 @@ class PolicyParams:
 
 def init_policy_params(vocab_size: int, d_emb: int, d_h: int, seed: int = 0) -> PolicyParams:
     """Random init in param_shapes order: embeddings uniform +-0.1, other
-    weights uniform +-1/sqrt(size of their last axis), biases zero."""
+    weights uniform +-1/sqrt(size of their last axis), LSTM biases zero."""
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in param_shapes(vocab_size, d_emb, d_h).items():
@@ -145,30 +147,22 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
     return ids
 
 
-def _head(hidden: Tensor, w: Tensor, b: Tensor, lengths: list[int], order: list[int]
-          ) -> Tensor:
-    """One head's logits hidden @ w + b, flat (T*B,) like the hidden rows.
+def _head(hidden: Tensor, w: Tensor, lengths: list[int], order: list[int]) -> Tensor:
+    """One head's logits hidden @ w, flat (T*B,) like the hidden rows.
     np.vecdot runs one dot product per row, so a row's logit does not
     depend on the other rows, on the tape or off it (a padded row's zero
-    state gives b, which no loss reads). The gradients of w and b add the
+    state gives 0, which no loss reads). The gradient of w adds the
     columns' own in `order`, each as in a batch of one."""
     B = len(lengths)
     states = hidden.data.reshape(-1, B, hidden.shape[1])
 
     def backward(g):
         g = g.reshape(-1, B)
-        d_w = d_b = None
-        for c in order:
-            n = lengths[c]
-            h, g_c = states[:n, c].copy(), g[:n, c].copy()
-            if d_w is None:
-                d_w, d_b = h.T @ g_c, np.sum(g_c)
-            else:
-                d_w += h.T @ g_c
-                d_b += np.sum(g_c)
-        return np.outer(g, w.data).reshape(hidden.shape), d_w, np.reshape(d_b, ())
+        d_w = functools.reduce(operator.add, (states[:lengths[c], c].copy().T
+                                              @ g[:lengths[c], c].copy() for c in order))
+        return np.outer(g, w.data).reshape(hidden.shape), d_w
 
-    return _wrap(np.vecdot(hidden.data, w.data) + b.data, (hidden, w, b), backward)
+    return _wrap(np.vecdot(hidden.data, w.data), (hidden, w), backward)
 
 
 def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
@@ -214,9 +208,8 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
                              lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"), columns)
     hidden = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths,
                              params.cell("lstm2.fwd"), params.cell("lstm2.bwd"), columns)
-    weights = params.tensors
-    start_logits, end_logits = (_head(hidden, weights[f"head.{h}.w"], weights[f"head.{h}.b"],
-                                      lengths, columns) for h in ("start", "end"))
+    start_logits, end_logits = (_head(hidden, params.tensors[f"head.{h}.w"], lengths, columns)
+                                for h in ("start", "end"))
     return start_logits, end_logits, columns
 
 
@@ -291,10 +284,11 @@ def span_band(m: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray]:
 def top_k_spans(start_logits, end_logits, k: int,
                 max_span_len: int = DEFAULT_MAX_SPAN_LEN) -> list[ScoredSpan]:
     """The k best spans (i, j) with i <= j and length <= max_span_len,
-    ranked by start_logits[i] + end_logits[j]; ties prefer smaller i,
-    then smaller j. Fewer than k are returned only when fewer exist."""
-    start = np.asarray(getattr(start_logits, "data", start_logits), dtype=np.float64)
-    end = np.asarray(getattr(end_logits, "data", end_logits), dtype=np.float64)
+    ranked by start_logits[i] + end_logits[j] (two 1-d arrays); ties
+    prefer smaller i, then smaller j. Fewer than k are returned only when
+    fewer exist."""
+    start = np.asarray(start_logits, dtype=np.float64)
+    end = np.asarray(end_logits, dtype=np.float64)
     if start.ndim != 1 or start.shape != end.shape:
         raise ShapeMismatchError("top_k_spans", start.shape, end.shape)
     m = start.size

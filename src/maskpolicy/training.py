@@ -37,7 +37,6 @@ from .errors import (
 from .optim import OPTIMIZERS, make_optimizer, optimizer_step
 from .policy import (
     DEFAULT_MAX_INPUT_LEN,
-    DEFAULT_MAX_SPAN_LEN,
     PolicyParams,
     forward,
     forward_batch,
@@ -54,14 +53,13 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: str = "adam"
     max_input_len: int = DEFAULT_MAX_INPUT_LEN
-    max_span_len: int = DEFAULT_MAX_SPAN_LEN
     seed: int = 0
     d_emb: int = 128
     d_h: int = 128
     clip_norm: float = 1.0
 
     def validate(self) -> None:
-        counts = ("epochs", "batch_size", "max_input_len", "max_span_len", "d_emb", "d_h", "seed")
+        counts = ("epochs", "batch_size", "max_input_len", "d_emb", "d_h", "seed")
         for names, kinds, kind in ((counts, int, "an integer"),
                                    (("learning_rate", "clip_norm"), (int, float), "a number")):
             for name in names:
@@ -70,8 +68,7 @@ class TrainConfig:
                     raise InvalidOptionError(f"{name} must be {kind}, got {value!r}", name)
         numeric = dict(epochs=self.epochs, learning_rate=self.learning_rate,
                        batch_size=self.batch_size, max_input_len=self.max_input_len,
-                       max_span_len=self.max_span_len, d_emb=self.d_emb, d_h=self.d_h,
-                       clip_norm=self.clip_norm)
+                       d_emb=self.d_emb, d_h=self.d_h, clip_norm=self.clip_norm)
         for name, value in numeric.items():
             # NaN and inf fail this too: 0 < nan and inf < inf are False.
             if not 0 < value < math.inf:
@@ -79,9 +76,6 @@ class TrainConfig:
                                          name)
         if self.seed < 0:
             raise InvalidOptionError(f"seed must be non-negative, got {self.seed}", "seed")
-        if self.max_span_len > self.max_input_len:
-            raise InvalidOptionError("max_span_len cannot exceed max_input_len",
-                                     "max_span_len", "max_input_len")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidOptionError(f"unknown optimizer: {self.optimizer!r}", "optimizer")
 

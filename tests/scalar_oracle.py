@@ -52,7 +52,7 @@ def policy_forward(weights: dict, ids: list[int]) -> tuple[list[float], list[flo
 
     weights holds plain nested lists keyed like the package's named
     parameters: embedding, lstm1.fwd.W, lstm1.fwd.b, ..., head.start.w,
-    head.start.b, head.end.w, head.end.b.
+    head.end.w.
     """
     hidden = len(weights["lstm1.fwd.b"]) // 4
     xs = [list(weights["embedding"][i]) for i in ids]
@@ -60,10 +60,8 @@ def policy_forward(weights: dict, ids: list[int]) -> tuple[list[float], list[flo
                           weights["lstm1.bwd.W"], weights["lstm1.bwd.b"], hidden)
     layer2 = bilstm_layer(layer1, weights["lstm2.fwd.W"], weights["lstm2.fwd.b"],
                           weights["lstm2.bwd.W"], weights["lstm2.bwd.b"], hidden)
-    start = [sum(w * h for w, h in zip(weights["head.start.w"], state))
-             + weights["head.start.b"] for state in layer2]
-    end = [sum(w * h for w, h in zip(weights["head.end.w"], state))
-           + weights["head.end.b"] for state in layer2]
+    start = [sum(w * h for w, h in zip(weights["head.start.w"], state)) for state in layer2]
+    end = [sum(w * h for w, h in zip(weights["head.end.w"], state)) for state in layer2]
     return start, end
 
 

@@ -48,8 +48,9 @@ def verdict(capsys, name, ok, detail):
 # --- shared sentinel-task artifacts ------------------------------------
 
 SENTINEL_CFG = TrainConfig(epochs=6, learning_rate=3e-3, batch_size=16,
-                           optimizer="adam", max_input_len=24, max_span_len=5,
-                           seed=0, d_emb=24, d_h=24)
+                           optimizer="adam", max_input_len=24, seed=0, d_emb=24, d_h=24)
+# The span length the sentinel task's policies are evaluated at.
+SENTINEL_MAX_SPAN_LEN = 5
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def learned_report(sentinel_data, sentinel_model):
     _, _, _, test = sentinel_data
     params, _ = sentinel_model
     return span_hit_metrics(params, test, "learned-top1",
-                            max_span_len=SENTINEL_CFG.max_span_len,
+                            max_span_len=SENTINEL_MAX_SPAN_LEN,
                             max_input_len=SENTINEL_CFG.max_input_len)
 
 
@@ -189,8 +190,8 @@ def test_sentinel_task_learnability(capsys, sentinel_model, learned_report):
 def test_policy_separation(capsys, sentinel_data, learned_report):
     _, _, _, test = sentinel_data
     baseline = span_hit_metrics(
-        random_span_proposer(SENTINEL_CFG.max_span_len), test, "randomspan",
-        max_span_len=SENTINEL_CFG.max_span_len,
+        random_span_proposer(SENTINEL_MAX_SPAN_LEN), test, "randomspan",
+        max_span_len=SENTINEL_MAX_SPAN_LEN,
         max_input_len=SENTINEL_CFG.max_input_len, seed=0)
     gap = learned_report.em_at_5 - baseline.em_at_5
     ok = gap >= 0.5

@@ -382,6 +382,18 @@ class TestClipGradNorm:
         total = sum(float(np.sum(g * g)) for g in gs)
         assert total ** 0.5 == pytest.approx(1.0)
 
+    def test_every_array_scaled_once_when_the_clip_fires(self):
+        gs = [np.array([3.0, 0.0]), np.array(4.0), np.array([[12.0]])]
+        assert clip_grad_norm(gs, 6.5) == 13.0
+        for g, want in zip(gs, ([1.5, 0.0], 2.0, [[6.0]])):
+            np.testing.assert_array_equal(g, want)
+
+    def test_non_array_gradient_raises(self):
+        # A numpy scalar cannot be scaled in place; it used to count in the
+        # norm and stay unscaled.
+        with pytest.raises(TypeError):
+            clip_grad_norm([np.array([3.0]), np.float64(4.0)], 1.0)
+
 
 def test_pickle_keeps_data_drops_tape():
     a = param([1.0, 2.0])

@@ -99,7 +99,7 @@ class TestFormat:
         assert header["__metadata__"] == {
             "format_version": str(FORMAT_VERSION), "vocab_hash": vocab.content_hash(),
             "hyperparameters": json.dumps({"d_h": 3, "optimizer": "adam"})}
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         body, end = data[8 + n:], 0
         for name, t in params.named_parameters():
             raw_tensor = t.data.astype("<f8").tobytes()
@@ -114,8 +114,8 @@ class TestFormat:
                          1e308, -1e308, np.finfo(np.float64).max, 1.0 / 3.0])
         arrays = {name: np.resize(np.roll(edge, k), shape)
                   for k, (name, shape) in enumerate(param_shapes(len(vocab), 4, 3).items())}
-        arrays["head.start.b"] = np.array(-0.0)
-        arrays["head.end.b"] = np.array(5e-324)
+        arrays["head.start.w"] = np.full(6, -0.0)
+        arrays["head.end.w"] = np.full(6, 5e-324)
         params = PolicyParams.from_arrays(arrays)
         path = tmp_path / "ckpt.safetensors"
         save_checkpoint(path, params, vocab)
@@ -368,18 +368,22 @@ class TestMalformedCheckpointExitCode:
         (_edit_header(lambda h: h.update({"__metadata__": [h["__metadata__"]]})), "__metadata__"),
         (_raw_header(lambda raw: b"[" + raw.rstrip() + b"]"), "JSON object"),
         (_resized("head.start.w", 5), "head.start.w"),
+        # A head bias, which format-3 files carried, is no parameter now.
         (_resized("head.start.b", 2), "head.start.b"),
+        (_resized("head.end.w", 0), "head.end.w"),
         (_as_json(1), "no longer load"),
         (_as_json(2), "no longer load"),
         (_edit_header(lambda h: h["__metadata__"].update(format_version="2")), "format_version"),
-        (_edit_header(lambda h: h["__metadata__"].update(format_version=3)), "format_version"),
+        (_edit_header(lambda h: h["__metadata__"].update(format_version="3")),
+         "unsupported checkpoint format_version: '3'"),
+        (_edit_header(lambda h: h["__metadata__"].update(format_version=4)), "format_version"),
         (_edit_entry("lstm1.fwd.b", dtype="f64"), "lstm1.fwd.b"),
         (_edit_entry("lstm1.fwd.W", dtype="F32"), "F32"),
         (_one_value_for("lstm1.bwd.W"), "lstm1.bwd.W"),
         (_edit_entry("head.end.w", shape=[6, 1]), "head.end.w"),
         (_edit_entry("embedding", shape=[-6, -4]), "embedding"),
         (_edit_entry("embedding", shape=[6.0, 4.0]), "embedding"),
-        (_edit_entry("head.end.b", data_offsets=[0.5]), "head.end.b"),
+        (_edit_entry("head.end.w", data_offsets=[0.5]), "head.end.w"),
         (_with_nan("lstm2.fwd.W"), "lstm2.fwd.W"),
         (lambda data: len(data).to_bytes(8, "little") + data[8:], "header size"),
         (lambda data: data[:5], "too short"),
@@ -388,14 +392,15 @@ class TestMalformedCheckpointExitCode:
         (_swapped_offsets("lstm1.fwd.W", "lstm1.fwd.b"), "lstm1.fwd.W"),
         (_shifted("lstm2.fwd.W", -8), "lstm2.fwd.W"),
         (_shifted("lstm2.fwd.W", 8), "lstm2.fwd.W"),
-        (lambda data: data[:-8], "head.end.b"),
+        (lambda data: data[:-8], "head.end.w"),
         (lambda data: data + bytes(8), "trailing"),
     ], ids=["no-vocab-hash", "no-data", "metadata-list", "top-level-list", "head-w-size",
-            "head-b-size", "version-1", "format-2", "format-version", "metadata-not-string",
-            "lenient-dtype", "dtype-f32", "byte-count", "shape-mismatch", "negative-shape",
-            "float-shape", "data-list", "non-finite", "size-past-end", "no-size",
-            "header-not-utf8", "header-not-json", "offsets-out-of-order", "offsets-overlap",
-            "offsets-gap", "offsets-past-end", "trailing-bytes"])
+            "head-b-size", "head-w-scalar", "version-1", "format-2", "format-version",
+            "format-3", "metadata-not-string", "lenient-dtype", "dtype-f32", "byte-count",
+            "shape-mismatch", "negative-shape", "float-shape", "data-list", "non-finite",
+            "size-past-end", "no-size", "header-not-utf8", "header-not-json",
+            "offsets-out-of-order", "offsets-overlap", "offsets-gap", "offsets-past-end",
+            "trailing-bytes"])
 
     @staticmethod
     def _refused(tmp_path, vocab, capsys, edit, named, command, *args):

@@ -41,7 +41,7 @@ def trained(workspace):
         "--valid", str(workspace / "valid.jsonl"),
         "--vocab", str(workspace / "vocab" / "vocab.txt"),
         "--epochs", "2", "--batch-size", "8", "--learning-rate", "3e-3",
-        "--max-input-len", "24", "--max-span-len", "5",
+        "--max-input-len", "24",
         "--d-emb", "8", "--d-h", "8",
         "--out", str(out),
     ])
@@ -97,7 +97,7 @@ class TestNonFiniteTrainingOptions:
                      "--valid", str(workspace / "valid.jsonl"),
                      "--vocab", str(workspace / "vocab" / "vocab.txt"),
                      "--epochs", "1", "--d-emb", "4", "--d-h", "4",
-                     "--max-input-len", "24", "--max-span-len", "5", *extra,
+                     "--max-input-len", "24", *extra,
                      "--out", str(out)])
 
     @pytest.mark.parametrize("flag", ["--clip-norm", "--learning-rate"])
@@ -359,7 +359,7 @@ class TestConfigHandling:
         assert code == 0
         assert manifest(out)["config"]["seed"] == 4
 
-    def test_unknown_config_key_rejected(self, workspace, tmp_path):
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"funny_business": 1}))
         code = main(["mask-corpus",
@@ -368,12 +368,18 @@ class TestConfigHandling:
                      "--policy", "random15", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+        cfg.write_text(json.dumps({"max_span_len": 5}))
+        code = main(["train-policy", "--train", str(workspace / "train.jsonl"),
+                     "--valid", str(workspace / "valid.jsonl"),
+                     "--vocab", str(workspace / "vocab" / "vocab.txt"),
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not valid for train-policy: max_span_len" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, keys", [
         ("build-vocab", {"max_size", "min_freq"}),
         ("train-policy", {"epochs", "learning_rate", "batch_size", "optimizer",
-                          "max_input_len", "max_span_len", "seed", "d_emb", "d_h",
-                          "clip_norm"}),
+                          "max_input_len", "seed", "d_emb", "d_h", "clip_norm"}),
         ("eval-policy", {"max_span_len", "max_input_len", "seed"}),
         ("mask-corpus", {"mode", "seed", "workers", "chunk_len", "max_span_len", "rate"}),
         ("compare", set()),
@@ -424,7 +430,7 @@ class TestConfigHandling:
             "train-policy": (["--train", str(workspace / "train.jsonl"),
                               "--valid", str(workspace / "valid.jsonl"), "--vocab", vocab,
                               "--epochs", "1", "--d-emb", "4", "--d-h", "4",
-                              "--max-input-len", "24", "--max-span-len", "5"],
+                              "--max-input-len", "24"],
                              "seed", -1, "seed must be non-negative, got -1"),
             "mask-corpus": (["--corpus", str(workspace / "corpus.txt"), "--vocab", vocab,
                              "--policy", "random15"],
@@ -476,7 +482,6 @@ PARSER_OPTIONS = {
         "--batch-size": ("batch_size", None, False, None),
         "--optimizer": ("optimizer", ["sgd", "adam"], False, None),
         "--max-input-len": ("max_input_len", None, False, None),
-        "--max-span-len": ("max_span_len", None, False, None),
         "--seed": ("seed", None, False, None),
         "--d-emb": ("d_emb", None, False, None),
         "--d-h": ("d_h", None, False, None),
@@ -561,8 +566,12 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
-    def test_unknown_flag(self, tmp_path):
+    def test_unknown_flag(self, tmp_path, capsys):
         assert main(["grad-check", "--wat", "--out", str(tmp_path)]) == 1
+        # Training reads no span length: the flag is eval-policy's and mask-corpus's.
+        assert main(["train-policy", "--train", "t", "--valid", "v", "--vocab", "v.txt",
+                     "--max-span-len", "5", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --max-span-len 5" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         code = main(["build-vocab", "--corpus", str(tmp_path / "absent.txt"),
@@ -703,7 +712,7 @@ class TestCrashSafeArtifacts:
             "train-policy": (["--train", str(workspace / "train.jsonl"),
                               "--valid", str(workspace / "valid.jsonl"), "--vocab", vocab,
                               "--epochs", "1", "--batch-size", "8", "--max-input-len", "24",
-                              "--max-span-len", "5", "--d-emb", "4", "--d-h", "4"],
+                              "--d-emb", "4", "--d-h", "4"],
                              "training_log.jsonl", (cli, "_write_jsonl")),
             "eval-policy": (["--dev", str(workspace / "dev.jsonl"), "--vocab", vocab,
                              "--policy", "randomspan", "--max-input-len", "24",
@@ -740,8 +749,7 @@ class TestCheckpointPublishedOnce:
                      "--valid", str(workspace / "valid.jsonl"),
                      "--vocab", str(workspace / "vocab" / "vocab.txt"),
                      "--epochs", "1", "--batch-size", "8", "--max-input-len", "24",
-                     "--max-span-len", "5", "--d-emb", "4", "--d-h", "4",
-                     "--out", str(out)])
+                     "--d-emb", "4", "--d-h", "4", "--out", str(out)])
 
     def test_one_replace_per_artifact(self, workspace, tmp_path, monkeypatch):
         import os

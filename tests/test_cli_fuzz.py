@@ -49,8 +49,8 @@ _JUNK = {
 # value of its type).
 _OUT_OF_RANGE = {
     "train-policy": {"epochs": [0, -1], "learning_rate": [0.0, -0.5], "batch_size": [0],
-                     "max_input_len": [0], "max_span_len": [0, -3], "d_emb": [0],
-                     "d_h": [-1], "clip_norm": [0, -1.0], "seed": [-1],
+                     "max_input_len": [0], "d_emb": [0], "d_h": [-1],
+                     "clip_norm": [0, -1.0], "seed": [-1],
                      "optimizer": ["adagrad", ""]},
     "eval-policy": {"max_span_len": [0, -1]},
     "mask-corpus": {"workers": [0, -2], "chunk_len": [1, 0], "max_span_len": [0],
@@ -85,8 +85,8 @@ def _args(root):
                         "--min-freq", "1"],
         "train-policy": ["--train", str(root / "train.jsonl"), "--valid", str(root / "valid.jsonl"),
                          *vocab, "--epochs", "1", "--learning-rate", "0.003", "--batch-size", "8",
-                         "--optimizer", "adam", "--max-input-len", "24", "--max-span-len", "5",
-                         "--seed", "0", "--d-emb", "4", "--d-h", "4", "--clip-norm", "1.0"],
+                         "--optimizer", "adam", "--max-input-len", "24", "--seed", "0",
+                         "--d-emb", "4", "--d-h", "4", "--clip-norm", "1.0"],
         "eval-policy": ["--dev", str(root / "dev.jsonl"), *vocab, "--policy", "randomspan",
                         "--max-span-len", "5", "--max-input-len", "24", "--seed", "0"],
         "mask-corpus": ["--corpus", str(root / "corpus.txt"), *vocab, "--policy", "random15",

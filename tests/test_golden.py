@@ -115,7 +115,7 @@ COVERAGE_DIGESTS = {
     "learned-top5@16": "3fdcd733f60819afbff24cc20f79118519669601715f14fa1514304ed0599d1b",
 }
 
-INIT_DIGEST = "106616fae9bae590d9233c346543e0ffcaec93f91b06d060a0e21b4342f276ba"
+INIT_DIGEST = "e018f6c3b1a9d4942f63cd16de1920dfb240fb5dc1cf9bc2dadb439037855920"
 
 # (train_loss, valid_loss) per epoch, then the chosen epoch.
 TRAIN_LOSSES = [
@@ -226,8 +226,8 @@ def test_init_params_digest():
 
 
 def test_training_log():
-    cfg = TrainConfig(epochs=2, learning_rate=3e-3, batch_size=4, max_input_len=24,
-                      max_span_len=5, seed=2, d_emb=8, d_h=8)
+    cfg = TrainConfig(epochs=2, learning_rate=3e-3, batch_size=4, max_input_len=24, seed=2,
+                      d_emb=8, d_h=8)
     _, log = train_policy(synth_examples(16, seed=1), synth_examples(6, seed=2), cfg)
     got = [(r.train_loss, r.valid_loss) for r in log.records]
     assert len(got) == len(TRAIN_LOSSES)

@@ -17,7 +17,7 @@ from maskpolicy.errors import (
     NonFiniteLossError,
     SequenceTooLongError,
 )
-from maskpolicy.policy import forward, forward_batch, init_policy_params
+from maskpolicy.policy import forward, forward_batch, init_policy_params, param_shapes
 from maskpolicy.training import (
     EpochRecord,
     TrainConfig,
@@ -37,7 +37,7 @@ from train_oracle import ragged_examples, train_per_example
 
 def tiny_config(**kw):
     base = dict(epochs=2, learning_rate=1e-2, batch_size=4, optimizer="adam",
-                max_input_len=24, max_span_len=5, seed=0, d_emb=6, d_h=6)
+                max_input_len=24, seed=0, d_emb=6, d_h=6)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -54,22 +54,18 @@ class TestConfig:
         with pytest.raises(InvalidOptionError, match=f"{field} must be finite and positive"):
             tiny_config(**{field: value}).validate()
 
-    def test_rejects_span_longer_than_input(self):
-        with pytest.raises(ValueError):
-            tiny_config(max_input_len=4, max_span_len=5).validate()
-
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):
             tiny_config(optimizer="lbfgs").validate()
 
     def test_errors_are_package_errors(self):
-        for bad in (dict(epochs=0), dict(max_input_len=4, max_span_len=5),
-                    dict(optimizer="lbfgs"), dict(seed=-1)):
+        for bad in (dict(epochs=0), dict(max_input_len=0), dict(optimizer="lbfgs"),
+                    dict(seed=-1)):
             with pytest.raises(InvalidOptionError):
                 tiny_config(**bad).validate()
 
-    @pytest.mark.parametrize("field", ["epochs", "batch_size", "max_input_len", "max_span_len",
-                                       "d_emb", "d_h", "seed"])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "max_input_len", "d_emb", "d_h",
+                                       "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
     def test_rejects_non_integer_counts(self, field, value):
         # a float batch size used to pass and then fail in range() with a
@@ -269,6 +265,21 @@ class TestTraining:
         assert f"at epoch {err.epoch}, batch {err.batch}" in str(err)
         assert isinstance(err.__cause__, NonFiniteError)
 
+    def test_every_parameter_gets_a_gradient(self):
+        # A parameter whose gradient is rounding noise has no effect on the
+        # loss. The heads' scalar biases were such: a constant added to every
+        # logit of a head changes neither its log-softmax nor a span's rank.
+        vocab_size = len(synth_vocab())
+        params = init_policy_params(vocab_size, 8, 8, seed=0)
+        batch = [prepare_example(ex, 24) for ex in synth_examples(8, seed=5)]
+        start, end, columns = forward_batch(params, [ids for ids, _ in batch], 24)
+        backward(mean_span_loss(start, end, columns, batch))
+        shapes = param_shapes(vocab_size, 8, 8)
+        assert [name for name, _ in params.named_parameters()] == list(shapes)
+        for name, p in params.named_parameters():
+            assert np.max(np.abs(p.grad)) > 1e-8, name
+        assert len(shapes) == 11 and all(len(shape) > 0 for shape in shapes.values())
+
 
 class TestGradCheckSuite:
     def test_small_suite_passes(self):
@@ -318,8 +329,7 @@ class TestBatchedTraining:
         examples = ragged_examples(np.random.default_rng(len(case)), c["n"], *c["lengths"],
                                    len(vocab))
         cfg = TrainConfig(epochs=2, batch_size=c["batch_size"], optimizer=c["optimizer"],
-                          max_input_len=128, max_span_len=3, seed=c["d"], d_emb=c["d"],
-                          d_h=c["d"])
+                          max_input_len=128, seed=c["d"], d_emb=c["d"], d_h=c["d"])
         runs = []
         for name, run in (("batched", lambda: train_policy(examples[:-2], examples[-2:], cfg,
                                                            len(vocab))),
