@@ -65,10 +65,14 @@ pre-activation gradients dz_t of the live rows and carries
 dh = dz_t @ W_h as one row-invariant product per step. After the loop,
 dx = dz @ W_x is one row-invariant product over every live position.
 Each column's dW and db are computed from contiguous copies of its own
-rows and added over the columns in a given order. A batch's dW and db
-are then bit for bit the sum, in that order, of its columns' own as
-batches of one, and so are its rows' gradients when no two columns read
-the same row. Under no_grad, or when nothing needs a gradient, the op
+rows and added over the columns in a given order. A column's dW is one
+product dz^T @ [x | h_in] over its steps, where h_in holds each step's
+state input and a zero row at the direction's first step; with OpenBLAS
+0.3.31 it equals dz^T @ x beside dz_h^T @ h_in over the other steps bit
+for bit (tests/test_lstm.py TestBlasRowFacts). A batch's dW and db are
+then bit for bit the sum, in that order, of its columns' own as batches
+of one, and so are its rows' gradients when no two columns read the same
+row. Under no_grad, or when nothing needs a gradient, the op
 keeps no per-step state.
 
 The backward runs once per forward (see autodiff) and frees the state
@@ -266,20 +270,28 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
         # dx of every live position, time-major, as one product; dW and db
         # of each column alone, from contiguous copies of its rows, so that
         # they are what the column would get as a batch of one, added over
-        # the columns in `order`.
+        # the columns in `order`. A column's dW is one product dz^T @ [x | h]
+        # over its steps' inputs, written into the leading rows of `inputs`.
         dx = _row_product(d_gates[is_live], _prepare(W[:, :D]), D)
+        inputs = np.empty((T, D + hid))
         d_w = d_b = None
         for b in order:
             n = lengths[b]
             if not n:
                 continue
             dz = d_gates[:n, b].copy()
-            x = rows[index[:n, b]]
+            xh = inputs[:n]
+            xh[:, :D] = rows[index[:n, b]]
             # Each step's state input is the neighbouring step's output; the
-            # first step of a direction reads zero state and adds nothing to dW_h.
-            dz_h, h_in = (dz[:-1], states[1:n, b]) if reverse else (dz[1:], states[:n - 1, b])
-            h_in = h_in.copy()
-            w = np.concatenate([dz.T @ x, dz_h.T @ h_in], axis=1)
+            # first step of a direction reads zero state, a zero row that adds
+            # nothing to dW_h.
+            if reverse:
+                xh[:-1, D:] = states[1:n, b]
+                xh[-1, D:] = 0.0
+            else:
+                xh[1:, D:] = states[:n - 1, b]
+                xh[0, D:] = 0.0
+            w = dz.T @ xh
             db = dz.sum(axis=0)
             if d_w is None:
                 d_w, d_b = w, db

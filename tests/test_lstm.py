@@ -406,6 +406,32 @@ class TestBlasRowFacts:
             w = rng.uniform(-1, 1, size=(4 * hid, hid + width))[:, hid:]
             self._check(a, _prepare(w), width, f"backward H={hid} width={width}")
 
+    @pytest.mark.parametrize("d_in, hid", [(128, 128), (256, 128), (33, 33), (66, 33)])
+    def test_fused_weight_gradient_equals_its_two_products(self, d_in, hid):
+        # a window's dW as one product dz^T @ [x | h_in], h_in with a zero
+        # row at the direction's first step, against dz^T @ x beside
+        # dz_h^T @ h_in over the steps that read a state: at every window
+        # length 1-128, both directions, layer 1 (D = H) and layer 2 (D = 2H),
+        # compared as bits, so a zero's sign counts too
+        rng = np.random.default_rng(3000 + d_in + hid)
+        build = blas_build()
+        for n in range(1, 129):
+            dz = rng.uniform(-1, 1, size=(n, 4 * hid))
+            x = rng.uniform(-1, 1, size=(n, d_in))
+            states = rng.uniform(-1, 1, size=(n, hid))
+            for reverse in (False, True):
+                if reverse:
+                    dz_h, h_in = dz[:-1], states[1:]
+                    fused = np.concatenate([states[1:], np.zeros((1, hid))])
+                else:
+                    dz_h, h_in = dz[1:], states[:-1]
+                    fused = np.concatenate([np.zeros((1, hid)), states[:-1]])
+                got = dz.T @ np.concatenate([x, fused], axis=1)
+                want = np.concatenate([dz.T @ x, dz_h.T @ h_in], axis=1)
+                np.testing.assert_array_equal(
+                    got.view(np.int64), want.view(np.int64),
+                    err_msg=f"dW D={d_in} H={hid} n={n} reverse={reverse}; {build}")
+
     @pytest.mark.parametrize("k", HEAD_WIDTHS)
     def test_head_dot_products_rows_equal_for_every_row_count(self, k):
         # np.vecdot(hidden, w), the policy heads, one dot product per row;

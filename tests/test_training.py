@@ -1,7 +1,14 @@
 """Training loop: windowing, validation-based selection, determinism."""
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +17,7 @@ from maskpolicy import lstm, policy, training
 from maskpolicy.autodiff import add, backward, grad_check, scale
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import Span, Vocab
+from maskpolicy.corruption import PolicySpec, mask_corpus
 from maskpolicy.errors import (
     EmptyDatasetError,
     InvalidOptionError,
@@ -17,7 +25,14 @@ from maskpolicy.errors import (
     NonFiniteLossError,
     SequenceTooLongError,
 )
-from maskpolicy.policy import forward, forward_batch, init_policy_params, param_shapes
+from maskpolicy.evaluation import span_hit_metrics
+from maskpolicy.policy import (
+    forward,
+    forward_batch,
+    init_policy_params,
+    param_shapes,
+    score_batch,
+)
 from maskpolicy.training import (
     EpochRecord,
     TrainConfig,
@@ -400,8 +415,8 @@ class TestStepMemory:
             return real_wrap(out, parents, backward_fn)
 
         def step(state, named):
-            # the head biases' gradients are numpy scalars, which take no weak reference
-            held.extend(weakref.ref(p.grad) for _, p in named if isinstance(p.grad, np.ndarray))
+            assert all(isinstance(p.grad, np.ndarray) for _, p in named)
+            held.extend(weakref.ref(p.grad) for _, p in named)
             real_step(state, named)
 
         def entered(fn):
@@ -418,7 +433,7 @@ class TestStepMemory:
         train_policy(examples[:6], examples[6:], tiny_config(batch_size=2), 30)
         epoch = [("forward_batch", 0)] * 3 + [("validation_loss", 0)]
         assert seen == epoch * 2
-        # per step, two layers' closures and 11 gradient arrays
+        # per step, two layers' closures and all 11 gradients, each an array
         assert len(held) == 6 * (2 + 11)
 
     def test_peak_on_the_benchmark_shape(self, traced_peak):
@@ -431,3 +446,109 @@ class TestStepMemory:
         cfg = TrainConfig(epochs=2, seed=1, d_emb=128, d_h=128)
         _, peak = traced_peak(lambda: train_policy(examples[:4], examples[4:], cfg, 640))
         assert peak < 56 * 2**20, peak / 2**20
+
+
+class FakeLibc:
+    """Records mallopt calls instead of making them."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def fresh_process_setting():
+    """train_policy's allocator setting as if no training had run yet in
+    this process, before and after the test."""
+    training._keep_step_memory_mapped.cache_clear()
+    yield
+    training._keep_step_memory_mapped.cache_clear()
+
+
+# One train_policy of 8 single-batch epochs at the train benchmark's shape
+# (d = 128, 4 full 128-token windows, 2 validation windows, V = 5,329),
+# printing the minor page faults of each optimizer step.
+FAULTS_PER_STEP = textwrap.dedent("""
+    import resource
+
+    import numpy as np
+
+    from maskpolicy import training
+    from train_oracle import ragged_examples
+
+    faults = []
+    real_step = training._train_step
+
+    def step(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        loss = real_step(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return loss
+
+    training._train_step = step
+    examples = ragged_examples(np.random.default_rng(7), 6, 129, 170, 5329)
+    cfg = training.TrainConfig(epochs=8, seed=1, d_emb=128, d_h=128)
+    training.train_policy(examples[:4], examples[4:], cfg, 5329)
+    print(faults)
+""")
+
+
+class TestStepMemoryMapped:
+    """On glibc, train_policy raises the allocator's mmap and trim
+    thresholds once per process, so a step reuses the memory the previous
+    step freed instead of faulting it in again. Deploy and evaluation
+    never make the setting."""
+
+    def test_once_per_process_and_only_on_glibc(self, monkeypatch, fresh_process_setting):
+        examples = ragged_examples(np.random.default_rng(3), 8, 2, 12, 30)
+        trained = []
+        for libc_name, calls in (
+                # mallopt(M_MMAP_THRESHOLD = -3, 32 MiB), mallopt(M_TRIM_THRESHOLD = -1, 1 GiB)
+                ("glibc", [(-3, 32 * 2**20), (-1, 2**30)]),
+                ("", []),
+                ("musl", [])):
+            training._keep_step_memory_mapped.cache_clear()
+            libc = FakeLibc()
+            monkeypatch.setattr(platform, "libc_ver", lambda name=libc_name: (name, "1.0"))
+            monkeypatch.setattr(training, "_libc", lambda libc=libc: libc)
+            for _ in range(2):
+                params, _ = train_policy(examples[:6], examples[6:], tiny_config(batch_size=2),
+                                         30)
+                assert libc.calls == calls, libc_name
+                trained.append(params_sha256(params))
+        # the setting moves no byte of the trained parameters
+        assert len(set(trained)) == 1
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc allocator setting")
+    def test_steps_fault_no_pages_in_after_the_first(self):
+        # In a fresh interpreter, so the setting is made by this run. Without
+        # it every step here faulted about 7k pages in (Linux x86-64, glibc 2.36).
+        tests = Path(__file__).parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        faults = json.loads(run.stdout)
+        assert len(faults) == 8
+        assert max(faults[2:]) < 100, faults
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deploy_and_evaluation_never_make_it(self, monkeypatch, tmp_path, workers):
+        def refuse():
+            raise AssertionError("deploy or evaluation reached the training allocator setting")
+
+        monkeypatch.setattr(training, "_keep_step_memory_mapped", refuse)
+        vocab = synth_vocab()
+        examples = synth_examples(12, 5, vocab)
+        params = init_policy_params(len(vocab), 8, 8, seed=0)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(ex.context for ex in examples) + "\n", encoding="utf-8")
+        spec = PolicySpec(kind="learned", mode="top1", params=params,
+                          vocab_hash=vocab.content_hash(), max_input_len=16)
+        masked, _ = mask_corpus([corpus], vocab, spec, chunk_len=16, workers=workers)
+        assert masked
+        assert len(score_batch(params, [ex.context_tokens.ids for ex in examples], 24)) == 12
+        assert span_hit_metrics(params, examples, "learned-top1").n_examples == 12
