@@ -198,6 +198,9 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
 
 
 def _cmd_eval_policy(args, opts) -> _Run:
+    if opts["max_input_len"] < 1:
+        raise InvalidOptionError(f"max_input_len must be >= 1, got {opts['max_input_len']}",
+                                 "max_input_len")
     vocab = Vocab.load(args.vocab)
     inputs = [args.dev, args.vocab]
     # The checkpoint is loaded and checked before the dev pass, so a bad one

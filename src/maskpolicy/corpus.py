@@ -40,6 +40,7 @@ from .errors import (
     AnswerNotFoundError,
     EmptyCorpusError,
     InvalidChunkLengthError,
+    InvalidOptionError,
     InvalidVocabError,
     MalformedRecordError,
     MaskPolicyError,
@@ -248,6 +249,11 @@ def write_json(path, obj) -> None:
 def build_vocab(corpus_paths, max_size: int = 50000, min_freq: int = 1) -> Vocab:
     """Most frequent corpus tokens, ties broken lexicographically, capped
     at max_size including the three reserved specials."""
+    if max_size < len(_SPECIALS):
+        raise InvalidOptionError(f"max_size must be >= {len(_SPECIALS)}, the reserved specials, "
+                                 f"got {max_size}", "max_size")
+    if min_freq < 1:
+        raise InvalidOptionError(f"min_freq must be >= 1, got {min_freq}", "min_freq")
     counts: Counter[str] = Counter()
     for _, text in iter_documents(corpus_paths):
         counts.update(_token_texts(text))
@@ -255,8 +261,7 @@ def build_vocab(corpus_paths, max_size: int = 50000, min_freq: int = 1) -> Vocab
         raise EmptyCorpusError(f"no tokens found in {list(map(str, corpus_paths))}")
     eligible = [(tok, n) for tok, n in counts.items() if n >= min_freq]
     eligible.sort(key=lambda kv: (-kv[1], kv[0]))
-    keep = max(0, max_size - len(_SPECIALS))
-    return Vocab(list(_SPECIALS) + [tok for tok, _ in eligible[:keep]])
+    return Vocab(list(_SPECIALS) + [tok for tok, _ in eligible[:max_size - len(_SPECIALS)]])
 
 
 def chunk_document(tokens: TokenSequence, L: int = DEFAULT_CHUNK_LEN, doc_id: str = "doc") -> list[Chunk]:

@@ -38,6 +38,7 @@ from .corpus import (
 )
 from .errors import (
     AllMaskedError,
+    InvalidChunkLengthError,
     InvalidMaskedRecordError,
     InvalidOptionError,
     InvalidRateError,
@@ -397,6 +398,8 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     spec.validate()
     if workers < 1:
         raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
+    if chunk_len < 2:
+        raise InvalidChunkLengthError(f"chunk_len must be >= 2, got {chunk_len}", "chunk_len")
     if spec.kind == POLICY_LEARNED and spec.vocab_hash is not None:
         if spec.vocab_hash != vocab.content_hash():
             raise VocabMismatchError(

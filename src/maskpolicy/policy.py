@@ -173,17 +173,15 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     (T*B,) in time-major order over the sorted batch, and those at padded
     positions are meaningless.
 
-    On the tape, every parameter's gradient is the sum of the sequences'
-    own gradients, each computed as in a batch of that sequence alone and
-    added in input order, so a batch's gradients equal those of its
-    sequences' forwards one at a time, summed on the tape: the first layer
-    reads each sequence's own distinct ids, in input order, and the LSTM
-    op and the heads keep each column's weight gradients apart (see
-    bilstm_sequence and _head).
-
-    Off the tape, the first layer reads each distinct id of the padded
-    batch once, so a token repeated in the batch is embedded and projected
-    once."""
+    Layer 1 reads the distinct values of a (T, B) key over the padded
+    ids, one row each. Off the tape the key is the id, so a token repeated
+    in the batch is embedded and projected once. On the tape the key is
+    (sequence, id), so each sequence reads its own distinct ids, in input
+    order; as the LSTM op and the heads keep each column's weight
+    gradients apart (see bilstm_sequence and _head), every gradient is the
+    sum of the sequences' own, each as in a batch of that sequence alone,
+    added in input order. A padded column may add a row for its padding's
+    id 0, which no step reads."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         raise EmptySequenceError("policy forward on an empty batch")
@@ -191,21 +189,15 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     columns = np.argsort(order).tolist()  # sequence b is column columns[b]
     lengths = [len(seqs[b]) for b in order]
     T, B = lengths[0], len(seqs)
+    key = np.zeros((T, B), dtype=np.intp)
+    for c, b in enumerate(order):
+        key[:lengths[c], c] = seqs[b]
     if grad_enabled():
-        parts = [np.unique(s, return_inverse=True) for s in seqs]
-        distinct = np.concatenate([unique for unique, _ in parts])
-        index = np.zeros((T, B), dtype=np.intp)
-        offset = 0
-        for (unique, inverse), c in zip(parts, columns):
-            index[:len(inverse), c] = offset + inverse
-            offset += len(unique)
-    else:
-        padded = np.zeros((T, B), dtype=np.intp)
-        for c, b in enumerate(order):
-            padded[:lengths[c], c] = seqs[b]
-        distinct, index = np.unique(padded, return_inverse=True)
-    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct), index.reshape(T, B),
-                             lengths, params.cell("lstm1.fwd"), params.cell("lstm1.bwd"), columns)
+        key += params.vocab_size * order
+    distinct, index = np.unique(key, return_inverse=True)
+    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct % params.vocab_size),
+                             index.reshape(T, B), lengths, params.cell("lstm1.fwd"),
+                             params.cell("lstm1.bwd"), columns)
     hidden = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths,
                              params.cell("lstm2.fwd"), params.cell("lstm2.bwd"), columns)
     start_logits, end_logits = (_head(hidden, params.tensors[f"head.{h}.w"], lengths, columns)

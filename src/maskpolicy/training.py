@@ -219,7 +219,7 @@ def _train_step(params: PolicyParams, opt, batch: list[tuple[tuple[int, ...], Sp
         raise NonFiniteLossError(epoch, batch_no, math.nan) from e
     backward(batch_loss)
     named = params.named_parameters()
-    clip_grad_norm([p.grad for _, p in named if p.grad is not None], cfg.clip_norm)
+    clip_grad_norm([p.grad for _, p in named], cfg.clip_norm)
     optimizer_step(opt, named)
     params.zero_grads()
     return batch_loss.item()

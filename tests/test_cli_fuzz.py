@@ -52,11 +52,11 @@ _OUT_OF_RANGE = {
                      "max_input_len": [0], "d_emb": [0], "d_h": [-1],
                      "clip_norm": [0, -1.0], "seed": [-1],
                      "optimizer": ["adagrad", ""]},
-    "eval-policy": {"max_span_len": [0, -1]},
+    "eval-policy": {"max_span_len": [0, -1], "max_input_len": [0, -1]},
     "mask-corpus": {"workers": [0, -2], "chunk_len": [1, 0], "max_span_len": [0],
                     "rate": [1.5, -0.1], "mode": ["top3"]},
     "grad-check": {"seeds": [0, -1], "max_len": [1]},
-    "build-vocab": {},
+    "build-vocab": {"max_size": [2, 0, -1], "min_freq": [0, -1]},
 }
 
 
@@ -170,6 +170,33 @@ def test_config_file(workspace, case):
         if bad:
             assert str(cfg) in _refusal(err), err
             assert not (Path(tmp) / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for command, table in _OUT_OF_RANGE.items()
+    for key, values in table.items() for value in values])
+def test_out_of_range_config_value(workspace, tmp_path, command, key, value):
+    """Every value of _OUT_OF_RANGE, set by a config file, is refused
+    naming the file, before any artifact is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = _without_flags(_args(workspace)[command], [key])
+    code, err = _run([command, *argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert str(cfg) in _refusal(err) and key in _refusal(err), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_chunk_len_refused_on_a_corpus_without_documents(workspace, tmp_path):
+    """mask-corpus refuses a chunk length below 2 up front, not only when
+    a document reaches the chunker."""
+    (tmp_path / "blank.txt").write_text("\n  \n\n", encoding="utf-8")
+    code, err = _run(["mask-corpus", "--corpus", str(tmp_path / "blank.txt"),
+                      "--vocab", str(workspace / "vocab" / "vocab.txt"), "--policy", "random15",
+                      "--chunk-len", "1", "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert "chunk_len" in _refusal(err), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @st.composite

@@ -21,6 +21,7 @@ from maskpolicy.policy import (
     PolicyParams,
     ScoredSpan,
     forward,
+    forward_batch,
     init_policy_params,
     param_shapes,
     score_batch,
@@ -271,6 +272,50 @@ class TestDistinctIds:
                                                          gathered_logits(params, batch)):
             np.testing.assert_array_equal(start, want_start)
             np.testing.assert_array_equal(end, want_end)
+
+
+def layer1_rows(monkeypatch, params, batch):
+    """The ids forward_batch hands to embed_rows, and per sequence, in
+    input order, the rows its positions read."""
+    seen = {}
+
+    def recording_embed_rows(table, ids):
+        seen["ids"] = np.asarray(ids)
+        return embed_rows(table, ids)
+
+    def recording_bilstm_sequence(rows, index, *args):
+        seen.setdefault("index", np.asarray(index))
+        return bilstm_sequence(rows, index, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(policy, "embed_rows", recording_embed_rows)
+        patch.setattr(policy, "bilstm_sequence", recording_bilstm_sequence)
+        _, _, columns = forward_batch(params, batch)
+    return seen["ids"], [seen["index"][:len(ids), c] for ids, c in zip(batch, columns)]
+
+
+class TestLayerOneRows:
+    """The rows of the embedding the first layer reads, for a batch whose
+    windows share and repeat ids and are not longest first."""
+
+    BATCH = [[4, 2, 4], [2, 5, 2, 6, 5], [6, 6], [3, 2, 4, 2, 3]]
+
+    def test_off_the_tape_each_distinct_id_of_the_batch_once(self, monkeypatch):
+        with no_grad():
+            ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH)
+        batch_ids = {t for seq in self.BATCH for t in seq}
+        assert len(set(ids.tolist())) == len(ids)
+        assert batch_ids <= set(ids.tolist()) <= batch_ids | {0}  # 0 pads
+        for seq, rows in zip(self.BATCH, reads):
+            assert ids[rows].tolist() == seq
+
+    def test_on_the_tape_each_window_its_own_rows_in_input_order(self, monkeypatch):
+        ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH)
+        for seq, rows in zip(self.BATCH, reads):
+            assert ids[rows].tolist() == seq
+            assert len(set(rows.tolist())) == len(set(seq))
+        for before, after in zip(reads, reads[1:]):
+            assert before.max() < after.min()
 
 
 def batch_hidden_states(monkeypatch, params, batch):
