@@ -124,10 +124,12 @@ class EmptyDatasetError(MaskPolicyError):
 
 
 class NonFiniteLossError(NonFiniteError):
-    """Training loss became NaN or Inf; carries epoch/batch context."""
+    """Training loss became NaN or Inf; carries epoch/batch context. A
+    batch of None is the epoch's validation."""
 
-    def __init__(self, epoch: int, batch: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int | None, value: float):
+        where = "validation" if batch is None else f"batch {batch}"
+        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, {where}")
         self.epoch = epoch
         self.batch = batch
 

@@ -81,10 +81,19 @@ tanh(cells), but no copy of its hidden states: dW_h reads each step's
 state input from the layer's output rows. The cells and tanh(cells) are
 dropped once the gate factors are computed, and the gates and the
 factors once the direction's BPTT has run.
+
+A layer's two directions share no state until their outputs are joined.
+`bilstm_sequence` starts the reverse direction through
+`reverse_direction` before it runs the forward direction, and finishes
+it after, its backward likewise. In this process that is the serial
+order; while `reverse_helper.two_processes()` holds (in training), the
+reverse direction runs meanwhile in a helper process, the same
+`_direction` on byte-identical inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,19 +171,19 @@ def _row_product(x: np.ndarray, prepared: list[np.ndarray], n_out: int) -> np.nd
 
 
 def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live: np.ndarray,
-               params: LstmCellParams, reverse: bool, record: bool):
-    """One direction of a layer in plain arrays: the hidden states (T, B, H)
-    and, when recording, backward(grad, order, states), which maps their
-    gradient (T, B, H) to (dx, dW, db): dx (P, D) of the P positions where
-    the (T, B) mask `is_live` holds, in time-major order, and dW and db each
-    column's own, added over the columns in `order`. It reads each step's
+               W: np.ndarray, bias: np.ndarray, reverse: bool, record: bool):
+    """One direction of a layer with weights W and bias, in plain arrays:
+    the hidden states (T, B, H) and, when recording, backward(grad, order,
+    states), which maps their gradient (T, B, H) to (dx, dW, db): dx (P, D)
+    of the P positions where the (T, B) mask `is_live` holds, in time-major
+    order, and dW and db each column's own, added over the columns in
+    `order`. It reads each step's
     state input from `states`, a (T, B, H) view of the same hidden states,
     and runs once: it drops the recorded gates and cells as it spends them."""
     (T, B), D = index.shape, rows.shape[1]
     # Rows come longest first, so the rows live at step t are the prefix [:live[t]].
     live = np.count_nonzero(is_live, axis=1).tolist()
-    hid = params.hidden_size
-    W = params.W.data
+    hid = W.shape[0] // 4
     scale, offset = _sigmoid_fold(hid)
     # Both forward products run through the row-invariant form (see the
     # module docstring), against the transposed weight blocks with the
@@ -183,7 +192,7 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
     w_h_t = _prepare(np.multiply(W[:, D:].T, scale, order="C"))
 
     table = _row_product(rows, w_x_t, 4 * hid)
-    table += params.b.data * scale
+    table += bias * scale
     # Recording, each step's live rows keep their gate activations here, and
     # padded positions stay zero; otherwise it is one step's buffer.
     gates = np.zeros((T, B, 4 * hid)) if record else np.empty((B, 4 * hid))
@@ -299,10 +308,28 @@ def _direction(rows: np.ndarray, index: np.ndarray, lengths: list[int], is_live:
                 d_w += w
                 d_b += db
         if d_w is None:
-            d_w, d_b = np.zeros_like(W), np.zeros_like(params.b.data)
+            d_w, d_b = np.zeros_like(W), np.zeros_like(bias)
         return dx, d_w, d_b
 
     return out, backward
+
+
+def _reverse_here(rows, index, lengths, is_live, W, bias, record):
+    """The reverse direction in this process, deferred as the helper
+    process defers it (see reverse_helper): the call returns a thunk of
+    (states, backward), and backward returns a thunk of its result."""
+    def finish():
+        out, back = _direction(rows, index, lengths, is_live, W, bias, True, record)
+        if back is None:
+            return out, None
+        return out, lambda grad, order, states: functools.partial(back, grad, order, states)
+
+    return finish
+
+
+# Where bilstm_sequence runs each layer's reverse direction: in this
+# process, or, while reverse_helper.two_processes() holds, in its helper.
+reverse_direction = _reverse_here
 
 
 def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: LstmCellParams,
@@ -343,8 +370,13 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
 
     is_live = lengths > np.arange(T)[:, None]
     lengths = lengths.tolist()
-    out_f, back_f = _direction(rows.data, index, lengths, is_live, fwd, False, record)
-    out_b, back_b = _direction(rows.data, index, lengths, is_live, bwd, True, record)
+    # The reverse direction is started first and finished after the forward
+    # direction has run, so that a helper process can run it meanwhile.
+    finish_b = reverse_direction(rows.data, index, lengths, is_live, bwd.W.data, bwd.b.data,
+                                 record)
+    out_f, back_f = _direction(rows.data, index, lengths, is_live, fwd.W.data, fwd.b.data,
+                               False, record)
+    out_b, back_b = finish_b()
     out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)
     if not record:
         return Tensor(out)
@@ -352,8 +384,9 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
     def backward(grad):
         grad = grad.reshape(T, B, 2 * hid)
         states = out.reshape(T, B, 2 * hid)
+        finish_b = back_b(grad[:, :, hid:], order, states[:, :, hid:])
         dx, dw_f, db_f = back_f(grad[:, :, :hid], order, states[:, :, :hid])
-        dx_b, dw_b, db_b = back_b(grad[:, :, hid:], order, states[:, :, hid:])
+        dx_b, dw_b, db_b = finish_b()
         # The two directions are added per position before one scatter of
         # the live positions, so each row's gradient sums its positions in
         # time-major order, as a scatter of the gathered rows' gradients would.

@@ -10,7 +10,9 @@ order and scaled by 1/len(batch), which is how the per-example tape
 trains; forward_batch and the LSTM op keep each example's arithmetic
 apart where a product would round it by its batch. Checkpoint selection
 is by minimum mean validation loss across epochs. Long contexts are
-truncated to a deterministic window centered on the answer span.
+truncated to a deterministic window centered on the answer span. Where
+the process qualifies, each BiLSTM layer's reverse direction runs in a
+helper process meanwhile (reverse_helper), with the same bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .policy import (
     score_batch,
     score_batches,
 )
+from .reverse_helper import two_processes
 
 
 @dataclass
@@ -291,19 +294,23 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
     best_valid = float("inf")
     best_params = params.clone()
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_prep))
-        epoch_loss = 0.0
-        for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
-            epoch_loss += _train_step(params, opt, batch, cfg, epoch, batch_no) * len(batch)
-        train_loss = epoch_loss / len(train_prep)
-        valid_loss = validation_loss(params, valid_prep, cfg.max_input_len)
-        log.records.append(EpochRecord(epoch, train_loss, valid_loss))
-        if valid_loss < best_valid:
-            best_valid = valid_loss
-            best_params = params.clone()
-            log.chosen_epoch = epoch
+    with two_processes():
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(train_prep))
+            epoch_loss = 0.0
+            for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
+                batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
+                epoch_loss += _train_step(params, opt, batch, cfg, epoch, batch_no) * len(batch)
+            train_loss = epoch_loss / len(train_prep)
+            try:
+                valid_loss = validation_loss(params, valid_prep, cfg.max_input_len)
+            except NonFiniteError as e:
+                raise NonFiniteLossError(epoch, None, math.nan) from e
+            log.records.append(EpochRecord(epoch, train_loss, valid_loss))
+            if valid_loss < best_valid:
+                best_valid = valid_loss
+                best_params = params.clone()
+                log.chosen_epoch = epoch
 
     return best_params, log
 

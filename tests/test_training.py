@@ -1,20 +1,24 @@
 """Training loop: windowing, validation-based selection, determinism."""
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maskpolicy import lstm, policy, training
-from maskpolicy.autodiff import add, backward, grad_check, scale
+from maskpolicy import lstm, policy, reverse_helper, training
+from maskpolicy.autodiff import Tensor, add, backward, grad_check, scale
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import Span, Vocab
 from maskpolicy.corruption import PolicySpec, mask_corpus
@@ -26,6 +30,7 @@ from maskpolicy.errors import (
     SequenceTooLongError,
 )
 from maskpolicy.evaluation import span_hit_metrics
+from maskpolicy.lstm import LstmCellParams, bilstm_sequence
 from maskpolicy.policy import (
     forward,
     forward_batch,
@@ -50,11 +55,33 @@ from synth import synth_examples, synth_vocab
 from train_oracle import ragged_examples, train_per_example
 
 
+LINUX = sys.platform.startswith("linux")
+
+
+def pin_blas(monkeypatch, pinned):
+    """BLAS pinned to one thread by the environment, as the reverse helper
+    reads it, or not pinned at all."""
+    for var in reverse_helper.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if pinned:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs to run on, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def tiny_config(**kw):
     base = dict(epochs=2, learning_rate=1e-2, batch_size=4, optimizer="adam",
                 max_input_len=24, seed=0, d_emb=6, d_h=6)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def split(examples):
+    return examples[:14], examples[14:]
 
 
 class TestConfig:
@@ -266,18 +293,30 @@ class TestTraining:
         params, _ = train_policy(data[:6], data[6:], tiny_config(), vocab_size=200)
         assert params.embedding.data.shape[0] == 200
 
-    @pytest.mark.parametrize("learning_rate", [1e307, 1e308])
-    def test_diverging_run_names_epoch_and_batch(self, learning_rate):
+    @pytest.mark.parametrize("learning_rate, batch_size", [
+        pytest.param(1e307, 8, id="1e+307"),
+        pytest.param(1e308, 8, id="1e+308"),
+        pytest.param(1e308, 32, id="1e+308-validation"),
+    ])
+    def test_diverging_run_names_epoch_and_batch(self, learning_rate, batch_size):
         # Adam's first steps overflow the weights: at 1e307 the loss is the
-        # first value that is not finite, at 1e308 a layer's output.
+        # first value that is not finite, at 1e308 a layer's output. In one
+        # batch of all 30 windows, the first output that is not finite is the
+        # epoch's validation's.
         data = synth_examples(40, seed=3)
-        cfg = TrainConfig(epochs=4, learning_rate=learning_rate, batch_size=8, d_emb=8, d_h=8)
+        cfg = TrainConfig(epochs=4, learning_rate=learning_rate, batch_size=batch_size,
+                          d_emb=8, d_h=8)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteLossError) as caught:
             train_policy(data[:30], data[30:], cfg)
         err = caught.value
-        assert 1 <= err.epoch <= cfg.epochs and 0 <= err.batch < 4
-        assert f"at epoch {err.epoch}, batch {err.batch}" in str(err)
+        assert 1 <= err.epoch <= cfg.epochs
+        if batch_size == 32:
+            assert err.batch is None
+            assert str(err).endswith(f"at epoch {err.epoch}, validation")
+        else:
+            assert 0 <= err.batch < 4
+            assert f"at epoch {err.epoch}, batch {err.batch}" in str(err)
         assert isinstance(err.__cause__, NonFiniteError)
 
     def test_every_parameter_gets_a_gradient(self):
@@ -320,7 +359,8 @@ class TestBatchedTraining:
     """train_policy runs one padded forward and backward per mini-batch.
     It must train exactly what one taped forward per window, added on the
     tape, trains (train_oracle.train_per_example): the same parameter
-    bytes, the same log and the same checkpoint bytes."""
+    bytes, the same log and the same checkpoint bytes, with the reverse
+    directions in the helper process and with the serial path forced."""
 
     CASES = {
         # the benchmark's train shapes: 4 and 3 windows of 128 tokens, one batch
@@ -338,7 +378,7 @@ class TestBatchedTraining:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_equals_the_per_example_tape(self, case, tmp_path):
+    def test_equals_the_per_example_tape(self, case, tmp_path, monkeypatch, two_cpus):
         c = self.CASES[case]
         vocab = toy_vocab(10_000 if c["d"] == 128 else 60)
         examples = ragged_examples(np.random.default_rng(len(case)), c["n"], *c["lengths"],
@@ -346,17 +386,23 @@ class TestBatchedTraining:
         cfg = TrainConfig(epochs=2, batch_size=c["batch_size"], optimizer=c["optimizer"],
                           max_input_len=128, seed=c["d"], d_emb=c["d"], d_h=c["d"])
         runs = []
-        for name, run in (("batched", lambda: train_policy(examples[:-2], examples[-2:], cfg,
-                                                           len(vocab))),
+        for name, run in (("two-processes", lambda: train_policy(examples[:-2], examples[-2:],
+                                                                 cfg, len(vocab))),
+                          ("serial", lambda: train_policy(examples[:-2], examples[-2:], cfg,
+                                                          len(vocab))),
                           ("per-example", lambda: train_per_example(examples[:-2], examples[-2:],
                                                                     cfg, len(vocab)))):
+            pin_blas(monkeypatch, name == "two-processes")
+            requests = reverse_helper.requests
             params, log = run()
+            assert (reverse_helper.requests > requests) == (name == "two-processes" and LINUX), name
             save_checkpoint(tmp_path / name, params, vocab, cfg.hyperparameters())
             runs.append((params_sha256(params), log.jsonl_records(),
                          (tmp_path / name).read_bytes()))
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-        assert runs[0][2] == runs[1][2]
+        for other in runs[1:]:
+            assert runs[0][0] == other[0]
+            assert runs[0][1] == other[1]
+            assert runs[0][2] == other[2]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_batch_gradients_equal_the_summed_tape(self, seed):
@@ -536,11 +582,17 @@ class TestStepMemoryMapped:
         assert max(faults[2:]) < 100, faults
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_deploy_and_evaluation_never_make_it(self, monkeypatch, tmp_path, workers):
+    def test_deploy_and_evaluation_never_make_it(self, monkeypatch, tmp_path, workers, two_cpus):
+        # nor do they start or use the reverse helper, though the process
+        # qualifies for one
         def refuse():
-            raise AssertionError("deploy or evaluation reached the training allocator setting")
+            raise AssertionError("deploy or evaluation reached the training allocator setting "
+                                 "or the reverse helper")
 
         monkeypatch.setattr(training, "_keep_step_memory_mapped", refuse)
+        monkeypatch.setattr(reverse_helper, "_Helper", refuse)
+        pin_blas(monkeypatch, True)
+        requests = reverse_helper.requests
         vocab = synth_vocab()
         examples = synth_examples(12, 5, vocab)
         params = init_policy_params(len(vocab), 8, 8, seed=0)
@@ -552,3 +604,165 @@ class TestStepMemoryMapped:
         assert masked
         assert len(score_batch(params, [ex.context_tokens.ids for ex in examples], 24)) == 12
         assert span_hit_metrics(params, examples, "learned-top1").n_examples == 12
+        assert grad_check_suite(n_seeds=2)["pass"]
+        assert reverse_helper.requests == requests
+
+
+# Trains tiny_config() twice in a fresh process, the reverse helper's
+# conditions permitting, and prints the parameters' SHA-256, the helper
+# requests made, the helper's pid and the time training ended on the
+# system-wide monotonic clock.
+TRAIN_TWICE = textwrap.dedent("""
+    import hashlib
+    import time
+
+    from maskpolicy import reverse_helper
+    from maskpolicy.training import TrainConfig, train_policy
+    from synth import synth_examples
+
+    data = synth_examples(20, seed=3)
+    cfg = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=4, optimizer="adam",
+                      max_input_len=24, seed=0, d_emb=6, d_h=6)
+    for _ in range(2):
+        params, _ = train_policy(data[:14], data[14:], cfg)
+    h = hashlib.sha256()
+    for name, t in params.named_parameters():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    helper = reverse_helper._helper
+    print(h.hexdigest(), reverse_helper.requests, helper and helper.process.pid,
+          time.monotonic(), flush=True)
+""")
+
+
+def run_fresh(script, **popen):
+    """The output and the ended process of a fresh interpreter that ran
+    `script` with BLAS pinned to one thread and exited with 0."""
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    with subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                          text=True, **popen) as proc:
+        try:
+            out, _ = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0
+    return out, proc
+
+
+@pytest.mark.skipif(not LINUX, reason="the reverse helper is forked on Linux only")
+class TestReverseHelper:
+    """With two CPUs, BLAS pinned and a process that is not daemonic,
+    train_policy runs each layer's reverse direction in a helper process
+    (reverse_helper); the bytes of every result are the serial path's."""
+
+    @pytest.mark.parametrize("condition", ["one-cpu", "unpinned", "daemonic"])
+    def test_a_condition_missing_keeps_the_serial_path(self, monkeypatch, two_cpus, condition):
+        def refuse():
+            raise AssertionError("the reverse helper was started")
+
+        monkeypatch.setattr(reverse_helper, "_Helper", refuse)
+        pin_blas(monkeypatch, condition != "unpinned")
+        if condition == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if condition == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        requests = reverse_helper.requests
+        train_policy(*split(synth_examples(20, seed=3)), tiny_config())
+        assert reverse_helper.requests == requests
+
+    def test_a_reverse_direction_warning_surfaces_in_the_caller(self, monkeypatch, two_cpus):
+        # The reverse direction's input product overflows; the forward
+        # direction's does not. The warning, its place in lstm, a raise under
+        # np.errstate and the states are the serial path's.
+        pin_blas(monkeypatch, True)
+        rows = Tensor(np.ones((3, 2)))
+        index = np.array([[0, 1], [2, 0]])
+        fwd = LstmCellParams(Tensor(np.full((8, 4), 0.5)), Tensor(np.zeros(8)))
+        W = np.zeros((8, 4))
+        W[:, :2] = 1e308
+        bwd = LstmCellParams(Tensor(W), Tensor(np.zeros(8)))
+        layer = functools.partial(bilstm_sequence, rows, index, [2, 1], fwd, bwd)
+
+        def warned():
+            with pytest.warns(RuntimeWarning, match="overflow encountered in matmul") as caught:
+                out = layer().data
+            return out, [(w.filename, w.lineno) for w in caught]
+
+        want = warned()
+        with reverse_helper.two_processes():
+            requests = reverse_helper.requests
+            got = warned()
+            assert reverse_helper.requests > requests
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[1][0][0] == lstm.__file__
+        # np.errstate, and pytest's error::RuntimeWarning, as on the serial
+        # path. A helper takes the errstate it was forked in, so the first
+        # two blocks reuse the one forked outside any errstate; an exception
+        # that escapes a block discards it.
+        helper = reverse_helper._helper
+        with np.errstate(over="ignore"), reverse_helper.two_processes():
+            np.testing.assert_array_equal(layer().data, want[0])
+        assert reverse_helper._helper is helper
+        for raised, errstate in ((FloatingPointError, {"over": "raise"}), (RuntimeWarning, {})):
+            with pytest.raises(raised), np.errstate(**errstate), reverse_helper.two_processes():
+                layer()
+
+    def test_another_threads_layers_stay_serial(self, monkeypatch, two_cpus):
+        # Only the thread inside two_processes() uses the helper's pipe, even
+        # when another thread enters it meanwhile.
+        pin_blas(monkeypatch, True)
+        vocab = synth_vocab()
+        batch = [ex.context_tokens.ids for ex in synth_examples(12, 5, vocab)]
+        params = init_policy_params(len(vocab), 8, 8, seed=0)
+        want = score_batch(params, batch, 24)
+        got = []
+
+        def other():
+            with reverse_helper.two_processes():
+                got.append(score_batch(params, batch, 24))
+
+        with reverse_helper.two_processes():
+            requests = reverse_helper.requests
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and reverse_helper.requests == requests
+            got.append(score_batch(params, batch, 24))
+            assert reverse_helper.requests > requests
+        assert len(got) == 2
+        for logits in got:
+            for pair, want_pair in zip(logits, want, strict=True):
+                for g, w in zip(pair, want_pair, strict=True):
+                    np.testing.assert_array_equal(g, w)
+
+    def test_training_after_a_diverged_run_gives_a_fresh_process_bytes(self, monkeypatch,
+                                                                       two_cpus):
+        # The diverged run's helper is killed, and the next run forks another.
+        pin_blas(monkeypatch, True)
+        train_policy(*split(synth_examples(20, seed=3)), tiny_config())
+        diverged = reverse_helper._helper
+        data = synth_examples(40, seed=3)
+        cfg = TrainConfig(epochs=4, learning_rate=1e308, batch_size=32, d_emb=8, d_h=8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
+            train_policy(data[:30], data[30:], cfg)
+        assert reverse_helper._helper is None and diverged.process.exitcode is not None
+        requests = reverse_helper.requests
+        params, _ = train_policy(*split(synth_examples(20, seed=3)), tiny_config())
+        assert reverse_helper.requests > requests
+        out, _ = run_fresh(TRAIN_TWICE)
+        assert out.split()[0] == params_sha256(params)
+
+    def test_a_training_process_leaves_no_process_behind(self):
+        # The benchmark's "left a process running" verdict: the helper ends
+        # with the process that started it.
+        out, proc = run_fresh(TRAIN_TWICE, start_new_session=True)
+        exited = time.monotonic()
+        _, requests, pid, trained = out.split()
+        assert exited - float(trained) < 5
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert int(requests) > 0 and pid != "None"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
