@@ -123,24 +123,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _wrap(a.data * s, (a,), backward)
 
 
-# --- gathers ---------------------------------------------------------------
-
-def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of a (V, d) table; gradients scatter-add back."""
-    if table.ndim != 2:
-        raise ShapeMismatchError("embed_rows", table.shape)
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise ShapeMismatchError(f"embed_rows(ids within [0, {table.shape[0]}))", table.shape)
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _wrap(table.data[idx], (table,), backward)
-
-
 # --- backward pass ----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .baselines import RANDOM_MASK_RATE
 from .checkpoint import atomic_output, load_checkpoint, write_checkpoint
 from .corpus import Vocab, build_vocab, load_anchor_dataset, read_json, write_json
 from .corruption import (
@@ -48,7 +49,7 @@ _DEFAULTS = {
                     "max_input_len": DEFAULT_MAX_INPUT_LEN, "seed": 0},
     "mask-corpus": {"mode": MODE_TOP1, "seed": 0, "workers": 1,
                     "chunk_len": DEFAULT_MAX_INPUT_LEN,
-                    "max_span_len": DEFAULT_MAX_SPAN_LEN, "rate": 0.15},
+                    "max_span_len": DEFAULT_MAX_SPAN_LEN, "rate": RANDOM_MASK_RATE},
     "compare": {},
     "grad-check": {"seeds": 100, "max_len": 12},
 }

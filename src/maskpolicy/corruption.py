@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -17,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import (
+    RANDOM_MASK_RATE,
     MaskDecisions,
     random_span_mask,
     random_span_proposer,
@@ -212,7 +214,7 @@ class PolicySpec:
 
     kind: str
     mode: str = MODE_TOP1
-    rate: float = 0.15
+    rate: float = RANDOM_MASK_RATE
     max_span_len: int = DEFAULT_MAX_SPAN_LEN
     max_input_len: int = DEFAULT_MAX_INPUT_LEN
     params: PolicyParams | None = None
@@ -394,7 +396,8 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     cut from the corpus's chunk stream in order, so the makeup of every
     batch, and with it every score, is the same for any worker count. The
     baselines work one document at a time: holding a batch of chunks
-    would only keep their token objects alive longer."""
+    would only keep their token objects alive longer. The pool starts at
+    most one process per CPU this process may run on."""
     spec.validate()
     if workers < 1:
         raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
@@ -416,7 +419,9 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     if workers == 1:
         examples, fallbacks, skipped = _collect(_mask_job(job, *args) for job in jobs)
     else:
-        with multiprocessing.Pool(processes=workers, initializer=_init_worker,
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with multiprocessing.Pool(processes=min(workers, cpus), initializer=_init_worker,
                                   initargs=args) as pool:
             # imap, unlike map, does not list the jobs first, so workers
             # start scoring while this process still tokenizes and chunks.

@@ -1,4 +1,4 @@
-"""Bidirectional LSTM layers as one whole-sequence op on the autodiff tape.
+"""Bidirectional LSTM layers over plain arrays, each with its own backward.
 
 A batch is time-major and ragged: position (t, b) is step t of row b,
 and row b holds lengths[b] real steps followed by padding. The input is
@@ -56,8 +56,8 @@ its GEMM and gate math on that prefix only. Rows outside it keep zero
 state and zero output, so the reverse direction of every row starts
 from zero state at its own last real step.
 
-On the tape a layer is one node with a hand-derived backward: BPTT
-through each direction, then each position's two input gradients
+Recording, a layer also returns its backward: BPTT through each
+direction, then each position's two input gradients
 added and scatter-added once onto the U rows. Every gate factor that
 does not depend on the carried dh and dc is computed for all steps at
 once before the reverse loop; the loop then updates dc, writes the
@@ -72,10 +72,9 @@ state input and a zero row at the direction's first step; with OpenBLAS
 for bit (tests/test_lstm.py TestBlasRowFacts). A batch's dW and db are
 then bit for bit the sum, in that order, of its columns' own as batches
 of one, and so are its rows' gradients when no two columns read the same
-row. Under no_grad, or when nothing needs a gradient, the op
-keeps no per-step state.
+row. Unless recording, the op keeps no per-step state.
 
-The backward runs once per forward (see autodiff) and frees the state
+The backward runs once per forward and frees the state
 it records as it spends it. A direction records its gates, cells and
 tanh(cells), but no copy of its hidden states: dW_h reads each step's
 state input from the layer's output rows. The cells and tanh(cells) are
@@ -94,26 +93,10 @@ reverse direction runs meanwhile in a helper process, the same
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, grad_enabled
 from .errors import ShapeMismatchError
-
-
-@dataclass
-class LstmCellParams:
-    W: Tensor  # (4*hidden, input_size + hidden)
-    b: Tensor  # (4*hidden,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
 
 
 def _sigmoid_fold(hid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,25 +315,26 @@ def _reverse_here(rows, index, lengths, is_live, W, bias, record):
 reverse_direction = _reverse_here
 
 
-def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: LstmCellParams,
-                    order=None) -> Tensor:
-    """One bidirectional layer: U input rows (U, D) read through a (T, B)
-    index -> (T*B, 2H) time-major rows, each the forward state followed by
-    the reverse state.
+def bilstm_sequence(rows: np.ndarray, index, lengths, fwd, bwd, order=None, record=False):
+    """One bidirectional layer, each direction's weights a pair (W, b): U
+    input rows (U, D) read through a (T, B) index -> (T*B, 2H) time-major
+    rows, each the forward state followed by the reverse state, and a
+    backward that is None unless `record`.
 
     The batch's rows come longest first: lengths must not increase from
     one row to the next. Steps at or past lengths[b] are padding: they
     neither read nor write row b's state, and their outputs are zero.
-    On the tape, each weight's gradient adds the columns' own gradients
-    in `order`, a permutation of the columns (by default left to right)."""
-    hid = fwd.hidden_size
-    for cell in (fwd, bwd):
-        W, b = cell.W, cell.b
-        if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],) or W.shape != fwd.W.shape:
+    backward maps the rows' gradient to (d_rows, dW_f, db_f, dW_b, db_b),
+    each weight's adding the columns' own in `order`, a permutation of
+    the columns (by default left to right)."""
+    (W_f, b_f), (W_b, b_b) = fwd, bwd
+    hid = W_f.shape[0] // 4
+    for W, b in (fwd, bwd):
+        if W.ndim != 2 or W.shape[0] % 4 or b.shape != (W.shape[0],) or W.shape != W_f.shape:
             raise ShapeMismatchError("bilstm_sequence(W vs b vs forward W)", W.shape, b.shape,
-                                     fwd.W.shape)
-    if rows.ndim != 2 or rows.shape[1] != fwd.input_size:
-        raise ShapeMismatchError("bilstm_sequence(rows vs W)", rows.shape, fwd.W.shape)
+                                     W_f.shape)
+    if rows.ndim != 2 or rows.shape[1] != W_f.shape[1] - hid:
+        raise ShapeMismatchError("bilstm_sequence(rows vs W)", rows.shape, W_f.shape)
     index = np.asarray(index, dtype=np.intp)
     if index.ndim != 2 or index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
         raise ShapeMismatchError(f"bilstm_sequence(index within [0, {rows.shape[0]}))",
@@ -365,21 +349,16 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
     if sorted(order) != list(range(B)):
         raise ShapeMismatchError("bilstm_sequence(order a permutation of the columns)",
                                  (len(order),), (T, B))
-    parents = (rows, fwd.W, fwd.b, bwd.W, bwd.b)
-    record = grad_enabled() and any(p.requires_grad for p in parents)
-
     is_live = lengths > np.arange(T)[:, None]
     lengths = lengths.tolist()
     # The reverse direction is started first and finished after the forward
     # direction has run, so that a helper process can run it meanwhile.
-    finish_b = reverse_direction(rows.data, index, lengths, is_live, bwd.W.data, bwd.b.data,
-                                 record)
-    out_f, back_f = _direction(rows.data, index, lengths, is_live, fwd.W.data, fwd.b.data,
-                               False, record)
+    finish_b = reverse_direction(rows, index, lengths, is_live, W_b, b_b, record)
+    out_f, back_f = _direction(rows, index, lengths, is_live, W_f, b_f, False, record)
     out_b, back_b = finish_b()
     out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)
     if not record:
-        return Tensor(out)
+        return out, None
 
     def backward(grad):
         grad = grad.reshape(T, B, 2 * hid)
@@ -394,9 +373,9 @@ def bilstm_sequence(rows: Tensor, index, lengths, fwd: LstmCellParams, bwd: Lstm
         # Scattered element by element onto the raveled rows: np.add.at on
         # the 2-D operand takes about 4x as long for the same sums.
         D = rows.shape[1]
-        d_rows = np.zeros_like(rows.data)
+        d_rows = np.zeros_like(rows)
         np.add.at(d_rows.reshape(-1), (index[is_live][:, None] * D + np.arange(D)).reshape(-1),
                   dx.reshape(-1))
         return d_rows, dw_f, db_f, dw_b, db_b
 
-    return _wrap(out, parents, backward)
+    return out, backward

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, embed_rows, grad_enabled, no_grad
+from .autodiff import Tensor, _wrap, grad_enabled, no_grad
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
@@ -27,7 +27,7 @@ from .errors import (
     SequenceTooLongError,
     ShapeMismatchError,
 )
-from .lstm import LstmCellParams, bilstm_sequence
+from .lstm import bilstm_sequence
 
 DEFAULT_MAX_INPUT_LEN = 128
 DEFAULT_MAX_SPAN_LEN = 10
@@ -107,10 +107,6 @@ class PolicyParams:
     def d_h(self) -> int:
         return self.tensors["lstm1.fwd.b"].shape[0] // 4
 
-    def cell(self, prefix: str) -> LstmCellParams:
-        """The weights of one LSTM layer-direction, e.g. "lstm1.fwd"."""
-        return LstmCellParams(W=self.tensors[f"{prefix}.W"], b=self.tensors[f"{prefix}.b"])
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.tensors.items())
 
@@ -181,7 +177,9 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     gradients apart (see bilstm_sequence and _head), every gradient is the
     sum of the sequences' own, each as in a batch of that sequence alone,
     added in input order. A padded column may add a row for its padding's
-    id 0, which no step reads."""
+    id 0, which no step reads. The embedding gather and both layers are
+    one tape node, the hidden states; its backward runs layer 2's, drops
+    it, runs layer 1's and scatter-adds onto the embedding's gradient."""
     seqs = [_checked_ids(params, ids, max_input_len) for ids in batch]
     if not seqs:
         raise EmptySequenceError("policy forward on an empty batch")
@@ -192,14 +190,29 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     key = np.zeros((T, B), dtype=np.intp)
     for c, b in enumerate(order):
         key[:lengths[c], c] = seqs[b]
-    if grad_enabled():
+    record = grad_enabled()
+    if record:
         key += params.vocab_size * order
     distinct, index = np.unique(key, return_inverse=True)
-    layer1 = bilstm_sequence(embed_rows(params.embedding, distinct % params.vocab_size),
-                             index.reshape(T, B), lengths, params.cell("lstm1.fwd"),
-                             params.cell("lstm1.bwd"), columns)
-    hidden = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths,
-                             params.cell("lstm2.fwd"), params.cell("lstm2.bwd"), columns)
+    ids = distinct % params.vocab_size
+    # The embedding, then lstm1's and lstm2's (W, b) forward and reverse.
+    parents = [t for name, t in params.tensors.items() if not name.startswith("head.")]
+    w = [p.data for p in parents]
+    layer1, back1 = bilstm_sequence(w[0][ids], index.reshape(T, B), lengths, w[1:3], w[3:5],
+                                    columns, record)
+    layer2, back2 = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths, w[5:7],
+                                    w[7:9], columns, record)
+
+    def backward(grad):
+        nonlocal back2
+        d_layer1, *d_lstm2 = back2(grad)
+        back2 = None  # layer 2's recorded state goes before layer 1's backward
+        d_rows, *d_lstm1 = back1(d_layer1)
+        d_embedding = np.zeros_like(w[0])
+        np.add.at(d_embedding, ids, d_rows)
+        return d_embedding, *d_lstm1, *d_lstm2
+
+    hidden = _wrap(layer2, parents, backward)
     start_logits, end_logits = (_head(hidden, params.tensors[f"head.{h}.w"], lengths, columns)
                                 for h in ("start", "end"))
     return start_logits, end_logits, columns

@@ -4,7 +4,7 @@ A layer's forward and reverse directions share no state until
 `lstm.bilstm_sequence` joins their outputs, and threads cannot run them
 at once (numpy holds the GIL between BLAS calls). Inside
 `two_processes()`, which `train_policy` enters, the reverse direction
-of every layer, its forward and on the tape its backward, runs in one
+of every layer, its forward and when recording its backward, runs in one
 helper process while the calling process runs the forward direction.
 The helper calls the same `lstm._direction` on byte-identical inputs,
 so every output, gradient and log is the serial path's bit for bit.

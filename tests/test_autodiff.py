@@ -1,6 +1,6 @@
 """Tensor core: op values, backward rules, and the gradient checker,
-plus the span loss, the one loss op on the tape, and the join of a
-BiLSTM layer's two directions."""
+plus the span loss, the one loss op on the tape, and the policy's
+encoder node (the embedding and both BiLSTM layers)."""
 
 import math
 import pickle
@@ -16,7 +16,6 @@ from maskpolicy.autodiff import (
     add,
     backward,
     clip_grad_norm,
-    embed_rows,
     grad_check,
     no_grad,
     scale,
@@ -30,7 +29,7 @@ from maskpolicy.errors import (
     ShapeMismatchError,
     SpanOutOfBoundsError,
 )
-from maskpolicy.lstm import LstmCellParams, bilstm_sequence
+from maskpolicy.policy import forward_batch, init_policy_params
 from maskpolicy.training import span_loss
 
 
@@ -62,11 +61,6 @@ class TestOpValues:
         big = Tensor([1000.0, 0.0])
         assert span_loss(big, big, Span(0, 0)).data == pytest.approx(0.0, abs=1e-12)
         assert span_loss(big, big, Span(1, 1)).data == pytest.approx(2000.0, abs=1e-9)
-
-    def test_embed_rows_gathers(self):
-        table = param([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        out = embed_rows(table, [2, 0, 2])
-        assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
 
     def test_scalar_broadcast_add(self):
         # add takes two tensors of one shape; a single element does not
@@ -130,21 +124,16 @@ class TestShapeAndFiniteness:
                 with pytest.raises(NonFiniteError):
                     Tensor(values)
 
-    def test_embed_rows_bad_index(self):
-        table = param([[1.0], [2.0]])
-        with pytest.raises(ShapeMismatchError):
-            embed_rows(table, [0, 5])
-
 
 class TestBackward:
     def test_linear_case_gradient_is_input(self):
-        # d(x w)/dw is x, through a scaling and through a gather of rows
+        # d(x w)/dw is x, through a scaling and through a product
         w = param([1.5])
         backward(scale(w, -2.5))
         assert w.grad.tolist() == [-2.5]
         table = param([[1.0, -2.0, 0.5]])
         x = Tensor([[3.0, 4.0, 5.0]])
-        backward(dot(embed_rows(table, [0]), x))
+        backward(dot(table, x))
         assert table.grad.tolist() == x.data.tolist()
 
     def test_span_loss_is_one_node(self):
@@ -221,21 +210,19 @@ def tape_nodes(loss):
 
 class TestConsumedTape:
     def build(self):
-        # a parameter read by several ops, one of them twice, and a BiLSTM layer
-        rng = np.random.default_rng(5)
+        # a parameter read by several ops, one of them twice, and the
+        # policy's encoder node and heads over a ragged batch
         w = param([0.3, -1.2, 2.0])
         mid = add(w, scale(w, -1.5))
-        rows, index = param(rng.uniform(-1, 1, size=(3, 2))), [[0, 1], [2, 2], [1, 0]]
-        cells = [LstmCellParams(param(rng.uniform(-1, 1, size=(4, 3))), param(np.zeros(4)))
-                 for _ in range(2)]
-        states = bilstm_sequence(rows, index, [3, 2], *cells)
-        loss = add(add(dot(w, w), span_loss(mid, mid, Span(1, 2))), dot(states, states))
-        return loss, [w, rows] + [t for c in cells for t in (c.W, c.b)]
+        params = init_policy_params(4, 2, 1, seed=5)
+        start, end, _ = forward_batch(params, [[0, 2, 2], [3, 2]])
+        loss = add(add(dot(w, w), span_loss(mid, mid, Span(1, 2))), dot(start, end))
+        return loss, [w] + [t for _, t in params.named_parameters()]
 
     def test_backward_drops_every_rule_parent_and_inner_gradient(self):
         loss, leaves = self.build()
         nodes = tape_nodes(loss)
-        assert len(nodes) == 8
+        assert len(nodes) == 10
         backward(loss)
         for node in nodes:
             assert node._backward is _consumed
@@ -304,7 +291,7 @@ class TestGradCheck:
         assert grad_check(lambda: dot(theta, theta), [theta]) < 1e-8
 
 
-OPS = ["add", "scale", "bilstm_join", "embed_rows", "span_loss", "span_loss_shared_head"]
+OPS = ["add", "scale", "encoder", "span_loss", "span_loss_shared_head"]
 
 
 def square_sum(t):
@@ -321,16 +308,20 @@ def build_op_loss(name, rng):
     if name == "scale":
         a = param(v(4))
         return lambda: square_sum(scale(a, -1.7)), [a]
-    if name == "bilstm_join":
-        # Both directions' states joined per position, over 3 rows that a
-        # ragged (3, 2) index reads with repeats.
-        rows, index = param(v(3, 2)), rng.integers(0, 3, size=(3, 2))
-        cells = [LstmCellParams(param(v(4, 3)), param(v(4))) for _ in range(2)]
-        return (lambda: square_sum(bilstm_sequence(rows, index, [3, 2], *cells)),
-                [rows] + [t for c in cells for t in (c.W, c.b)])
-    if name == "embed_rows":
-        a = param(v(4, 2))
-        return lambda: square_sum(embed_rows(a, [0, 2, 2, 3])), [a]
+    if name == "encoder":
+        # The embedding and both layers' directions under one node, read
+        # through the heads (at d_h = 1 their two weights span the hidden
+        # states), over a ragged batch that repeats ids in and across windows.
+        params = init_policy_params(4, 2, 1)
+        for _, t in params.named_parameters():
+            t.data[...] = v(*t.shape)
+        batch = [rng.integers(0, 4, size=3).tolist(), rng.integers(0, 4, size=2).tolist()]
+
+        def loss():
+            start, end, _ = forward_batch(params, batch)
+            return add(square_sum(start), square_sum(end))
+
+        return loss, [t for _, t in params.named_parameters()]
     if name == "span_loss":
         a, b = param(v(5)), param(v(5))
         start = int(rng.integers(0, 5))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -243,6 +245,43 @@ class TestMaskCorpus:
     def test_bad_worker_count(self, small_corpus, vocab):
         with pytest.raises(MaskPolicyError):
             mask_corpus([small_corpus], vocab, PolicySpec(kind="random15"), workers=0)
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_pool_has_at_most_one_process_per_usable_cpu(self, monkeypatch, tmp_path, vocab,
+                                                         affinity):
+        # a pool that records its size and runs the jobs in this process: a
+        # million workers ask for one process per CPU this process may run
+        # on, start none here, and give the serial run's output
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        p = tmp_path / "corpus.txt"
+        write_corpus(p, [f"a b c d {'a ' * (i % 5)}b" for i in range(40)])
+        spec = PolicySpec(kind="random15")
+        serial = mask_corpus([p], vocab, spec, chunk_len=4, global_seed=3)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        got = mask_corpus([p], vocab, spec, chunk_len=4, global_seed=3, workers=10**6)
+        assert sizes == [3 if affinity else 5]
+        assert multiprocessing.active_children() == []
+        assert got == serial
 
     def test_fully_masked_chunks_skipped_not_fatal(self, tmp_path, vocab):
         # a one-token chunk under a span policy would mask everything

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from maskpolicy import corruption, evaluation, policy, training
-from maskpolicy.autodiff import Tensor, embed_rows, no_grad
+from maskpolicy.autodiff import Tensor, no_grad
 from maskpolicy.errors import (
     EmptySequenceError,
     InvalidOptionError,
     MaskPolicyError,
     NoCandidatesError,
+    NonFiniteError,
     SequenceTooLongError,
     ShapeMismatchError,
 )
@@ -75,6 +76,17 @@ class TestForward:
         a = forward(params, [1, 2, 3])[0].data
         b = forward(params, [1, 2, 3])[0].data
         assert np.array_equal(a, b)
+
+    def test_non_finite_output_rejected(self):
+        # a NaN LSTM bias: the hidden states (3 positions, 2H = 4) are the
+        # first tensor that is not finite, on the tape and off it
+        params = small_params()
+        params.tensors["lstm1.fwd.b"].data[:] = np.nan
+        for run in (lambda: forward_batch(params, [[1, 2, 3]]),
+                    lambda: score_batch(params, [[1, 2, 3]])):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteError, match=r"shape \(3, 4\)"):
+                run()
 
 
 class TestSpanLoss:
@@ -242,14 +254,13 @@ def gathered_logits(params, batch):
     for c, b in enumerate(order):
         ids[:len(batch[b]), c] = batch[b]
     positions = np.arange(T * B).reshape(T, B)
-    with no_grad():
-        hidden = embed_rows(params.embedding, ids.reshape(-1))
-        for layer in ("lstm1", "lstm2"):
-            hidden = bilstm_sequence(hidden, positions, lengths, params.cell(f"{layer}.fwd"),
-                                     params.cell(f"{layer}.bwd"))
-    w = params.tensors
-    start, end = (np.vecdot(hidden.data, w[f"head.{h}.w"].data).reshape(T, B)
-                  for h in ("start", "end"))
+    w = {name: t.data for name, t in params.named_parameters()}
+    hidden = w["embedding"][ids.reshape(-1)]
+    for layer in ("lstm1", "lstm2"):
+        hidden, _ = bilstm_sequence(hidden, positions, lengths,
+                                    *((w[f"{layer}.{d}.W"], w[f"{layer}.{d}.b"])
+                                      for d in ("fwd", "bwd")))
+    start, end = (np.vecdot(hidden, w[f"head.{h}.w"]).reshape(T, B) for h in ("start", "end"))
     got = {b: (start[:len(batch[b]), c], end[:len(batch[b]), c]) for c, b in enumerate(order)}
     return [got[b] for b in range(B)]
 
@@ -275,23 +286,22 @@ class TestDistinctIds:
 
 
 def layer1_rows(monkeypatch, params, batch):
-    """The ids forward_batch hands to embed_rows, and per sequence, in
-    input order, the rows its positions read."""
-    seen = {}
-
-    def recording_embed_rows(table, ids):
-        seen["ids"] = np.asarray(ids)
-        return embed_rows(table, ids)
+    """The ids of the embedding rows forward_batch hands to the first
+    layer, and per sequence, in input order, the rows its positions read."""
+    seen = []
 
     def recording_bilstm_sequence(rows, index, *args):
-        seen.setdefault("index", np.asarray(index))
+        seen.append((rows, np.asarray(index)))
         return bilstm_sequence(rows, index, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(policy, "embed_rows", recording_embed_rows)
         patch.setattr(policy, "bilstm_sequence", recording_bilstm_sequence)
         _, _, columns = forward_batch(params, batch)
-    return seen["ids"], [seen["index"][:len(ids), c] for ids, c in zip(batch, columns)]
+    rows, index = seen[0]
+    # every row of the embedding is distinct, so a row names its id
+    matches = (rows[:, None, :] == params.embedding.data[None]).all(axis=2)
+    assert (matches.sum(axis=1) == 1).all()
+    return matches.argmax(axis=1), [index[:len(ids), c] for ids, c in zip(batch, columns)]
 
 
 class TestLayerOneRows:

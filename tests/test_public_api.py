@@ -2,7 +2,7 @@
 it, still exist: a deletion that would break `perfbench` fails here at
 once rather than as an import error partway through a benchmark run.
 And every public function of the autodiff core has a caller in the
-package or the benchmark."""
+package or the benchmark, and the BiLSTM modules import nothing from it."""
 
 import ast
 import importlib
@@ -78,3 +78,14 @@ def test_every_autodiff_function_has_a_caller():
               if inspect.isfunction(value) and value.__module__ == autodiff.__name__
               and not name.startswith("_")}
     assert sorted(public - _autodiff_calls()) == []
+
+
+def test_lstm_layers_stay_off_the_tape():
+    # the BiLSTM runs on plain arrays; forward_batch records it on the tape
+    for name in ("lstm.py", "reverse_helper.py"):
+        tree = ast.parse((SRC / "maskpolicy" / name).read_text(encoding="utf-8"))
+        imported = [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for name in (node.module or "", *(a.name for a in node.names))]
+        imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for a in node.names]
+        assert not [m for m in imported if m.split(".")[-1] == "autodiff"], name

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from maskpolicy import lstm, policy, reverse_helper, training
-from maskpolicy.autodiff import Tensor, add, backward, grad_check, scale
+from maskpolicy.autodiff import add, backward, grad_check, scale
 from maskpolicy.checkpoint import save_checkpoint
 from maskpolicy.corpus import Span, Vocab
 from maskpolicy.corruption import PolicySpec, mask_corpus
@@ -30,7 +30,7 @@ from maskpolicy.errors import (
     SequenceTooLongError,
 )
 from maskpolicy.evaluation import span_hit_metrics
-from maskpolicy.lstm import LstmCellParams, bilstm_sequence
+from maskpolicy.lstm import bilstm_sequence
 from maskpolicy.policy import (
     forward,
     forward_batch,
@@ -450,11 +450,11 @@ class TestStepMemory:
     gradients, so a training process holds one step's activations at a time."""
 
     def test_no_step_outlives_itself(self, monkeypatch):
-        # weak references to every bilstm_sequence backward closure and every
-        # gradient array that reaches the optimizer; none may be alive when
-        # the next step's forward or the epoch's validation starts
+        # weak references to every encoder and head backward closure and
+        # every gradient array that reaches the optimizer; none may be alive
+        # when the next step's forward or the epoch's validation starts
         held, seen = [], []
-        real_wrap, real_step = lstm._wrap, training.optimizer_step
+        real_wrap, real_step = policy._wrap, training.optimizer_step
 
         def wrap(out, parents, backward_fn):
             held.append(weakref.ref(backward_fn))
@@ -471,7 +471,7 @@ class TestStepMemory:
                 return fn(*args, **kwargs)
             return run
 
-        monkeypatch.setattr(lstm, "_wrap", wrap)
+        monkeypatch.setattr(policy, "_wrap", wrap)
         monkeypatch.setattr(training, "optimizer_step", step)
         monkeypatch.setattr(training, "forward_batch", entered(training.forward_batch))
         monkeypatch.setattr(training, "validation_loss", entered(training.validation_loss))
@@ -479,8 +479,10 @@ class TestStepMemory:
         train_policy(examples[:6], examples[6:], tiny_config(batch_size=2), 30)
         epoch = [("forward_batch", 0)] * 3 + [("validation_loss", 0)]
         assert seen == epoch * 2
-        # per step, two layers' closures and all 11 gradients, each an array
-        assert len(held) == 6 * (2 + 11)
+        # per step, the encoder's and both heads' closures and all 11
+        # gradients, each an array; per validation, the three closures
+        # its forward makes off the tape
+        assert len(held) == 6 * (3 + 11) + 2 * 3
 
     def test_peak_on_the_benchmark_shape(self, traced_peak):
         # the train benchmark's shape: d = 128, 4 full 128-token windows in
@@ -678,17 +680,17 @@ class TestReverseHelper:
         # direction's does not. The warning, its place in lstm, a raise under
         # np.errstate and the states are the serial path's.
         pin_blas(monkeypatch, True)
-        rows = Tensor(np.ones((3, 2)))
+        rows = np.ones((3, 2))
         index = np.array([[0, 1], [2, 0]])
-        fwd = LstmCellParams(Tensor(np.full((8, 4), 0.5)), Tensor(np.zeros(8)))
+        fwd = np.full((8, 4), 0.5), np.zeros(8)
         W = np.zeros((8, 4))
         W[:, :2] = 1e308
-        bwd = LstmCellParams(Tensor(W), Tensor(np.zeros(8)))
+        bwd = W, np.zeros(8)
         layer = functools.partial(bilstm_sequence, rows, index, [2, 1], fwd, bwd)
 
         def warned():
             with pytest.warns(RuntimeWarning, match="overflow encountered in matmul") as caught:
-                out = layer().data
+                out = layer()[0]
             return out, [(w.filename, w.lineno) for w in caught]
 
         want = warned()
@@ -704,7 +706,7 @@ class TestReverseHelper:
         # that escapes a block discards it.
         helper = reverse_helper._helper
         with np.errstate(over="ignore"), reverse_helper.two_processes():
-            np.testing.assert_array_equal(layer().data, want[0])
+            np.testing.assert_array_equal(layer()[0], want[0])
         assert reverse_helper._helper is helper
         for raised, errstate in ((FloatingPointError, {"over": "raise"}), (RuntimeWarning, {})):
             with pytest.raises(raised), np.errstate(**errstate), reverse_helper.two_processes():
