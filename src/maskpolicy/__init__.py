@@ -5,7 +5,7 @@ answer) pairs, then deploy it (or a random / salient-span baseline) to
 corrupt a tokenized corpus into mask-and-reconstruct examples.
 """
 
-from .autodiff import Tensor, backward, grad_check, no_grad
+from .autodiff import Tensor, backward, grad_check
 from .baselines import (
     MaskDecisions,
     SalientKind,
@@ -95,7 +95,6 @@ __all__ = [
     "load_anchor_dataset",
     "load_checkpoint",
     "mask_corpus",
-    "no_grad",
     "random_span_mask",
     "random_token_mask",
     "read_masked_jsonl",

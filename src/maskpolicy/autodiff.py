@@ -13,8 +13,9 @@ no gradients, and a training step holds one step's tape at a time.
 
 Everything is float64. Op outputs are checked finite on creation, so a
 NaN or Inf surfaces at the op that produced it instead of poisoning the
-rest of the pass. Inference code should run under no_grad() to skip tape
-construction entirely.
+rest of the pass. An op records only when a parent requires a gradient:
+inference builds no tape by passing no such parent, so each call, not
+the process, decides, and threads may train and score at once.
 """
 
 from __future__ import annotations
@@ -24,29 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConsumedTapeError, NonFiniteError, NonScalarLossError, ShapeMismatchError
-
-_grad_enabled = True
-
-
-def grad_enabled() -> bool:
-    """Whether ops record onto the tape (False inside no_grad)."""
-    return _grad_enabled
-
-
-class no_grad:
-    """Context manager that disables tape recording for its block."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -96,7 +74,7 @@ class Tensor:
 
 def _wrap(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -184,22 +162,21 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
-    with no_grad():
-        for p, a in zip(params, analytic):
-            # Perturb p.data in place: a reshaped copy of a non-contiguous
-            # array would leave f unchanged.
-            data = p.data
-            for idx in np.ndindex(data.shape):
-                orig = data[idx]
-                data[idx] = orig + eps
-                f_plus = f().item()
-                data[idx] = orig - eps
-                f_minus = f().item()
-                data[idx] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))
-                if rel > worst:
-                    worst = rel
+    for p, a in zip(params, analytic):
+        # Perturb p.data in place: a reshaped copy of a non-contiguous
+        # array would leave f unchanged.
+        data = p.data
+        for idx in np.ndindex(data.shape):
+            orig = data[idx]
+            data[idx] = orig + eps
+            f_plus = f().item()
+            data[idx] = orig - eps
+            f_minus = f().item()
+            data[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))
+            if rel > worst:
+                worst = rel
     return worst
 
 

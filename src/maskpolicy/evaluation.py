@@ -10,6 +10,7 @@ and token-level F1 of the top candidate, are averaged over the dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import (
@@ -65,25 +66,26 @@ class PolicyReport:
 
 
 # Per report field, in PolicyReport's order, the JSON types its value may
-# take and their name; a bool is not a number here, though Python counts
-# it as an int.
+# take, the closed range a number must lie in (NaN lies in none) and their
+# name; a bool is not a number here, though Python counts it as an int.
 _REPORT_FIELDS = {
-    "policy": ((str,), "a string"),
-    "em_at_1": ((int, float), "a number"),
-    "em_at_5": ((int, float), "a number"),
-    "token_f1_at_1": ((int, float), "a number"),
-    "answer_coverage": ((int, float, type(None)), "a number or null"),
-    "n": ((int,), "an integer"),
+    "policy": ((str,), None, "a string"),
+    "em_at_1": ((int, float), (0, 1), "a number in [0, 1]"),
+    "em_at_5": ((int, float), (0, 1), "a number in [0, 1]"),
+    "token_f1_at_1": ((int, float), (0, 1), "a number in [0, 1]"),
+    "answer_coverage": ((int, float, type(None)), (0, 1), "a number in [0, 1] or null"),
+    "n": ((int,), (1, math.inf), "an integer >= 1"),
 }
 
 
 def report_from_json_obj(obj: dict) -> PolicyReport:
-    """The report `obj` holds; a field that is missing or of the wrong
-    type raises an error naming it. answer_coverage may be left out."""
-    for key, (kinds, name) in _REPORT_FIELDS.items():
+    """The report `obj` holds; a field that is missing, mistyped or out
+    of range raises an error naming it. answer_coverage may be left out."""
+    for key, (kinds, bounds, name) in _REPORT_FIELDS.items():
         value = obj.get(key)
-        if type(value) is bool or not isinstance(value, kinds):
-            raise MaskPolicyError(f"field {key!r} is missing or not {name}")
+        if (type(value) is bool or not isinstance(value, kinds)
+                or value is not None and bounds and not bounds[0] <= value <= bounds[1]):
+            raise MaskPolicyError(f"field {key!r} is missing or not {name}, got {value!r}")
     return PolicyReport(*(obj.get(key) for key in _REPORT_FIELDS))
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, _wrap, grad_enabled, no_grad
+from .autodiff import Tensor, _wrap
 from .corpus import Chunk, Span
 from .errors import (
     EmptySequenceError,
@@ -143,12 +143,12 @@ def _checked_ids(params: PolicyParams, ids, max_input_len: int) -> list[int]:
     return ids
 
 
-def _head(hidden: Tensor, w: Tensor, lengths: list[int], order: list[int]) -> Tensor:
-    """One head's logits hidden @ w, flat (T*B,) like the hidden rows.
-    np.vecdot runs one dot product per row, so a row's logit does not
-    depend on the other rows, on the tape or off it (a padded row's zero
-    state gives 0, which no loss reads). The gradient of w adds the
-    columns' own in `order`, each as in a batch of one."""
+def _head(hidden: Tensor, w: Tensor, lengths: list[int], order: list[int], record) -> Tensor:
+    """One head's logits hidden @ w, flat (T*B,) like the hidden rows,
+    on the tape if `record`. np.vecdot runs one dot product per row, so a
+    row's logit does not depend on the other rows, on the tape or off it
+    (a padded row's zero state gives 0, which no loss reads). The gradient
+    of w adds the columns' own in `order`, each as in a batch of one."""
     B = len(lengths)
     states = hidden.data.reshape(-1, B, hidden.shape[1])
 
@@ -158,16 +158,17 @@ def _head(hidden: Tensor, w: Tensor, lengths: list[int], order: list[int]) -> Te
                                               @ g[:lengths[c], c].copy() for c in order))
         return np.outer(g, w.data).reshape(hidden.shape), d_w
 
-    return _wrap(np.vecdot(hidden.data, w.data), (hidden, w), backward)
+    return _wrap(np.vecdot(hidden.data, w.data), (hidden, w) if record else (), backward)
 
 
-def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
-                  ) -> tuple[Tensor, Tensor, list[int]]:
+def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN,
+                  record: bool = True) -> tuple[Tensor, Tensor, list[int]]:
     """Start and end logits of several id sequences as one padded batch,
     plus each sequence's column in it. The batch is sorted once, longest
     first (a stable sort), as the LSTM op requires; the logits are flat
     (T*B,) in time-major order over the sorted batch, and those at padded
-    positions are meaningless.
+    positions are meaningless. With `record` the logits are on the tape;
+    without it they have no parents and nothing is kept for a backward.
 
     Layer 1 reads the distinct values of a (T, B) key over the padded
     ids, one row each. Off the tape the key is the id, so a token repeated
@@ -190,7 +191,6 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     key = np.zeros((T, B), dtype=np.intp)
     for c, b in enumerate(order):
         key[:lengths[c], c] = seqs[b]
-    record = grad_enabled()
     if record:
         key += params.vocab_size * order
     distinct, index = np.unique(key, return_inverse=True)
@@ -212,16 +212,16 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
         np.add.at(d_embedding, ids, d_rows)
         return d_embedding, *d_lstm1, *d_lstm2
 
-    hidden = _wrap(layer2, parents, backward)
-    start_logits, end_logits = (_head(hidden, params.tensors[f"head.{h}.w"], lengths, columns)
-                                for h in ("start", "end"))
+    hidden = _wrap(layer2, parents if record else (), backward)
+    start_logits, end_logits = (_head(hidden, params.tensors[f"head.{h}.w"], lengths, columns,
+                                      record) for h in ("start", "end"))
     return start_logits, end_logits, columns
 
 
 def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LEN
             ) -> tuple[Tensor, Tensor]:
     """Per-position start and end logits for a token id sequence."""
-    start_logits, end_logits, _ = forward_batch(params, [ids], max_input_len)
+    start_logits, end_logits, _ = forward_batch(params, [ids], max_input_len, record=True)
     return start_logits, end_logits
 
 
@@ -237,8 +237,7 @@ def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_IN
     seqs = [list(ids) for ids in batch]
     if not seqs:
         return []
-    with no_grad():
-        start_logits, end_logits, columns = forward_batch(params, seqs, max_input_len)
+    start_logits, end_logits, columns = forward_batch(params, seqs, max_input_len, record=False)
     start = start_logits.data.reshape(-1, len(seqs))
     end = end_logits.data.reshape(-1, len(seqs))
     return [(start[:len(s), c].copy(), end[:len(s), c].copy()) for s, c in zip(seqs, columns)]

@@ -216,7 +216,8 @@ def _train_step(params: PolicyParams, opt, batch: list[tuple[tuple[int, ...], Sp
     # A diverging run overflows in the forward or in the loss, and the
     # tensor that would hold the value refuses it.
     try:
-        start, end, columns = forward_batch(params, [ids for ids, _ in batch], cfg.max_input_len)
+        start, end, columns = forward_batch(params, [ids for ids, _ in batch], cfg.max_input_len,
+                                            record=True)
         batch_loss = mean_span_loss(start, end, columns, batch)
     except NonFiniteError as e:
         raise NonFiniteLossError(epoch, batch_no, math.nan) from e

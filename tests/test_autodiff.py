@@ -17,7 +17,6 @@ from maskpolicy.autodiff import (
     backward,
     clip_grad_norm,
     grad_check,
-    no_grad,
     scale,
 )
 from maskpolicy.corpus import Span
@@ -178,12 +177,14 @@ class TestBackward:
         backward(add(w, w))
         assert w.grad == pytest.approx([2.0])
 
-    def test_no_grad_blocks_tape(self):
-        w = param([1.0, 2.0])
-        with no_grad():
-            out = add(w, w)
-        assert out.requires_grad is False
-        assert out._parents == ()
+    def test_an_op_whose_parents_need_no_gradient_records_nothing(self):
+        w = Tensor(np.array([1.0, 2.0]))
+        for out in (add(w, w), scale(w, 3.0)):
+            assert out.requires_grad is False
+            assert out._parents == () and out._backward is None
+        # one parent that needs a gradient is enough to record
+        out = add(w, param([1.0, 1.0]))
+        assert out.requires_grad is True and len(out._parents) == 2
 
     def test_values_bounded_inputs_stay_finite(self):
         rng = np.random.default_rng(7)

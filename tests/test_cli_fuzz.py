@@ -248,15 +248,17 @@ def test_checkpoint_nested_past_the_recursion_limit(workspace, tmp_path, command
 _GOOD_REPORT = {"policy": "salient", "em_at_1": 0.25, "em_at_5": 0.5,
                 "token_f1_at_1": 0.375, "answer_coverage": None, "n": 8}
 
-# Per report field, values of a JSON type it does not take. NaN is a
-# number, and answer_coverage may also be null or left out.
+# Per report field, values it does not take: of another JSON type, or
+# numbers no report holds. The shares lie in [0, 1] and n is at least 1;
+# NaN and Infinity (which json.dumps writes, though they are not JSON)
+# lie in no range. answer_coverage may also be null or left out.
 _REPORT_JUNK = {
     "policy": [None, True, 3, 2.5, [1], {"a": 1}],
-    "em_at_1": [None, True, "x", [1], {"a": 1}],
-    "em_at_5": [None, False, "x", "0.5", [1]],
-    "token_f1_at_1": [None, True, "x", [0.5], {}],
-    "answer_coverage": [True, "x", [1], {"a": 1}],
-    "n": [None, True, "4", 2.5, NAN, [1]],
+    "em_at_1": [None, True, "x", [1], {"a": 1}, NAN, INF, -INF, -0.25, 1.5],
+    "em_at_5": [None, False, "x", "0.5", [1], NAN, INF, 7.5, -1],
+    "token_f1_at_1": [None, True, "x", [0.5], {}, NAN, INF, 1.0000001, -1e-9],
+    "answer_coverage": [True, "x", [1], {"a": 1}, NAN, -INF, 2, -0.5],
+    "n": [None, True, "4", 2.5, NAN, INF, [1], 0, -3],
 }
 
 
@@ -301,6 +303,11 @@ def report_files(draw):
 @example((_report_bytes(em_at_5="x"), True, ["em_at_5"]))
 @example((_report_bytes(n="4"), True, ["n"]))
 @example((_report_bytes(policy=[1]), True, ["policy"]))
+@example((_report_bytes(em_at_1=NAN, em_at_5=NAN, token_f1_at_1=INF, n=-3), True,
+          ["em_at_1", "em_at_5", "token_f1_at_1", "n"]))
+@example((_report_bytes(em_at_5=7.5), True, ["em_at_5"]))
+@example((_report_bytes(em_at_1=0, em_at_5=1, token_f1_at_1=1.0, answer_coverage=0.0, n=1),
+          False, []))
 @example((_DEEP.encode("utf-8"), True, []))
 @example((b"{not json", True, []))
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 import masked_lstm_oracle
 from scalar_oracle import lstm_direction
 
-from maskpolicy.autodiff import Tensor, _wrap, backward, grad_check, grad_enabled, no_grad
+from maskpolicy.autodiff import Tensor, _wrap, backward, grad_check
 from maskpolicy.errors import ShapeMismatchError
 from maskpolicy.lstm import _prepare, _row_product, bilstm_sequence
 from maskpolicy.policy import init_policy_params
@@ -30,10 +30,13 @@ class Cell:
 def taped(rows, index, lengths, fwd, bwd, order=None):
     """bilstm_sequence over tensors as one tape node, its parents the rows
     and both directions' W and b, so that grad_check and backward reach
-    the op's hand-written backward."""
+    the op's hand-written backward. It records when a parent requires a
+    gradient, as a tape op does."""
+    parents = (rows, fwd.W, fwd.b, bwd.W, bwd.b)
     out, back = bilstm_sequence(rows.data, index, lengths, (fwd.W.data, fwd.b.data),
-                                (bwd.W.data, bwd.b.data), order, record=grad_enabled())
-    return _wrap(out, (rows, fwd.W, fwd.b, bwd.W, bwd.b), back)
+                                (bwd.W.data, bwd.b.data), order,
+                                record=any(p.requires_grad for p in parents))
+    return _wrap(out, parents, back)
 
 
 def zero_params(input_size, hidden):
@@ -514,8 +517,8 @@ class TestDistinctRows:
             want = taped(*as_rows(rows[index]), lengths, params, params).data
             got = taped(Tensor(rows, requires_grad=True), index, lengths, params, params)
             np.testing.assert_array_equal(got.data, want)
-            with no_grad():
-                plain = taped(Tensor(rows), index, lengths, params, params).data
+            weights = params.W.data, params.b.data
+            plain = bilstm_sequence(rows, index, lengths, weights, weights, record=False)[0]
             np.testing.assert_array_equal(plain, want)
 
     @pytest.mark.parametrize("index", [[[0, 2]], [[-1, 0]], [0, 1], [[[0]]]])
@@ -595,8 +598,9 @@ class TestMaskedOracle:
         params, data, lengths = self.build(kind, spec)
         rows, index = as_rows(data, requires_grad=True)
         on_tape = halves(taped(rows, index, lengths, params, params).data, index)
-        with no_grad():
-            plain = halves(taped(rows, index, lengths, params, params).data, index)
+        weights = params.W.data, params.b.data
+        plain = halves(bilstm_sequence(rows.data, index, lengths, weights, weights,
+                                       record=False)[0], index)
         for reverse in (False, True):
             want = masked_lstm_oracle.lstm_sequence(Tensor(data), lengths, params, reverse).data
             np.testing.assert_array_equal(on_tape[reverse], want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maskpolicy import corruption, evaluation, policy, training
-from maskpolicy.autodiff import Tensor, no_grad
+from maskpolicy.autodiff import Tensor
 from maskpolicy.errors import (
     EmptySequenceError,
     InvalidOptionError,
@@ -87,6 +87,18 @@ class TestForward:
             with np.errstate(invalid="ignore"), \
                     pytest.raises(NonFiniteError, match=r"shape \(3, 4\)"):
                 run()
+
+    def test_record_decides_the_tape(self):
+        # the same logits either way; only a recording call gives them parents
+        params = small_params()
+        batch = [[1, 2, 3], [4, 1]]
+        recorded = forward_batch(params, batch, record=True)
+        plain = forward_batch(params, batch, record=False)
+        for on, off in zip(recorded[:2], plain[:2]):
+            np.testing.assert_array_equal(on.data, off.data)
+            assert on.requires_grad is True and on._parents
+            assert off.requires_grad is False and off._parents == () and off._backward is None
+        assert recorded[2] == plain[2]
 
 
 class TestSpanLoss:
@@ -285,9 +297,10 @@ class TestDistinctIds:
             np.testing.assert_array_equal(end, want_end)
 
 
-def layer1_rows(monkeypatch, params, batch):
+def layer1_rows(monkeypatch, params, batch, record):
     """The ids of the embedding rows forward_batch hands to the first
-    layer, and per sequence, in input order, the rows its positions read."""
+    layer, on the tape or off it, and per sequence, in input order, the
+    rows its positions read."""
     seen = []
 
     def recording_bilstm_sequence(rows, index, *args):
@@ -296,7 +309,7 @@ def layer1_rows(monkeypatch, params, batch):
 
     with monkeypatch.context() as patch:
         patch.setattr(policy, "bilstm_sequence", recording_bilstm_sequence)
-        _, _, columns = forward_batch(params, batch)
+        _, _, columns = forward_batch(params, batch, record=record)
     rows, index = seen[0]
     # every row of the embedding is distinct, so a row names its id
     matches = (rows[:, None, :] == params.embedding.data[None]).all(axis=2)
@@ -311,8 +324,7 @@ class TestLayerOneRows:
     BATCH = [[4, 2, 4], [2, 5, 2, 6, 5], [6, 6], [3, 2, 4, 2, 3]]
 
     def test_off_the_tape_each_distinct_id_of_the_batch_once(self, monkeypatch):
-        with no_grad():
-            ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH)
+        ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH, record=False)
         batch_ids = {t for seq in self.BATCH for t in seq}
         assert len(set(ids.tolist())) == len(ids)
         assert batch_ids <= set(ids.tolist()) <= batch_ids | {0}  # 0 pads
@@ -320,7 +332,7 @@ class TestLayerOneRows:
             assert ids[rows].tolist() == seq
 
     def test_on_the_tape_each_window_its_own_rows_in_input_order(self, monkeypatch):
-        ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH)
+        ids, reads = layer1_rows(monkeypatch, small_params(), self.BATCH, record=True)
         for seq, rows in zip(self.BATCH, reads):
             assert ids[rows].tolist() == seq
             assert len(set(rows.tolist())) == len(set(seq))

@@ -2,7 +2,9 @@
 it, still exist: a deletion that would break `perfbench` fails here at
 once rather than as an import error partway through a benchmark run.
 And every public function of the autodiff core has a caller in the
-package or the benchmark, and the BiLSTM modules import nothing from it."""
+package or the benchmark, the BiLSTM modules import nothing from it, and
+the modules that train and score keep no process-wide state that a
+call could switch for every thread."""
 
 import ast
 import importlib
@@ -89,3 +91,12 @@ def test_lstm_layers_stay_off_the_tape():
         imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for a in node.names]
         assert not [m for m in imported if m.split(".")[-1] == "autodiff"], name
+
+
+def test_training_and_scoring_modules_rebind_no_module_state():
+    # whether a forward records is an argument of the call, never a
+    # module-level switch: a `global` statement would let one thread's call
+    # change what another thread's call does
+    for name in ("autodiff", "policy", "lstm", "training", "optim"):
+        tree = ast.parse((SRC / "maskpolicy" / f"{name}.py").read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)], name

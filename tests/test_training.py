@@ -768,3 +768,174 @@ class TestReverseHelper:
             assert int(requests) > 0 and pid != "None"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+
+
+THREAD_TIMEOUT = 120
+
+
+def wait(event):
+    assert event.wait(THREAD_TIMEOUT), "the other thread never got there"
+
+
+def hold(entered, until):
+    """A hook that signals `entered`, waits for `until`, then makes the call."""
+    def hook(call):
+        entered.set()
+        wait(until)
+        return call()
+    return hook
+
+
+def after(event, then):
+    """A hook that waits for `event`, makes the call, then signals `then`."""
+    def hook(call):
+        wait(event)
+        try:
+            return call()
+        finally:
+            then.set()
+    return hook
+
+
+def on_first_call(monkeypatch, module, name, hooks, off_the_tape=False):
+    """Patch module.name so that the first call by a thread named in
+    `hooks` (with off_the_tape, its first bilstm_sequence call that does
+    not record) runs as hooks[thread](call), `call` making the real one."""
+    real = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        record = kwargs.get("record", args[6] if len(args) > 6 else False)
+        hook = None if off_the_tape and record else hooks.pop(threading.current_thread().name,
+                                                              None)
+        call = functools.partial(real, *args, **kwargs)
+        return hook(call) if hook else call()
+
+    monkeypatch.setattr(module, name, patched)
+
+
+class Threads:
+    """Named threads; join() raises the first exception any of them raised
+    and otherwise returns their results by name."""
+
+    def __init__(self):
+        self.results, self.threads = {}, []
+
+    def start(self, name, fn):
+        def run():
+            try:
+                self.results[name] = fn()
+            except BaseException as e:
+                self.results[name] = e
+
+        self.threads.append(threading.Thread(target=run, name=name, daemon=True))
+        self.threads[-1].start()
+
+    def join(self):
+        for thread in self.threads:
+            thread.join(THREAD_TIMEOUT)
+            assert not thread.is_alive(), thread.name
+        for result in self.results.values():
+            if isinstance(result, BaseException):
+                raise result
+        return self.results
+
+
+@pytest.mark.parametrize("helper", [False, True], ids=["serial", "helper"])
+class TestThreads:
+    """Each forward_batch call decides whether it records, so threads of one
+    process may train and score at once: every thread gets the bytes of a
+    single-thread run, on the serial path and with the reverse helper
+    available (one thread uses it, the others stay serial). Events force
+    each overlap: a training step's forward starts while another thread is
+    inside an off-the-tape forward, or two off-the-tape forwards overlap."""
+
+    DATA = split(synth_examples(20, seed=3))
+
+    @staticmethod
+    def trained(seed):
+        params, log = train_policy(*TestThreads.DATA, tiny_config(epochs=3, seed=seed))
+        return params_sha256(params), hashlib.sha256(json.dumps(log.jsonl_records())
+                                                     .encode()).hexdigest()
+
+    @staticmethod
+    def scored():
+        params = init_policy_params(len(synth_vocab()), 6, 6, seed=5)
+        return score_batch(params, [ex.context_tokens.ids for ex in TestThreads.DATA[0]], 24)
+
+    @staticmethod
+    def assert_same_scores(got, want):
+        for pair, want_pair in zip(got, want, strict=True):
+            for g, w in zip(pair, want_pair, strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.fixture(autouse=True)
+    def setting(self, monkeypatch, two_cpus, helper):
+        pin_blas(monkeypatch, helper)
+        requests = reverse_helper.requests
+        yield
+        assert (reverse_helper.requests > requests) == (helper and LINUX)
+
+    def test_two_threads_train_with_different_seeds(self, monkeypatch):
+        # seed 1's first step starts while seed 0 is inside its first
+        # validation forward
+        want = {f"seed-{seed}": self.trained(seed) for seed in (0, 1)}
+        scoring, stepped = threading.Event(), threading.Event()
+        on_first_call(monkeypatch, policy, "bilstm_sequence", {"seed-0": hold(scoring, stepped)},
+                      off_the_tape=True)
+        on_first_call(monkeypatch, training, "forward_batch", {"seed-1": after(scoring, stepped)})
+        threads = Threads()
+        for seed in (0, 1):
+            threads.start(f"seed-{seed}", functools.partial(self.trained, seed))
+        assert threads.join() == want
+
+    def test_training_while_another_thread_scores(self, monkeypatch):
+        # the first step starts while the other thread is inside its first
+        # forward; after that the two run freely until training ends
+        want, want_scores = self.trained(0), self.scored()
+        scoring, stepped, done = threading.Event(), threading.Event(), threading.Event()
+
+        def score_until_done():
+            runs = 0
+            while not done.is_set():
+                self.assert_same_scores(self.scored(), want_scores)
+                runs += 1
+            return runs
+
+        def train():
+            try:
+                return self.trained(0)
+            finally:
+                done.set()
+
+        on_first_call(monkeypatch, policy, "bilstm_sequence", {"score": hold(scoring, stepped)},
+                      off_the_tape=True)
+        on_first_call(monkeypatch, training, "forward_batch", {"train": after(scoring, stepped)})
+        threads = Threads()
+        threads.start("score", score_until_done)
+        threads.start("train", train)
+        got = threads.join()
+        assert got["train"] == want and got["score"] >= 1
+
+    def test_training_after_two_threads_scored_at_once(self, monkeypatch):
+        # one enters its forward, the other enters its own, the first
+        # leaves, then the second
+        want, want_scores = self.trained(0), self.scored()
+        entered, second_in, first_out = (threading.Event() for _ in range(3))
+
+        def first():
+            try:
+                return self.scored()
+            finally:
+                first_out.set()
+
+        on_first_call(monkeypatch, policy, "bilstm_sequence",
+                      {"first": hold(entered, second_in), "second": hold(second_in, first_out)},
+                      off_the_tape=True)
+        threads = Threads()
+        threads.start("first", first)
+        wait(entered)
+        threads.start("second", self.scored)
+        for scores in threads.join().values():
+            self.assert_same_scores(scores, want_scores)
+        assert self.trained(0) == want
