@@ -397,7 +397,8 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     batch, and with it every score, is the same for any worker count. The
     baselines work one document at a time: holding a batch of chunks
     would only keep their token objects alive longer. The pool starts at
-    most one process per CPU this process may run on."""
+    most one process per CPU this process may run on; with one such CPU
+    the run is serial."""
     spec.validate()
     if workers < 1:
         raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
@@ -416,12 +417,14 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     else:
         jobs = docs
     args = (vocab, spec, chunk_len, global_seed)
-    if workers == 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # A pool of one process would be the serial path plus fork and pipe traffic.
+    processes = min(workers, cpus)
+    if processes == 1:
         examples, fallbacks, skipped = _collect(_mask_job(job, *args) for job in jobs)
     else:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with multiprocessing.Pool(processes=min(workers, cpus), initializer=_init_worker,
+        with multiprocessing.Pool(processes=processes, initializer=_init_worker,
                                   initargs=args) as pool:
             # imap, unlike map, does not list the jobs first, so workers
             # start scoring while this process still tokenizes and chunks.

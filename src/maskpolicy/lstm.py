@@ -82,12 +82,11 @@ dropped once the gate factors are computed, and the gates and the
 factors once the direction's BPTT has run.
 
 A layer's two directions share no state until their outputs are joined.
-`bilstm_sequence` starts the reverse direction through
-`reverse_direction` before it runs the forward direction, and finishes
-it after, its backward likewise. In this process that is the serial
-order; while `reverse_helper.two_processes()` holds (in training), the
-reverse direction runs meanwhile in a helper process, the same
-`_direction` on byte-identical inputs.
+`bilstm_sequence` starts the reverse direction through its `reverse`
+argument before it runs the forward direction, and finishes it after,
+its backward likewise. By default that is this process, in the serial
+order; training passes the runner of `reverse_helper.two_processes()`,
+which runs it meanwhile in a helper process, with the same bytes.
 """
 
 from __future__ import annotations
@@ -310,12 +309,8 @@ def _reverse_here(rows, index, lengths, is_live, W, bias, record):
     return finish
 
 
-# Where bilstm_sequence runs each layer's reverse direction: in this
-# process, or, while reverse_helper.two_processes() holds, in its helper.
-reverse_direction = _reverse_here
-
-
-def bilstm_sequence(rows: np.ndarray, index, lengths, fwd, bwd, order=None, record=False):
+def bilstm_sequence(rows: np.ndarray, index, lengths, fwd, bwd, order=None, record=False,
+                    reverse=None):
     """One bidirectional layer, each direction's weights a pair (W, b): U
     input rows (U, D) read through a (T, B) index -> (T*B, 2H) time-major
     rows, each the forward state followed by the reverse state, and a
@@ -326,7 +321,8 @@ def bilstm_sequence(rows: np.ndarray, index, lengths, fwd, bwd, order=None, reco
     neither read nor write row b's state, and their outputs are zero.
     backward maps the rows' gradient to (d_rows, dW_f, db_f, dW_b, db_b),
     each weight's adding the columns' own in `order`, a permutation of
-    the columns (by default left to right)."""
+    the columns (by default left to right). `reverse` runs the reverse
+    direction: `_reverse_here` by default, or reverse_helper's runner."""
     (W_f, b_f), (W_b, b_b) = fwd, bwd
     hid = W_f.shape[0] // 4
     for W, b in (fwd, bwd):
@@ -353,7 +349,7 @@ def bilstm_sequence(rows: np.ndarray, index, lengths, fwd, bwd, order=None, reco
     lengths = lengths.tolist()
     # The reverse direction is started first and finished after the forward
     # direction has run, so that a helper process can run it meanwhile.
-    finish_b = reverse_direction(rows, index, lengths, is_live, W_b, b_b, record)
+    finish_b = (reverse or _reverse_here)(rows, index, lengths, is_live, W_b, b_b, record)
     out_f, back_f = _direction(rows, index, lengths, is_live, W_f, b_f, False, record)
     out_b, back_b = finish_b()
     out = np.concatenate([out_f, out_b], axis=-1).reshape(T * B, 2 * hid)

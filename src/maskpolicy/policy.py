@@ -162,13 +162,15 @@ def _head(hidden: Tensor, w: Tensor, lengths: list[int], order: list[int], recor
 
 
 def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN,
-                  record: bool = True) -> tuple[Tensor, Tensor, list[int]]:
+                  record: bool = True, reverse=None) -> tuple[Tensor, Tensor, list[int]]:
     """Start and end logits of several id sequences as one padded batch,
     plus each sequence's column in it. The batch is sorted once, longest
     first (a stable sort), as the LSTM op requires; the logits are flat
     (T*B,) in time-major order over the sorted batch, and those at padded
     positions are meaningless. With `record` the logits are on the tape;
     without it they have no parents and nothing is kept for a backward.
+    `reverse` runs both layers' reverse directions (see bilstm_sequence);
+    by default they run in this process.
 
     Layer 1 reads the distinct values of a (T, B) key over the padded
     ids, one row each. Off the tape the key is the id, so a token repeated
@@ -199,9 +201,9 @@ def forward_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_
     parents = [t for name, t in params.tensors.items() if not name.startswith("head.")]
     w = [p.data for p in parents]
     layer1, back1 = bilstm_sequence(w[0][ids], index.reshape(T, B), lengths, w[1:3], w[3:5],
-                                    columns, record)
+                                    columns, record, reverse)
     layer2, back2 = bilstm_sequence(layer1, np.arange(T * B).reshape(T, B), lengths, w[5:7],
-                                    w[7:9], columns, record)
+                                    w[7:9], columns, record, reverse)
 
     def backward(grad):
         nonlocal back2
@@ -225,19 +227,21 @@ def forward(params: PolicyParams, ids, max_input_len: int = DEFAULT_MAX_INPUT_LE
     return start_logits, end_logits
 
 
-def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
+def score_batch(params: PolicyParams, batch, max_input_len: int = DEFAULT_MAX_INPUT_LEN,
+                reverse=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference-only forward over several id sequences at once, as one
     padded batch with no tape (see forward_batch). Every product of the
     BiLSTM gives a row the same value for any number of rows, and each
     head is one dot product per row, so with OpenBLAS 0.3.31 a sequence's
     logits do not depend on what else is in its batch, or where. Returns
     (start_logits, end_logits) per sequence, in input order, each as long
-    as its sequence."""
+    as its sequence. `reverse` runs the reverse directions, as in
+    forward_batch."""
     seqs = [list(ids) for ids in batch]
     if not seqs:
         return []
-    start_logits, end_logits, columns = forward_batch(params, seqs, max_input_len, record=False)
+    start_logits, end_logits, columns = forward_batch(params, seqs, max_input_len, record=False,
+                                                      reverse=reverse)
     start = start_logits.data.reshape(-1, len(seqs))
     end = end_logits.data.reshape(-1, len(seqs))
     return [(start[:len(s), c].copy(), end[:len(s), c].copy()) for s, c in zip(seqs, columns)]

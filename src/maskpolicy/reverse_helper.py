@@ -2,12 +2,12 @@
 
 A layer's forward and reverse directions share no state until
 `lstm.bilstm_sequence` joins their outputs, and threads cannot run them
-at once (numpy holds the GIL between BLAS calls). Inside
-`two_processes()`, which `train_policy` enters, the reverse direction
-of every layer, its forward and when recording its backward, runs in one
-helper process while the calling process runs the forward direction.
-The helper calls the same `lstm._direction` on byte-identical inputs,
-so every output, gradient and log is the serial path's bit for bit.
+at once (numpy holds the GIL between BLAS calls). `train_policy` passes
+the runner `two_processes()` yields to every layer as its `reverse`: the
+reverse direction, its forward and when recording its backward, runs in
+one helper process while the calling process runs the forward one, the
+same `lstm._direction` on byte-identical inputs, so every result is the
+serial path's bit for bit.
 
 The helper is forked (the `fork` context) by the first call that
 qualifies (`wanted`): Linux, at least two CPUs to run on, BLAS pinned
@@ -16,11 +16,11 @@ Each request carries its shapes, and arrays go through the pipe as raw
 bytes. A request runs under the caller's `np.geterr()`; an exception
 raised in the helper is raised again in the caller, and its warnings
 are issued again there, at the same call, so filters and `np.errstate`
-behave as on the serial path. An exception that escapes the block
+behave as on the serial path. A dead helper raises one RuntimeError
+with its pid and exit code. An exception that escapes the block
 discards the helper, whose pipe may hold a half-finished exchange. The
 helper exits when its pipe reaches EOF, and is killed at interpreter
-exit. Only the thread that entered the block uses the helper's pipe;
-layers run by any other thread meanwhile stay serial.
+exit. One thread at a time holds the block; another gets None.
 
 The helper is a copy of the process as it was at the fork: a later
 change to this process's modules, a monkeypatch of `lstm` included, is
@@ -51,8 +51,7 @@ _helper: _Helper | None = None
 # Held by the one thread inside two_processes().
 _inside = threading.Lock()
 
-# Requests sent to any helper by this process; tests read it to see that
-# a helper ran.
+# Requests sent to any helper by this process; tests count them.
 requests = 0
 
 
@@ -83,7 +82,6 @@ class _Helper:
         self.process.start()
         child.close()
         self.owner = os.getpid()
-        self.thread = None  # the thread inside two_processes()
         self.keys = itertools.count()
         atexit.register(self.stop)
 
@@ -95,10 +93,8 @@ class _Helper:
             self.process.join()
 
     def direction(self, rows, index, lengths, is_live, W, bias, record):
-        """lstm.reverse_direction in the helper: sends the request now and
+        """lstm._reverse_here in the helper: sends the request now and
         returns the thunk that receives its result."""
-        if threading.get_ident() != self.thread:
-            return lstm._reverse_here(rows, index, lengths, is_live, W, bias, record)
         key = next(self.keys)
         self._send(("forward", key, record),
                    rows, index, np.asarray(lengths, dtype=np.intp), W, bias)
@@ -121,21 +117,33 @@ class _Helper:
         global requests
         requests += 1
         arrays = [np.ascontiguousarray(a) for a in arrays]
-        self.conn.send((header, np.geterr(), [(a.dtype.str, a.shape) for a in arrays]))
-        for a in arrays:
-            self.conn.send_bytes(a)
+        with self._alive():
+            self.conn.send((header, np.geterr(), [(a.dtype.str, a.shape) for a in arrays]))
+            for a in arrays:
+                self.conn.send_bytes(a)
 
     def _receive(self, *arrays):
         """The reply to the last request, read whole into `arrays`; then
         its warnings are issued and its exception, if any, raised."""
-        caught, error = self.conn.recv()
-        if error is None:
-            for a in arrays:
-                _receive_into(self.conn, a)
+        with self._alive():
+            caught, error = self.conn.recv()
+            if error is None:
+                for a in arrays:
+                    _receive_into(self.conn, a)
         _reissue(caught)
         if error is not None:
             raise error
         return arrays
+
+    @contextlib.contextmanager
+    def _alive(self):
+        """A failed pipe (EOF, reset or broken) as the helper's death."""
+        try:
+            yield
+        except (EOFError, OSError) as e:
+            self.process.join(timeout=1)
+            raise RuntimeError(f"the reverse helper process (pid {self.process.pid}) died, "
+                               f"exit code {self.process.exitcode}") from e
 
 
 def _receive_into(conn, a: np.ndarray) -> None:
@@ -183,25 +191,20 @@ def _serve(conn, parent_end) -> None:
 
 @contextlib.contextmanager
 def two_processes():
-    """Run every layer's reverse direction in the helper for the block,
-    when `wanted()`; otherwise, or when a thread is already inside, do
-    nothing."""
+    """The block's `reverse` runner for every bilstm_sequence call: the
+    helper's if `wanted()` and no other thread is inside, else None."""
     global _helper
     if not wanted() or not _inside.acquire(blocking=False):
-        yield
+        yield None
         return
     try:
         if _helper is None or _helper.owner != os.getpid():
             _helper = _Helper()
-        _helper.thread = threading.get_ident()
-        lstm.reverse_direction = _helper.direction
         try:
-            yield
+            yield _helper.direction
         except BaseException:
             _helper, helper = None, _helper
             helper.stop()
             raise
-        finally:
-            lstm.reverse_direction = lstm._reverse_here
     finally:
         _inside.release()

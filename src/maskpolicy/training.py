@@ -12,7 +12,9 @@ apart where a product would round it by its batch. Checkpoint selection
 is by minimum mean validation loss across epochs. Long contexts are
 truncated to a deterministic window centered on the answer span. Where
 the process qualifies, each BiLSTM layer's reverse direction runs in a
-helper process meanwhile (reverse_helper), with the same bytes.
+helper process meanwhile, with the same bytes: train_policy passes the
+runner that reverse_helper.two_processes() yields to every step and
+validation, as their `reverse` argument.
 """
 
 from __future__ import annotations
@@ -196,20 +198,21 @@ def prepare_example(ex: AnchorExample, max_len: int) -> tuple[tuple[int, ...], S
 
 
 def validation_loss(params: PolicyParams, prepared: list[tuple[tuple[int, ...], Span]],
-                    max_input_len: int) -> float:
+                    max_input_len: int, reverse=None) -> float:
     """Mean span loss over prepared (ids, gold) windows. They are scored
     in batches cut from dataset order, and the per-window losses are
-    summed in that order."""
+    summed in that order. `reverse` runs the reverse directions (see
+    policy.forward_batch)."""
     total = 0.0
     for batch in score_batches(prepared):
-        logits = score_batch(params, [ids for ids, _ in batch], max_input_len)
+        logits = score_batch(params, [ids for ids, _ in batch], max_input_len, reverse)
         for (start, end), (_, gold) in zip(logits, batch):
             total += float(_span_nll(start, end, gold)[0])
     return total / len(prepared)
 
 
 def _train_step(params: PolicyParams, opt, batch: list[tuple[tuple[int, ...], Span]],
-                cfg: TrainConfig, epoch: int, batch_no: int) -> float:
+                cfg: TrainConfig, epoch: int, batch_no: int, reverse=None) -> float:
     """One optimizer step on a batch of prepared windows; returns its mean
     loss. Its backward consumes its tape, and its gradients are dropped
     after the update, so nothing of the step outlives the call."""
@@ -217,7 +220,7 @@ def _train_step(params: PolicyParams, opt, batch: list[tuple[tuple[int, ...], Sp
     # tensor that would hold the value refuses it.
     try:
         start, end, columns = forward_batch(params, [ids for ids, _ in batch], cfg.max_input_len,
-                                            record=True)
+                                            record=True, reverse=reverse)
         batch_loss = mean_span_loss(start, end, columns, batch)
     except NonFiniteError as e:
         raise NonFiniteLossError(epoch, batch_no, math.nan) from e
@@ -295,16 +298,17 @@ def train_policy(train: list[AnchorExample], valid: list[AnchorExample],
     best_valid = float("inf")
     best_params = params.clone()
 
-    with two_processes():
+    with two_processes() as reverse:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(train_prep))
             epoch_loss = 0.0
             for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 batch = [train_prep[i] for i in order[lo:lo + cfg.batch_size]]
-                epoch_loss += _train_step(params, opt, batch, cfg, epoch, batch_no) * len(batch)
+                epoch_loss += (_train_step(params, opt, batch, cfg, epoch, batch_no, reverse)
+                               * len(batch))
             train_loss = epoch_loss / len(train_prep)
             try:
-                valid_loss = validation_loss(params, valid_prep, cfg.max_input_len)
+                valid_loss = validation_loss(params, valid_prep, cfg.max_input_len, reverse)
             except NonFiniteError as e:
                 raise NonFiniteLossError(epoch, None, math.nan) from e
             log.records.append(EpochRecord(epoch, train_loss, valid_loss))

@@ -1,13 +1,15 @@
 """End-to-end command line runs against a synthetic workspace."""
 
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maskpolicy import cli
+from maskpolicy import cli, reverse_helper
 from maskpolicy.cli import main
 from maskpolicy.corpus import Vocab
 
@@ -752,8 +754,6 @@ class TestCheckpointPublishedOnce:
                      "--d-emb", "4", "--d-h", "4", "--out", str(out)])
 
     def test_one_replace_per_artifact(self, workspace, tmp_path, monkeypatch):
-        import os
-
         renames = []
         replace = os.replace
 
@@ -786,3 +786,32 @@ class TestCheckpointPublishedOnce:
         assert self._train(workspace, out) == 2
         assert (out / "checkpoint.safetensors").read_bytes() == before
         assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the reverse helper is forked on Linux only")
+def test_a_dead_reverse_helper_is_no_bad_input(workspace, tmp_path, monkeypatch):
+    # The training helper killed at its first receive: one RuntimeError,
+    # not exit 2 for bad input, and no checkpoint or manifest published.
+    for var in reverse_helper.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    receive = reverse_helper._Helper._receive
+
+    def killed_first(self, *arrays):
+        self.process.kill()
+        self.process.join()
+        return receive(self, *arrays)
+
+    monkeypatch.setattr(reverse_helper._Helper, "_receive", killed_first)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match=r"reverse helper .* died, exit code -9"):
+        main(["train-policy", "--train", str(workspace / "train.jsonl"),
+              "--valid", str(workspace / "valid.jsonl"),
+              "--vocab", str(workspace / "vocab" / "vocab.txt"),
+              "--epochs", "1", "--batch-size", "8", "--max-input-len", "24",
+              "--d-emb", "4", "--d-h", "4", "--out", str(out)])
+    assert not (out / "checkpoint.safetensors").exists()
+    assert not (out / "manifest.json").exists()
+    assert reverse_helper._helper is None

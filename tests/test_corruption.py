@@ -246,14 +246,16 @@ class TestMaskCorpus:
         with pytest.raises(MaskPolicyError):
             mask_corpus([small_corpus], vocab, PolicySpec(kind="random15"), workers=0)
 
-    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    @pytest.mark.parametrize("affinity,pools", [({0, 2, 5}, [3]), (None, [5]), ({0}, [])],
+                             ids=["affinity", "cpu_count", "one-cpu"])
     def test_pool_has_at_most_one_process_per_usable_cpu(self, monkeypatch, tmp_path, vocab,
-                                                         affinity):
+                                                         affinity, pools):
         # a pool that records its size and runs the jobs in this process: a
         # million workers ask for one process per CPU this process may run
-        # on, start none here, and give the serial run's output. Children
-        # that were already running (the training helper, kept for reuse
-        # when BLAS is pinned) stay as they were.
+        # on (with one such CPU, no pool at all), start none here, and give
+        # the serial run's output. Children that were already running (the
+        # training helper, kept for reuse when BLAS is pinned) stay as they
+        # were.
         sizes = []
 
         class InProcessPool:
@@ -276,13 +278,13 @@ class TestMaskCorpus:
         serial = mask_corpus([p], vocab, spec, chunk_len=4, global_seed=3)
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 5)
         children = set(multiprocessing.active_children())
         got = mask_corpus([p], vocab, spec, chunk_len=4, global_seed=3, workers=10**6)
-        assert sizes == [3 if affinity else 5]
+        assert sizes == pools
         assert set(multiprocessing.active_children()) == children
         assert got == serial
 

@@ -223,9 +223,9 @@ class TestScoreBatches:
         monkeypatch.setattr(policy, "SCORE_BATCH", 7)
         batches = []
 
-        def recording_score_batch(params, batch, max_input_len):
+        def recording_score_batch(params, batch, max_input_len, reverse=None):
             batches.append([tuple(ids) for ids in batch])
-            return score_batch(params, batch, max_input_len)
+            return score_batch(params, batch, max_input_len, reverse)
 
         for module in (corruption, training, evaluation):
             monkeypatch.setattr(module, "score_batch", recording_score_batch)

@@ -4,7 +4,9 @@ once rather than as an import error partway through a benchmark run.
 And every public function of the autodiff core has a caller in the
 package or the benchmark, the BiLSTM modules import nothing from it, and
 the modules that train and score keep no process-wide state that a
-call could switch for every thread."""
+call could switch for every thread: they have no `global` statement, and
+no module of the package assigns to an attribute of a module or name it
+imports."""
 
 import ast
 import importlib
@@ -93,10 +95,25 @@ def test_lstm_layers_stay_off_the_tape():
         assert not [m for m in imported if m.split(".")[-1] == "autodiff"], name
 
 
+def _imported_names(tree):
+    """The names an `import` or `from ... import` binds in a module."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
 def test_training_and_scoring_modules_rebind_no_module_state():
-    # whether a forward records is an argument of the call, never a
-    # module-level switch: a `global` statement would let one thread's call
-    # change what another thread's call does
+    # whether a forward records, and where a layer's reverse direction runs,
+    # are arguments of the call, never module-level switches: a `global`
+    # statement, or an assignment to another module's attribute, would let
+    # one thread's call change what another thread's call does
     for name in ("autodiff", "policy", "lstm", "training", "optim"):
         tree = ast.parse((SRC / "maskpolicy" / f"{name}.py").read_text(encoding="utf-8"))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)], name
+    rebound = []
+    for path in sorted((SRC / "maskpolicy").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = _imported_names(tree)
+        rebound += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id in imported]
+    assert rebound == []

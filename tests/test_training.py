@@ -1,11 +1,14 @@
 """Training loop: windowing, validation-based selection, determinism."""
 
+import collections
 import functools
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
@@ -658,7 +661,8 @@ def run_fresh(script, **popen):
 class TestReverseHelper:
     """With two CPUs, BLAS pinned and a process that is not daemonic,
     train_policy runs each layer's reverse direction in a helper process
-    (reverse_helper); the bytes of every result are the serial path's."""
+    (reverse_helper), through the runner it passes down to every training
+    step and validation; the bytes of every result are the serial path's."""
 
     @pytest.mark.parametrize("condition", ["one-cpu", "unpinned", "daemonic"])
     def test_a_condition_missing_keeps_the_serial_path(self, monkeypatch, two_cpus, condition):
@@ -688,15 +692,15 @@ class TestReverseHelper:
         bwd = W, np.zeros(8)
         layer = functools.partial(bilstm_sequence, rows, index, [2, 1], fwd, bwd)
 
-        def warned():
+        def warned(reverse=None):
             with pytest.warns(RuntimeWarning, match="overflow encountered in matmul") as caught:
-                out = layer()[0]
+                out = layer(reverse=reverse)[0]
             return out, [(w.filename, w.lineno) for w in caught]
 
         want = warned()
-        with reverse_helper.two_processes():
+        with reverse_helper.two_processes() as reverse:
             requests = reverse_helper.requests
-            got = warned()
+            got = warned(reverse)
             assert reverse_helper.requests > requests
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1] and got[1][0][0] == lstm.__file__
@@ -705,34 +709,39 @@ class TestReverseHelper:
         # two blocks reuse the one forked outside any errstate; an exception
         # that escapes a block discards it.
         helper = reverse_helper._helper
-        with np.errstate(over="ignore"), reverse_helper.two_processes():
-            np.testing.assert_array_equal(layer()[0], want[0])
+        with np.errstate(over="ignore"), reverse_helper.two_processes() as reverse:
+            np.testing.assert_array_equal(layer(reverse=reverse)[0], want[0])
         assert reverse_helper._helper is helper
         for raised, errstate in ((FloatingPointError, {"over": "raise"}), (RuntimeWarning, {})):
-            with pytest.raises(raised), np.errstate(**errstate), reverse_helper.two_processes():
-                layer()
+            with (pytest.raises(raised), np.errstate(**errstate),
+                  reverse_helper.two_processes() as reverse):
+                layer(reverse=reverse)
 
     def test_another_threads_layers_stay_serial(self, monkeypatch, two_cpus):
-        # Only the thread inside two_processes() uses the helper's pipe, even
-        # when another thread enters it meanwhile.
+        # One thread at a time holds the helper's runner: a thread that
+        # enters two_processes() while another holds it gets None, makes no
+        # request and scores the serial bytes.
         pin_blas(monkeypatch, True)
         vocab = synth_vocab()
         batch = [ex.context_tokens.ids for ex in synth_examples(12, 5, vocab)]
         params = init_policy_params(len(vocab), 8, 8, seed=0)
         want = score_batch(params, batch, 24)
-        got = []
+        got, runners = [], []
 
         def other():
-            with reverse_helper.two_processes():
-                got.append(score_batch(params, batch, 24))
+            with reverse_helper.two_processes() as reverse:
+                runners.append(reverse)
+                got.append(score_batch(params, batch, 24, reverse))
 
-        with reverse_helper.two_processes():
+        with reverse_helper.two_processes() as reverse:
+            assert reverse is not None
             requests = reverse_helper.requests
             thread = threading.Thread(target=other)
             thread.start()
             thread.join(timeout=60)
-            assert not thread.is_alive() and reverse_helper.requests == requests
-            got.append(score_batch(params, batch, 24))
+            assert not thread.is_alive() and runners == [None]
+            assert reverse_helper.requests == requests
+            got.append(score_batch(params, batch, 24, reverse))
             assert reverse_helper.requests > requests
         assert len(got) == 2
         for logits in got:
@@ -756,6 +765,46 @@ class TestReverseHelper:
         assert reverse_helper.requests > requests
         out, _ = run_fresh(TRAIN_TWICE)
         assert out.split()[0] == params_sha256(params)
+
+    def test_training_and_validation_take_the_runner(self, monkeypatch, two_cpus):
+        # 14 windows in batches of 4 for 2 epochs: 8 steps, each a recorded
+        # forward and a backward of both layers; 6 validation windows, one
+        # score batch an epoch, each an unrecorded forward of both layers.
+        pin_blas(monkeypatch, True)
+        kinds = collections.Counter()
+        send = reverse_helper._Helper._send
+
+        def counted(self, header, *arrays):
+            kinds[header[0], *header[2:]] += 1
+            return send(self, header, *arrays)
+
+        monkeypatch.setattr(reverse_helper._Helper, "_send", counted)
+        train_policy(*split(synth_examples(20, seed=3)), tiny_config())
+        assert kinds == {("forward", True): 16, ("backward",): 16, ("forward", False): 4}
+
+    def test_a_dead_helper_raises_one_error(self, monkeypatch, two_cpus):
+        # A helper killed inside the block: the next layer through its
+        # runner raises one RuntimeError naming its pid and exit code, the
+        # block discards it, and the next train_policy forks another and
+        # trains the serial path's bytes.
+        pin_blas(monkeypatch, False)
+        want = params_sha256(train_policy(*split(synth_examples(20, seed=3)), tiny_config())[0])
+        pin_blas(monkeypatch, True)
+        rows = np.ones((3, 2))
+        weights = np.full((8, 4), 0.5), np.zeros(8)
+        with pytest.raises(RuntimeError) as raised, reverse_helper.two_processes() as reverse:
+            dead = reverse_helper._helper
+            dead.process.kill()
+            dead.process.join()
+            bilstm_sequence(rows, [[0, 1], [2, 0]], [2, 1], weights, weights, reverse=reverse)
+        assert str(raised.value) == (f"the reverse helper process (pid {dead.process.pid}) "
+                                     f"died, exit code {-signal.SIGKILL}")
+        assert reverse_helper._helper is None
+        requests = reverse_helper.requests
+        params, _ = train_policy(*split(synth_examples(20, seed=3)), tiny_config())
+        assert reverse_helper.requests > requests
+        assert reverse_helper._helper is not None and reverse_helper._helper is not dead
+        assert params_sha256(params) == want
 
     def test_a_training_process_leaves_no_process_behind(self):
         # The benchmark's "left a process running" verdict: the helper ends
@@ -803,9 +852,12 @@ def on_first_call(monkeypatch, module, name, hooks, off_the_tape=False):
     `hooks` (with off_the_tape, its first bilstm_sequence call that does
     not record) runs as hooks[thread](call), `call` making the real one."""
     real = getattr(module, name)
+    signature = inspect.signature(real)
 
     def patched(*args, **kwargs):
-        record = kwargs.get("record", args[6] if len(args) > 6 else False)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        record = bound.arguments["record"]
         hook = None if off_the_tape and record else hooks.pop(threading.current_thread().name,
                                                               None)
         call = functools.partial(real, *args, **kwargs)
