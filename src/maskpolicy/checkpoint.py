@@ -25,16 +25,17 @@ earlier checkpoint as it was. A caller that already publishes its
 outputs atomically (the command line runner) uses write_checkpoint, so
 the checkpoint is renamed once.
 
-load_checkpoint reads the header and, given a vocabulary, verifies its
-hash before it reads any tensor bytes, so a policy is never deployed
-over ids it was not trained on. It checks that the header fits in the
-file, that every tensor is F64 with a well-formed shape and a byte
-count to match, and that the offsets run contiguously from 0 to the
-end of the file. It then reads each tensor into a fresh array of its
-own, checks that every value is finite, and checks the names and
-shapes against the model's parameter table. A malformed checkpoint
-fails at load time with a MaskPolicyError naming the file and the bad
-field or parameter.
+load_checkpoint parses the header with `corpus.parse_json_object` and,
+given a vocabulary, verifies its hash and that the embedding has a row
+for each of its tokens before it reads any tensor bytes, so a policy
+is never deployed over ids it was not trained on. It checks that the
+header fits in the file, that every tensor is F64 with a well-formed
+shape and a byte count to match, and that the offsets run contiguously
+from 0 to the end of the file. It then reads each tensor into a fresh
+array of its own, checks that every value is finite, and checks the
+names and shapes, none of size 0, against the model's parameter table.
+A malformed checkpoint fails at load time with a MaskPolicyError
+naming the file and the bad field or parameter.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import Vocab, parse_json_object
 from .errors import MaskPolicyError, VocabMismatchError
 from .policy import PolicyParams
 
@@ -118,15 +119,10 @@ def _read_header(fh, size: int) -> dict:
         raise MaskPolicyError(f"header size {n} runs past the end of the file "
                               f"({size} bytes)")
     try:
-        header = json.loads(fh.read(n).decode("utf-8"))
+        text = fh.read(n).decode("utf-8")
     except UnicodeDecodeError as e:
         raise MaskPolicyError(f"header is not UTF-8: {e}") from None
-    except (json.JSONDecodeError, RecursionError) as e:
-        # json raises RecursionError on arrays or objects nested too deeply.
-        raise MaskPolicyError(f"header is not valid JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise MaskPolicyError("header must hold a JSON object")
-    return header
+    return parse_json_object(text, "header")
 
 
 def _metadata(header: dict) -> tuple[str, dict]:
@@ -143,13 +139,8 @@ def _metadata(header: dict) -> tuple[str, dict]:
         raise MaskPolicyError(f"unsupported checkpoint format_version: {version!r}")
     if "vocab_hash" not in metadata:
         raise MaskPolicyError("metadata field 'vocab_hash' is missing")
-    try:
-        hyperparameters = json.loads(metadata.get("hyperparameters", "{}"))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise MaskPolicyError(f"metadata field 'hyperparameters' is not valid JSON: {e}") from None
-    if not isinstance(hyperparameters, dict):
-        raise MaskPolicyError("metadata field 'hyperparameters' must hold a JSON object")
-    return metadata["vocab_hash"], hyperparameters
+    return metadata["vocab_hash"], parse_json_object(
+        metadata.get("hyperparameters", "{}"), "metadata field 'hyperparameters'")
 
 
 def _layout(header: dict, data_size: int) -> list[tuple[str, list[int]]]:
@@ -216,6 +207,10 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[PolicyParams, dic
                 raise VocabMismatchError(
                     f"built for vocab {vocab_hash[:12]}..., got {vocab.content_hash()[:12]}...")
             layout = _layout(header, size - fh.tell())
+            embedding = dict(layout).get("embedding")
+            if vocab is not None and embedding and embedding[0] < len(vocab):
+                raise MaskPolicyError(f"parameter 'embedding' has {embedding[0]} rows for "
+                                      f"{len(vocab)} vocabulary tokens")
             params = PolicyParams.from_arrays(
                 {name: _read_array(fh, name, shape) for name, shape in layout})
     except MaskPolicyError as e:

@@ -29,6 +29,7 @@ from .corruption import (
     POLICIES,
     POLICY_LEARNED,
     PolicySpec,
+    check_deploy_options,
     mask_corpus,
     write_masked_jsonl,
     write_summary,
@@ -199,9 +200,10 @@ def _policy_spec(args, vocab: Vocab, inputs: list, **knobs) -> PolicySpec:
 
 
 def _cmd_eval_policy(args, opts) -> _Run:
-    if opts["max_input_len"] < 1:
-        raise InvalidOptionError(f"max_input_len must be >= 1, got {opts['max_input_len']}",
-                                 "max_input_len")
+    # Options out of range are refused before any input is opened.
+    for key in ("max_span_len", "max_input_len"):
+        if opts[key] < 1:
+            raise InvalidOptionError(f"{key} must be >= 1, got {opts[key]}", key)
     vocab = Vocab.load(args.vocab)
     inputs = [args.dev, args.vocab]
     # The checkpoint is loaded and checked before the dev pass, so a bad one
@@ -222,11 +224,15 @@ def _cmd_eval_policy(args, opts) -> _Run:
 
 
 def _cmd_mask_corpus(args, opts) -> _Run:
+    knobs = dict(mode=opts["mode"], rate=opts["rate"], max_span_len=opts["max_span_len"],
+                 max_input_len=opts["chunk_len"])
+    # Options out of range are refused before any input is opened.
+    check_deploy_options(PolicySpec(kind=args.policy, **knobs), opts["chunk_len"],
+                         opts["workers"])
     vocab = Vocab.load(args.vocab)
     inputs = list(args.corpus) + [args.vocab]
 
-    spec = _policy_spec(args, vocab, inputs, mode=opts["mode"], rate=opts["rate"],
-                        max_span_len=opts["max_span_len"], max_input_len=opts["chunk_len"])
+    spec = _policy_spec(args, vocab, inputs, **knobs)
 
     examples, summary = mask_corpus(args.corpus, vocab, spec,
                                     chunk_len=opts["chunk_len"],

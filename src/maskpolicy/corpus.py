@@ -23,7 +23,8 @@ where every word carries punctuation it takes 1.2 to 2.7 times as long.
 
 Corpus text files hold one document per non-empty line; doc ids are
 "<file name>:<zero-padded line number>" so lexicographic order equals
-file order.
+file order. Every JSON text the package reads is parsed by
+`parse_json_object`, the one place that refuses bad JSON.
 """
 
 from __future__ import annotations
@@ -227,18 +228,24 @@ def read_text(path) -> str:
         raise UndecodableTextError.locate(path) from None
 
 
-def read_json(path, what: str) -> dict:
-    """The JSON object a UTF-8 file holds; JSON that does not parse, is
-    nested too deeply, or is not an object raises an error naming `what`
-    (say "report") and the file."""
+def parse_json_object(text: str, what: str) -> dict:
+    """The JSON object `text` holds; any other text, an integer past
+    Python's digit limit or nesting too deep for the decoder included,
+    raises one MaskPolicyError naming `what` (say "header")."""
     try:
-        obj = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as e:
-        # json raises RecursionError on arrays or objects nested too deeply.
-        raise MaskPolicyError(f"{what} {path} is not valid JSON: {e}") from None
+        obj = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+        raise MaskPolicyError(f"{what} is not valid JSON: {e}") from None
+    except RecursionError:  # arrays or objects nested too deeply
+        raise MaskPolicyError(f"{what} is not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
-        raise MaskPolicyError(f"{what} {path} must hold a JSON object")
+        raise MaskPolicyError(f"{what} must hold a JSON object")
     return obj
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; errors name `what` and the file."""
+    return parse_json_object(read_text(path), f"{what} {path}")
 
 
 def write_json(path, obj) -> None:
@@ -342,13 +349,9 @@ def read_json_records(path):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedRecordError(path, line_no, f"invalid JSON: {e.msg}") from e
-        except RecursionError:
-            raise MalformedRecordError(path, line_no, "invalid JSON: nested too deeply") from None
-        if not isinstance(record, dict):
-            raise MalformedRecordError(path, line_no, "record is not an object")
+            record = parse_json_object(line.rstrip("\n"), "record")
+        except MaskPolicyError as e:
+            raise MalformedRecordError(path, line_no, str(e)) from None
         yield line_no, record
 
 

@@ -221,6 +221,12 @@ class PolicySpec:
     vocab_hash: str | None = None
 
     def validate(self) -> None:
+        self.check_options()
+        if self.kind == POLICY_LEARNED and self.params is None:
+            raise MaskPolicyError("learned policy requires trained parameters")
+
+    def check_options(self) -> None:
+        """Refuses a kind, mode, rate or max_span_len out of range."""
         if self.kind not in POLICIES:
             raise MaskPolicyError(f"unknown policy kind {self.kind!r}")
         if self.mode not in MODES:
@@ -230,8 +236,6 @@ class PolicySpec:
         if self.max_span_len < 1:
             raise InvalidOptionError(f"max_span_len must be >= 1, got {self.max_span_len}",
                                      "max_span_len")
-        if self.kind == POLICY_LEARNED and self.params is None:
-            raise MaskPolicyError("learned policy requires trained parameters")
 
     @property
     def tag(self) -> str:
@@ -387,6 +391,17 @@ def _check_distinct_file_names(corpus_paths) -> None:
         seen[path.name] = path
 
 
+def check_deploy_options(spec: PolicySpec, chunk_len: int, workers: int) -> None:
+    """Refuses an option of a deploy out of range: every check of
+    mask_corpus that reads no input and needs no trained parameters, so
+    the command line makes it before it opens any input."""
+    spec.check_options()
+    if workers < 1:
+        raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
+    if chunk_len < 2:
+        raise InvalidChunkLengthError(f"chunk_len must be >= 2, got {chunk_len}", "chunk_len")
+
+
 def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
                 chunk_len: int = DEFAULT_MAX_INPUT_LEN, global_seed: int = 0,
                 workers: int = 1) -> tuple[list[MaskedExample], MaskSummary]:
@@ -399,11 +414,8 @@ def mask_corpus(corpus_paths, vocab: Vocab, spec: PolicySpec,
     would only keep their token objects alive longer. The pool starts at
     most one process per CPU this process may run on; with one such CPU
     the run is serial."""
+    check_deploy_options(spec, chunk_len, workers)
     spec.validate()
-    if workers < 1:
-        raise InvalidOptionError(f"workers must be >= 1, got {workers}", "workers")
-    if chunk_len < 2:
-        raise InvalidChunkLengthError(f"chunk_len must be >= 2, got {chunk_len}", "chunk_len")
     if spec.kind == POLICY_LEARNED and spec.vocab_hash is not None:
         if spec.vocab_hash != vocab.content_hash():
             raise VocabMismatchError(

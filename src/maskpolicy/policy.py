@@ -76,7 +76,8 @@ class PolicyParams:
     def from_arrays(cls, arrays: dict) -> "PolicyParams":
         """Wrap `arrays` as leaf tensors. The names must be exactly those of
         param_shapes, and every shape must match the sizes read off the
-        embedding (vocab_size, d_emb) and the first LSTM bias (4 * d_h)."""
+        embedding (vocab_size, d_emb) and the first LSTM bias (4 * d_h),
+        none of which may be 0."""
         names = set(param_shapes(0, 0, 0))
         if set(arrays) != names:
             raise MaskPolicyError(f"policy parameters malformed (missing={names - set(arrays)}, "
@@ -84,11 +85,13 @@ class PolicyParams:
         if np.ndim(arrays["embedding"]) != 2:
             raise MaskPolicyError(f"parameter 'embedding' has shape "
                                   f"{np.shape(arrays['embedding'])}, expected (vocab_size, d_emb)")
-        shapes = param_shapes(*np.shape(arrays["embedding"]), np.size(arrays["lstm1.fwd.b"]) // 4)
+        sizes = (*np.shape(arrays["embedding"]), np.size(arrays["lstm1.fwd.b"]) // 4)
+        shapes = param_shapes(*sizes)
         for name, shape in shapes.items():
             if np.shape(arrays[name]) != shape:
                 raise MaskPolicyError(f"parameter {name!r} has shape "
                                       f"{np.shape(arrays[name])}, expected {shape}")
+        _check_sizes(*sizes)
         return cls({name: Tensor(arrays[name], requires_grad=True) for name in shapes})
 
     @property
@@ -118,9 +121,17 @@ class PolicyParams:
         return PolicyParams.from_arrays({name: t.data.copy() for name, t in self.tensors.items()})
 
 
+def _check_sizes(vocab_size: int, d_emb: int, d_h: int) -> None:
+    """Refuses a policy with no embedding rows, or a layer of no width."""
+    if min(vocab_size, d_emb, d_h) < 1:
+        raise InvalidOptionError(f"policy sizes must be >= 1, got vocab_size={vocab_size}, "
+                                 f"d_emb={d_emb}, d_h={d_h}")
+
+
 def init_policy_params(vocab_size: int, d_emb: int, d_h: int, seed: int = 0) -> PolicyParams:
     """Random init in param_shapes order: embeddings uniform +-0.1, other
     weights uniform +-1/sqrt(size of their last axis), LSTM biases zero."""
+    _check_sizes(vocab_size, d_emb, d_h)
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in param_shapes(vocab_size, d_emb, d_h).items():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from maskpolicy import checkpoint
 from maskpolicy.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from maskpolicy.cli import main
 from maskpolicy.corpus import Vocab
@@ -222,6 +223,17 @@ class TestValidation:
         with pytest.raises(MaskPolicyError, match="past the end"):
             load_checkpoint(path, vocab)
 
+    def test_embedding_shorter_than_the_vocab_refused_before_tensor_bytes(
+            self, tmp_path, vocab, monkeypatch):
+        path = tmp_path / "ckpt.safetensors"
+        save_checkpoint(path, init_policy_params(3, d_emb=4, d_h=3), vocab)
+        assert load_checkpoint(path)[0].vocab_size == 3  # no vocabulary to compare with
+        monkeypatch.setattr(checkpoint, "_read_array", None)  # a tensor read would fail
+        with pytest.raises(MaskPolicyError) as exc:
+            load_checkpoint(path, vocab)
+        assert str(exc.value) == (f"checkpoint {path}: parameter 'embedding' has 3 rows "
+                                  f"for 6 vocabulary tokens")
+
     def test_no_vocab_skips_hash_check(self, tmp_path, vocab):
         params = init_policy_params(len(vocab), d_emb=4, d_h=3)
         path = tmp_path / "ckpt.safetensors"
@@ -349,6 +361,19 @@ def _as_json(version):
     return edit
 
 
+def _sized(vocab_size, d_emb, d_h):
+    """The file laid out again with zero-valued tensors of these sizes."""
+    def change(arrays):
+        arrays.clear()
+        arrays.update((name, np.zeros(shape))
+                      for name, shape in param_shapes(vocab_size, d_emb, d_h).items())
+    return _edit_arrays(change)
+
+
+# An integer of more digits than Python converts from a string.
+_LONG_INT = b"1" * 4301
+
+
 def _raw_header(change):
     """An edit of the header's bytes, with the size prefix set to match."""
     def edit(data):
@@ -389,6 +414,15 @@ class TestMalformedCheckpointExitCode:
         (lambda data: data[:5], "too short"),
         (_raw_header(lambda raw: raw.replace(b"embedding", b"embedd\xffng")), "UTF-8"),
         (_raw_header(lambda raw: raw[1:]), "not valid JSON"),
+        (_raw_header(lambda raw: raw.replace(b'"data_offsets": [0,',
+                                             b'"data_offsets": [' + _LONG_INT + b",", 1)),
+         "header is not valid JSON: Exceeds the limit"),
+        (_edit_header(lambda h: h["__metadata__"].update(
+            hyperparameters='{"seed": %s}' % _LONG_INT.decode())),
+         "metadata field 'hyperparameters' is not valid JSON: Exceeds the limit"),
+        (_sized(6, 4, 0), "policy sizes must be >= 1, got vocab_size=6, d_emb=4, d_h=0"),
+        (_sized(6, 0, 3), "policy sizes must be >= 1, got vocab_size=6, d_emb=0, d_h=3"),
+        (_sized(3, 4, 3), "parameter 'embedding' has 3 rows for 6 vocabulary tokens"),
         (_swapped_offsets("lstm1.fwd.W", "lstm1.fwd.b"), "lstm1.fwd.W"),
         (_shifted("lstm2.fwd.W", -8), "lstm2.fwd.W"),
         (_shifted("lstm2.fwd.W", 8), "lstm2.fwd.W"),
@@ -399,6 +433,8 @@ class TestMalformedCheckpointExitCode:
             "format-3", "metadata-not-string", "lenient-dtype", "dtype-f32", "byte-count",
             "shape-mismatch", "negative-shape", "float-shape", "data-list", "non-finite",
             "size-past-end", "no-size", "header-not-utf8", "header-not-json",
+            "header-long-int", "hyperparameters-long-int", "zero-d-h", "zero-d-emb",
+            "embedding-short",
             "offsets-out-of-order", "offsets-overlap", "offsets-gap", "offsets-past-end",
             "trailing-bytes"])
 

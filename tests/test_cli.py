@@ -464,6 +464,44 @@ class TestConfigHandling:
         assert f"error: {message}" in capsys.readouterr().err
 
 
+class TestOptionRangesBeforeInputs:
+    """A deploy or evaluation option out of range is refused before any
+    input is opened: here the vocabulary, the corpus or dev set and the
+    checkpoint do not exist. The refusal names the config file when the
+    value came from one."""
+
+    _CASES = pytest.mark.parametrize("command, key, value, message", [
+        ("mask-corpus", "rate", 2.0, "rate must be in [0, 1], got 2.0"),
+        ("mask-corpus", "max_span_len", 0, "max_span_len must be >= 1, got 0"),
+        ("mask-corpus", "workers", 0, "workers must be >= 1, got 0"),
+        ("mask-corpus", "chunk_len", 1, "chunk_len must be >= 2, got 1"),
+        ("eval-policy", "max_span_len", 0, "max_span_len must be >= 1, got 0"),
+    ])
+
+    @staticmethod
+    def _refusal(tmp_path, capsys, command, *options):
+        absent = str(tmp_path / "absent")
+        code = main([command, "--corpus" if command == "mask-corpus" else "--dev", absent,
+                     "--vocab", absent, "--policy", "learned", "--checkpoint", absent,
+                     *options, "--out", str(tmp_path / "out")])
+        assert code == 2
+        [refusal] = capsys.readouterr().err.splitlines()
+        return refusal
+
+    @_CASES
+    def test_flag(self, tmp_path, capsys, command, key, value, message):
+        refusal = self._refusal(tmp_path, capsys, command,
+                                "--" + key.replace("_", "-"), str(value))
+        assert refusal == f"error: {message}"
+
+    @_CASES
+    def test_config(self, tmp_path, capsys, command, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        refusal = self._refusal(tmp_path, capsys, command, "--config", str(cfg))
+        assert refusal == f"error: config file {cfg}: {message}"
+
+
 _POLICIES = ["random15", "randomspan", "salient", "learned"]
 
 # Every option of every command: option string -> (dest, choices,

@@ -3,11 +3,12 @@ reports and messy anchor files.
 
 Config files hold values of the wrong type, NaN or +-Infinity, values
 out of their option's range, keys the command does not know, a top level
-that is not an object, or are cut short. Checkpoints are cut short, have
-one bit flipped or have a header nested past the JSON decoder's
-recursion limit, and are read by `eval-policy` and `mask-corpus`. Reports read by
-`compare` have fields of the wrong type or missing, a top level that is
-not an object, invalid JSON or UTF-8, or deep nesting. Anchor files mix
+that is not an object, an integer of more digits than Python converts,
+or are cut short. Checkpoints are cut short, have one bit flipped or
+have a header nested past the JSON decoder's recursion limit, and are
+read by `eval-policy` and `mask-corpus`. Reports read by `compare` have
+fields of the wrong type or missing, a top level that is not an object,
+invalid JSON or UTF-8, deep nesting or such an integer. Anchor files mix
 good records with CRLF line ends, U+2028 and NUL in and between records,
 invalid UTF-8 and records of the wrong type, and are read by
 `train-policy` and `eval-policy`. Vocabulary files are cut short, have
@@ -35,6 +36,9 @@ NAN, INF = float("nan"), float("inf")
 
 # JSON nested past the decoder's recursion limit.
 _DEEP = "[" * 100_000 + "]" * 100_000
+
+# An integer of more digits than Python converts from a string.
+_LONG_INT = "1" * 4301
 
 # Per option type, config values that type must refuse: another JSON
 # type, or a number that is not finite.
@@ -128,10 +132,12 @@ def configs(draw, command):
     the options whose flags must go so that the config's value counts:
     the command's own keys set to their defaults, to junk or out of range,
     maybe an unknown key, maybe cut short; or a JSON value that is not an
-    object."""
+    object, or holds an integer past Python's digit limit."""
     defaults = cli._DEFAULTS[command]
     if draw(st.booleans()) and draw(st.booleans()):
-        top = draw(st.sampled_from([[], [1, 2], "x", 3, None, NAN, -INF, "deep"]))
+        top = draw(st.sampled_from([[], [1, 2], "x", 3, None, NAN, -INF, "deep", "long"]))
+        if top == "long":
+            return '{"seed": %s}' % _LONG_INT, True, ()
         return (_DEEP if top == "deep" else json.dumps(top)), True, ()
     obj, bad, unflag = {}, False, []
     for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=4)):
@@ -157,6 +163,7 @@ def configs(draw, command):
 
 @given(st.sampled_from(["build-vocab", "train-policy", "eval-policy", "mask-corpus",
                         "grad-check"]).flatmap(lambda c: st.tuples(st.just(c), configs(c))))
+@example(("grad-check", ('{"seeds": %s}' % _LONG_INT, True, ())))
 @settings(max_examples=40, deadline=None)
 def test_config_file(workspace, case):
     command, (text, bad, unflag) = case
@@ -271,13 +278,18 @@ def _report_bytes(**fields):
     return json.dumps({k: v for k, v in obj.items() if v is not _LEFT_OUT}).encode("utf-8")
 
 
+# The good report with n an integer past Python's digit limit.
+_LONG_REPORT = _report_bytes().replace(b'"n": 8', b'"n": ' + _LONG_INT.encode("ascii"))
+
+
 @st.composite
 def report_files(draw):
     """A report file's bytes, whether `compare` must refuse it, and the
     fields one of which its refusal must name: fields of the wrong type or
     missing, a top level that is not an object, JSON cut short or nested
-    past the decoder's recursion limit, or a byte that is not UTF-8."""
-    how = draw(st.sampled_from(["fields"] * 4 + ["top", "cut", "deep", "badutf8"]))
+    past the decoder's recursion limit, an integer past Python's digit
+    limit, or a byte that is not UTF-8."""
+    how = draw(st.sampled_from(["fields"] * 4 + ["top", "cut", "deep", "long", "badutf8"]))
     data = _report_bytes()
     if how == "fields":
         fields, named = {}, []
@@ -293,6 +305,8 @@ def report_files(draw):
         data = data[:draw(st.integers(0, len(data) - 1))]
     elif how == "deep":
         data = _DEEP.encode("utf-8")
+    elif how == "long":
+        data = _LONG_REPORT
     else:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
@@ -309,6 +323,7 @@ def report_files(draw):
 @example((_report_bytes(em_at_1=0, em_at_5=1, token_f1_at_1=1.0, answer_coverage=0.0, n=1),
           False, []))
 @example((_DEEP.encode("utf-8"), True, []))
+@example((_LONG_REPORT, True, []))
 @example((b"{not json", True, []))
 @settings(max_examples=40, deadline=None)
 def test_report_file(case):
@@ -327,11 +342,14 @@ def test_report_file(case):
             assert not (Path(tmp) / "out" / "manifest.json").exists()
 
 
+# A record holding an integer past Python's digit limit.
+_LONG_RECORD = '{"context": "w01 a01", "question": %s, "answer": "a01"}' % _LONG_INT
+
 # Lines that are not an anchor record: JSON of another type, a record
 # with a field missing or of the wrong type, nesting past the decoder's
-# recursion limit, blank lines.
+# recursion limit, an integer past Python's digit limit, blank lines.
 _NOT_RECORDS = [
-    "[1, 2]", '"x"', "3", "null", "true", "NaN", "{}", "[" * 100_000,
+    "[1, 2]", '"x"', "3", "null", "true", "NaN", "{}", "[" * 100_000, _LONG_INT, _LONG_RECORD,
     '{"context": 3, "question": "q", "answer": "a"}',
     '{"context": "w01 a01", "question": "q"}',
     '{"context": "w01 a01", "question": "q", "answer": ["a01"]}',
@@ -392,6 +410,32 @@ def test_messy_anchor_file(workspace, good_lines, data, case):
         if code == 2:
             assert str(anchor) in _refusal(err), err
             assert not (Path(tmp) / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["train", "valid", "dev", "config", "report"])
+def test_long_integer_in_each_json_input(workspace, good_lines, tmp_path, kind):
+    """An integer past Python's digit limit exits 2 with one error line
+    naming the file, and the line of an anchor record."""
+    bad = tmp_path / f"{kind}.json"
+    if kind in ("train", "valid", "dev"):
+        command = "eval-policy" if kind == "dev" else "train-policy"
+        bad.write_text(f"{good_lines[0]}\n{_LONG_RECORD}\n", encoding="utf-8")
+        argv = _args(workspace)[command]
+        argv[argv.index(f"--{kind}") + 1] = str(bad)
+        argv, named = [command, *argv], f"{bad}:2: record"
+    elif kind == "config":
+        bad.write_text('{"seeds": %s}' % _LONG_INT, encoding="utf-8")
+        argv, named = ["grad-check", "--config", str(bad)], f"config file {bad}"
+    else:
+        (tmp_path / "good.json").write_bytes(_report_bytes())
+        bad.write_bytes(_LONG_REPORT)
+        argv = ["compare", "--reports", str(tmp_path / "good.json"), str(bad)]
+        named = f"report {bad}"
+    code, err = _run([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    [refusal] = _refusal(err).splitlines()
+    assert refusal.startswith(f"error: {named} is not valid JSON: Exceeds the limit"), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")

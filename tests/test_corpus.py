@@ -351,7 +351,7 @@ class TestDocumentsAndAnchors:
         p.write_text("\n" + "[" * 100_000 + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecordError) as exc:
             load_anchor_dataset(p, make_vocab("a"))
-        assert str(exc.value) == f"{p}:2: invalid JSON: nested too deeply"
+        assert str(exc.value) == f"{p}:2: record is not valid JSON: nested too deeply"
 
 
 class TestTokenSequence:

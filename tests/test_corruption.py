@@ -388,8 +388,9 @@ class TestSerialization:
         assert (info.value.line_no, info.value.reason) == (1, reason)
 
     @pytest.mark.parametrize("line, reason", [
-        ('{"doc_id": "d"', "invalid JSON: Expecting ',' delimiter"),
-        ("[1, 2]", "record is not an object"),
+        ('{"doc_id": "d"',
+         "record is not valid JSON: Expecting ',' delimiter: line 1 column 15 (char 14)"),
+        ("[1, 2]", "record must hold a JSON object"),
         (json.dumps({k: v for k, v in RECORD.items() if k != "seed"}), "missing field 'seed'"),
     ])
     def test_unreadable_record_names_its_line(self, tmp_path, line, reason):

@@ -584,3 +584,14 @@ class TestParameterTable:
         arrays["embedding"] = arrays["embedding"].reshape(-1)
         with pytest.raises(MaskPolicyError, match="embedding"):
             PolicyParams.from_arrays(arrays)
+
+    @pytest.mark.parametrize("sizes", [(50, 4, 0), (50, 0, 4), (0, 4, 4)])
+    def test_a_size_of_0_is_refused_by_init_and_by_from_arrays(self, sizes):
+        message = ("policy sizes must be >= 1, got vocab_size={}, d_emb={}, d_h={}"
+                   .format(*sizes))
+        with pytest.raises(InvalidOptionError) as init:
+            init_policy_params(*sizes)
+        with pytest.raises(InvalidOptionError) as load:
+            PolicyParams.from_arrays({name: np.zeros(shape)
+                                      for name, shape in param_shapes(*sizes).items()})
+        assert str(init.value) == str(load.value) == message

@@ -6,7 +6,8 @@ package or the benchmark, the BiLSTM modules import nothing from it, and
 the modules that train and score keep no process-wide state that a
 call could switch for every thread: they have no `global` statement, and
 no module of the package assigns to an attribute of a module or name it
-imports."""
+imports. One function of the package parses JSON, so every JSON input
+is refused in the same way."""
 
 import ast
 import importlib
@@ -117,3 +118,36 @@ def test_training_and_scoring_modules_rebind_no_module_state():
                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                     and isinstance(node.value, ast.Name) and node.value.id in imported]
     assert rebound == []
+
+
+class _JsonParses(ast.NodeVisitor):
+    """The innermost function around each `json.load`, `json.loads` or
+    `json.JSONDecoder` of a module, "<module>" outside any function."""
+
+    def __init__(self):
+        self.found, self._inside = [], ["<module>"]
+
+    def visit_FunctionDef(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    def visit_Attribute(self, node):
+        if (isinstance(node.value, ast.Name) and node.value.id == "json"
+                and node.attr in ("load", "loads", "JSONDecoder")):
+            self.found.append(self._inside[-1])
+        self.generic_visit(node)
+
+
+def test_one_function_parses_json():
+    # what counts as a bad JSON text, and how it is reported, is decided
+    # in one place, for every JSON input the package reads
+    parses = []
+    for path in sorted((SRC / "maskpolicy").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "json"], path.name
+        visitor = _JsonParses()
+        visitor.visit(tree)
+        parses += [f"{path.name}:{name}" for name in visitor.found]
+    assert parses == ["corpus.py:parse_json_object"]
